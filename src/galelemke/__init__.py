@@ -12,6 +12,7 @@ from .errors import (
     DegenerateGameError,
     GaleLemkeError,
     GameFormatError,
+    InvariantError,
     NoEquilibriumError,
     StepCapExceededError,
     UnboundedPolytopeError,
@@ -29,7 +30,6 @@ from .game import (
     split_symmetric_profile,
     symmetric_profile,
     symmetrize,
-    unit_vector_game,
     verify_equilibrium,
 )
 from .gale import (

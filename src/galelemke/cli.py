@@ -21,7 +21,6 @@ from .errors import (
     BudgetExceededError,
     GaleLemkeError,
     GameFormatError,
-    NoEquilibriumError,
     StepCapExceededError,
 )
 from .gale import lemke_path_length
@@ -37,7 +36,7 @@ from .generators import (
     triple_morris_game,
     triple_morris_polytope,
 )
-from .lemke_howson import lh_solve
+from .lemke_howson import DEFAULT_STEP_CAP, lh_solve
 from .paths import path_to_csv
 from .support import (
     AllColumnSubsets,
@@ -49,8 +48,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_SOLVER = 3
 EXIT_BUDGET = 4
-
-DEFAULT_STEP_CAP = 10_000_000
 
 
 def _step_cap(args) -> int:
@@ -227,40 +224,29 @@ def _bench_labels(m: int, choice: str) -> list[int]:
     raise ValueError(f"unknown label choice {choice!r}")
 
 
-def _combinatorial_task(family: str, m: int, label: int, cap: int):
-    poly = morris_polytope(m) if family == "morris" else triple_morris_polytope(m)
+def _path_task(solver: str, family: str, m: int, label: int, cap: int):
+    """Walk one label with the combinatorial engine or the tableau solver
+    (``solver`` is the record's name for it); a capped walk is marked
+    truncated with the pivots it was allowed."""
+    morris = family == "morris"
+    if solver == "lh":
+        instance = (morris_game(m) if morris else triple_morris_game(m)).to_bimatrix()
+    else:
+        instance = morris_polytope(m) if morris else triple_morris_polytope(m)
     start = time.perf_counter()
     try:
-        length, _ = lemke_path_length(poly, label, step_cap=cap)
+        if solver == "lh":
+            length = lh_solve(instance, label, step_cap=cap).path_length
+        else:
+            length, _ = lemke_path_length(instance, label, step_cap=cap)
         truncated = False
     except StepCapExceededError as exc:
         length, truncated = exc.steps_taken, True
     return BenchRecord(
         instance=f"{family}-m{m}",
         m=m,
-        n=poly.n,
-        solver="combinatorial-lemke",
-        missing_label=label,
-        path_length=length,
-        wall_time=time.perf_counter() - start,
-        truncated=truncated,
-    )
-
-
-def _lh_task(family: str, m: int, label: int, cap: int):
-    build = morris_game if family == "morris" else triple_morris_game
-    game = build(m).to_bimatrix()
-    start = time.perf_counter()
-    try:
-        result = lh_solve(game, label, step_cap=cap)
-        length, truncated = result.path_length, False
-    except StepCapExceededError as exc:
-        length, truncated = exc.steps_taken, True
-    return BenchRecord(
-        instance=f"{family}-m{m}",
-        m=game.m,
-        n=game.n,
-        solver="lh",
+        n=instance.n,
+        solver=solver,
         missing_label=label,
         path_length=length,
         wall_time=time.perf_counter() - start,
@@ -296,8 +282,11 @@ def _morris_bench(args, writer) -> list[BenchRecord]:
         if args.solver == "support":
             tasks += [(_support_task, (args.family, m, seed, cap)) for seed in range(args.seeds)]
         else:
-            task = _combinatorial_task if args.solver == "combinatorial" else _lh_task
-            tasks += [(task, (args.family, m, label, cap)) for label in _bench_labels(m, args.labels)]
+            solver = "lh" if args.solver == "lh" else "combinatorial-lemke"
+            tasks += [
+                (_path_task, (solver, args.family, m, label, cap))
+                for label in _bench_labels(m, args.labels)
+            ]
     records = []
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -464,7 +453,7 @@ def main(argv=None) -> int:
     except (BudgetExceededError, StepCapExceededError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (GaleLemkeError, NoEquilibriumError) as exc:
+    except GaleLemkeError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (ValueError, OSError) as exc:

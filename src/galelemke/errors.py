@@ -39,6 +39,11 @@ class StepCapExceededError(GaleLemkeError):
         super().__init__(message)
 
 
+class InvariantError(GaleLemkeError):
+    """An internal invariant of a walk or a solver failed: a program fault,
+    checked on every call so that a wrong answer is never returned."""
+
+
 class BudgetExceededError(GaleLemkeError):
     """An enumeration was refused because it exceeds the configured budget."""
 

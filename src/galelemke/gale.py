@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, StepCapExceededError
-from .paths import PivotPath, PivotStep
+from .errors import BudgetExceededError, DegenerateGameError, InvariantError
+from .paths import PivotPath, PivotStep, capped
 
 
 @dataclass(frozen=True)
@@ -31,17 +31,11 @@ class GaleString:
         if m % 2 != 0:
             raise ValueError(f"number of ones must be even, got {m}")
         if not _cyclic_runs_even(self.bits, self.f):
-            raise ValueError(f"odd interior run of ones in {self._raw_text()}")
+            raise ValueError(f"odd interior run of ones in {self}")
 
     @classmethod
     def from_text(cls, text: str) -> "GaleString":
-        bits = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << i
-            elif ch not in "0.":
-                raise ValueError(f"bad character {ch!r} in bitstring")
-        return cls(len(text), bits)
+        return cls(*_parse_bits(text))
 
     @classmethod
     def from_positions(cls, f: int, positions) -> "GaleString":
@@ -64,16 +58,22 @@ class GaleString:
     def ones(self) -> tuple[int, ...]:
         return tuple(p for p in range(1, self.f + 1) if self.bits >> (p - 1) & 1)
 
-    def _raw_text(self) -> str:
+    def __str__(self) -> str:
+        """Figure convention: ones as '1', zeros as dots."""
         return "".join("1" if self.bits >> i & 1 else "." for i in range(self.f))
 
-    @property
-    def text(self) -> str:
-        """Figure convention: ones as '1', zeros as dots."""
-        return self._raw_text()
+    text = property(__str__)
 
-    def __str__(self) -> str:
-        return self._raw_text()
+
+def _parse_bits(text: str) -> tuple[int, int]:
+    """(length, bits) of a string of '1' for ones and '0' or '.' for zeros."""
+    bits = 0
+    for i, ch in enumerate(text):
+        if ch == "1":
+            bits |= 1 << i
+        elif ch not in "0.":
+            raise ValueError(f"bad character {ch!r} in bitstring")
+    return len(text), bits
 
 
 def _cyclic_runs_even(bits: int, f: int) -> bool:
@@ -104,13 +104,7 @@ def is_gale_even(bits, m: int) -> bool:
     if isinstance(bits, GaleString):
         raw, f = bits.bits, bits.f
     elif isinstance(bits, str):
-        raw = 0
-        for i, ch in enumerate(bits):
-            if ch == "1":
-                raw |= 1 << i
-            elif ch not in "0.":
-                raise ValueError(f"bad character {ch!r} in bitstring")
-        f = len(bits)
+        f, raw = _parse_bits(bits)
     else:
         f, raw = bits
     if m % 2 != 0:
@@ -289,7 +283,7 @@ def _lemke_pivots(poly: LabeledGalePolytope, missing_label: int):
             return
         holders = positions_of[picked]
         if len(holders) != 2:
-            raise AssertionError(
+            raise DegenerateGameError(
                 f"label {picked} held by {len(holders)} tight positions; "
                 "labeling is degenerate"
             )
@@ -297,31 +291,24 @@ def _lemke_pivots(poly: LabeledGalePolytope, missing_label: int):
 
 
 def combinatorial_lemke(
-    poly: LabeledGalePolytope,
-    missing_label: int,
-    step_cap: int | None = None,
-    check_revisits: bool = True,
+    poly: LabeledGalePolytope, missing_label: int, step_cap: int | None = None
 ) -> PivotPath:
     """Follow the pivot path for the missing label on the labeled polytope.
 
     Starts at the vertex with the first m facets tight and ends at another
-    completely labeled vertex.  Raises StepCapExceededError past
-    ``step_cap`` pivots.
+    completely labeled vertex.  Unbounded by default; with a ``step_cap``
+    the path may take exactly that many pivots, and a longer one raises
+    StepCapExceededError with ``steps_taken == step_cap``.  Every vertex is
+    checked against the ones visited before it.
     """
     start = poly.start_vertex()
     steps: list[PivotStep] = []
-    visited = {start.bits} if check_revisits else None
-    for bits, dropped, entered, picked in _lemke_pivots(poly, missing_label):
-        if step_cap is not None and len(steps) >= step_cap:
-            raise StepCapExceededError(
-                f"path for missing label {missing_label} exceeded {step_cap} steps",
-                len(steps),
-            )
+    visited = {start.bits}
+    for bits, dropped, _, picked in capped(_lemke_pivots(poly, missing_label), step_cap):
         vertex = GaleString(poly.f, bits)
-        if visited is not None:
-            if bits in visited:
-                raise AssertionError(f"pivoting revisited vertex {vertex}")
-            visited.add(bits)
+        if bits in visited:
+            raise InvariantError(f"pivoting revisited vertex {vertex}")
+        visited.add(bits)
         steps.append(PivotStep(dropped, picked, vertex))
     return PivotPath(missing_label, start, tuple(steps))
 
@@ -332,17 +319,11 @@ def lemke_path_length(
     """Length (edge count) and endpoint of the path, without recording it.
 
     Memory-light variant for benchmark runs on exponentially long paths.
+    The step cap works as in ``combinatorial_lemke``.
     """
-    count = 0
-    bits = 0
-    for bits, _, _, _ in _lemke_pivots(poly, missing_label):
-        count += 1
-        if step_cap is not None and count > step_cap:
-            raise StepCapExceededError(
-                f"path for missing label {missing_label} exceeded {step_cap} steps",
-                count - 1,
-            )
-    return count, GaleString(poly.f, bits)
+    for count, pivot in enumerate(capped(_lemke_pivots(poly, missing_label), step_cap), 1):
+        pass
+    return count, GaleString(poly.f, pivot[0])
 
 
 # ---------------------------------------------------------------------------

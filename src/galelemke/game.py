@@ -9,7 +9,6 @@ jointly cover 1..m+n.  All arithmetic is exact; floats are rejected.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -382,11 +381,6 @@ class UnitVectorGame:
         return BimatrixGame(a, self.b)
 
 
-def unit_vector_game(u: UnitVectorGame) -> BimatrixGame:
-    """Materialize the bimatrix form of a unit-vector game."""
-    return u.to_bimatrix()
-
-
 def labeled_polytope_vertices(u: UnitVectorGame):
     """Vertices of the single labeled polytope of a unit-vector game.
 
@@ -424,10 +418,3 @@ def equilibrium_from_labeled_point(u: UnitVectorGame, point) -> MixedProfile:
             raise ValueError("point is not completely labeled for its support")
         y[choices[0]] = ONE
     return MixedProfile(simplex_scaled(point), simplex_scaled(y))
-
-
-def _all_equal_supports(m: int, n: int):
-    for size in range(1, min(m, n) + 1):
-        for s1 in itertools.combinations(range(1, m + 1), size):
-            for s2 in itertools.combinations(range(1, n + 1), size):
-                yield frozenset(s1), frozenset(s2)

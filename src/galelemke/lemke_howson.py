@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import (
     CyclingError,
     DegenerateGameError,
-    StepCapExceededError,
+    InvariantError,
     UnboundedPolytopeError,
 )
 from .game import (
@@ -26,7 +26,7 @@ from .game import (
     normalized_matrices,
     simplex_scaled,
 )
-from .paths import PivotPath, PivotStep
+from .paths import PivotPath, PivotStep, capped
 
 DEFAULT_STEP_CAP = 10_000_000
 
@@ -87,7 +87,7 @@ class _Tableau:
         leaving = self.basis[row_index]
         self.basis[row_index] = entering
         if any(r[-1] < 0 for r in self.rows):
-            raise AssertionError("pivot broke right-hand side nonnegativity")
+            raise InvariantError("pivot broke right-hand side nonnegativity")
         return leaving
 
     def basic_value(self, var: int) -> Fraction:
@@ -135,34 +135,31 @@ class LhResult:
 
 
 def lh_steps(
-    game: BimatrixGame,
+    tableaux: tuple[_Tableau, _Tableau],
     missing_label: int,
     lexicographic: bool = True,
     expect_nondegenerate: bool = False,
-    detect_cycles: bool | None = None,
 ):
-    """Low-level pivot stream; yields PivotStep records and stops at the
-    equilibrium.  The final tableaux are exposed via the generator return
-    value (StopIteration.value).
+    """Low-level pivot stream on the tableaux of ``_build_tableaux``; yields
+    PivotStep records, pivots the tableaux in place and stops at the
+    equilibrium.
 
     Cycling is only possible with the lexicographic rule disabled, so basis
-    tracking defaults to on exactly then; pass ``detect_cycles`` explicitly
-    to override (tracking holds every visited basis pair in memory).
+    tracking is on exactly then (it holds every visited basis pair in
+    memory).
     """
-    m, n = game.m, game.n
-    nvars = m + n
+    tab_p, tab_q = tableaux
+    m = len(tab_q.rows)
+    nvars = len(tab_p.rows[0]) - 1
     if not 1 <= missing_label <= nvars:
         raise ValueError(f"missing label {missing_label} out of range 1..{nvars}")
-    if detect_cycles is None:
-        detect_cycles = not lexicographic
-    tab_p, tab_q = _build_tableaux(game)
     side = "P" if missing_label <= m else "Q"
     entering = missing_label - 1
-    visited = {(frozenset(tab_p.basis), frozenset(tab_q.basis))} if detect_cycles else None
+    visited = None if lexicographic else {(frozenset(tab_p.basis), frozenset(tab_q.basis))}
     while True:
         tab = tab_p if side == "P" else tab_q
         if tab.is_basic(entering):
-            raise AssertionError("entering variable is already basic")
+            raise InvariantError("entering variable is already basic")
         row = tab.choose_leaving(entering, lexicographic)
         if expect_nondegenerate and tab.saw_tie:
             raise DegenerateGameError(
@@ -179,7 +176,7 @@ def lh_steps(
         vertex = (tab_p.nonbasic_labels(nvars), tab_q.nonbasic_labels(nvars))
         yield PivotStep(dropped, picked, vertex, side)
         if picked == missing_label:
-            return tab_p, tab_q
+            return
         entering = picked - 1
         side = "Q" if side == "P" else "P"
 
@@ -187,34 +184,26 @@ def lh_steps(
 def lh_solve(
     game: BimatrixGame,
     missing_label: int,
-    step_cap: int = DEFAULT_STEP_CAP,
+    step_cap: int | None = DEFAULT_STEP_CAP,
     lexicographic: bool = True,
     expect_nondegenerate: bool = False,
-    detect_cycles: bool | None = None,
 ) -> LhResult:
     """Run the pivoting walk for one missing label and return the
-    equilibrium it terminates at, with the full path record."""
+    equilibrium it terminates at, with the full path record.
+
+    The path may take exactly ``step_cap`` pivots of the product walk (P
+    and Q moves both count; ``None`` means unbounded); a longer one raises
+    StepCapExceededError with ``steps_taken == step_cap``.
+    """
     m, n = game.m, game.n
     start = (frozenset(range(1, m + 1)), frozenset(range(m + 1, m + n + 1)))
-    steps: list[PivotStep] = []
-    gen = lh_steps(game, missing_label, lexicographic, expect_nondegenerate, detect_cycles)
-    while True:
-        try:
-            step = next(gen)
-        except StopIteration as stop:
-            tab_p, tab_q = stop.value
-            break
-        steps.append(step)
-        if len(steps) > step_cap:
-            gen.close()
-            raise StepCapExceededError(
-                f"pivoting exceeded the cap of {step_cap} steps", len(steps) - 1
-            )
+    tab_p, tab_q = tableaux = _build_tableaux(game)
+    stream = lh_steps(tableaux, missing_label, lexicographic, expect_nondegenerate)
+    steps = tuple(capped(stream, step_cap))
     x_poly = [tab_p.basic_value(i) for i in range(m)]
     y_poly = [tab_q.basic_value(m + j) for j in range(n)]
     profile = MixedProfile(simplex_scaled(x_poly), simplex_scaled(y_poly))
-    path = PivotPath(missing_label, start, tuple(steps))
-    return LhResult(profile, path)
+    return LhResult(profile, PivotPath(missing_label, start, steps))
 
 
 def lh_all_labels(game: BimatrixGame, **kwargs) -> list[tuple[int, LhResult]]:
@@ -245,28 +234,29 @@ def project_path(result: LhResult | PivotPath) -> tuple[list[LabelSet], list[Lab
 
 
 def lemke_path_on_unit_vector_game(
-    u: UnitVectorGame, missing_label: int, step_cap: int = DEFAULT_STEP_CAP
+    u: UnitVectorGame, missing_label: int, step_cap: int | None = DEFAULT_STEP_CAP
 ) -> PivotPath:
     """Path induced on the single labeled polytope of a unit-vector game.
 
-    Runs the product-polytope walk, keeps the moves of the first polytope,
-    and translates facet m+j to its label ell(j).  Vertices are reported as
-    frozensets of tight facet positions.  For missing label m+j the result
-    is the single-polytope path for missing label ell(j).
+    Streams the product-polytope walk, keeps the moves of the first
+    polytope, and translates facet m+j to its label ell(j).  Vertices are
+    reported as frozensets of tight facet positions.  For missing label m+j
+    the result is the single-polytope path for missing label ell(j).  The
+    step cap counts the returned P steps and works as in ``lh_solve``.
     """
-    game = u.to_bimatrix()
-    result = lh_solve(game, missing_label, step_cap=step_cap, expect_nondegenerate=True)
     m = u.m
 
     def translate(label: int) -> int:
         return label if label <= m else u.ell[label - m - 1]
 
-    steps = tuple(
-        PivotStep(translate(s.dropped), translate(s.picked), frozenset(s.vertex[0]), "P")
-        for s in result.path.steps
+    stream = lh_steps(_build_tableaux(u.to_bimatrix()), missing_label, expect_nondegenerate=True)
+    p_steps = (
+        PivotStep(translate(s.dropped), translate(s.picked), s.vertex[0], "P")
+        for s in stream
         if s.system == "P"
     )
+    steps = tuple(capped(p_steps, step_cap))
     target = translate(missing_label)
     if not steps or steps[-1].picked != target:
-        raise AssertionError("projected path does not close with the missing label")
-    return PivotPath(target, frozenset(result.path.start[0]), steps)
+        raise InvariantError("projected path does not close with the missing label")
+    return PivotPath(target, frozenset(range(1, m + 1)), steps)

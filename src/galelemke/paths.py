@@ -1,4 +1,5 @@
-"""Pivot-path records shared by the tableau solver and the bitstring engine.
+"""Pivot-path records and the step-cap runner shared by the tableau solver
+and the bitstring engine.
 
 A path starts at a completely labeled vertex, drops the missing label, and
 pivots along almost-complementary edges until the missing label is picked
@@ -11,7 +12,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Any, Iterable
+from itertools import chain, islice
+from typing import Any, Iterable, Iterator
+
+from .errors import StepCapExceededError
 
 
 @dataclass(frozen=True)
@@ -42,6 +46,27 @@ class PivotPath:
 
     def label_sequence(self) -> list[tuple[int, int]]:
         return [(step.dropped, step.picked) for step in self.steps]
+
+
+def capped(pivots: Iterator, cap: int | None) -> Iterator:
+    """The first ``cap`` pivots of the stream; raises StepCapExceededError
+    with ``steps_taken == cap`` if the stream holds a pivot ``cap + 1``.
+
+    ``cap=None`` returns the stream itself.  The cut adds no Python frame
+    per pivot: ``islice`` forwards the pivots and the overflow check runs
+    once, after the last allowed one.
+    """
+    if cap is None:
+        return pivots
+    if cap < 0:
+        raise ValueError(f"step cap must be nonnegative, got {cap}")
+    return chain(islice(pivots, cap), _nothing_left(pivots, cap))
+
+
+def _nothing_left(pivots: Iterator, cap: int) -> Iterator:
+    for _ in pivots:
+        raise StepCapExceededError(f"pivoting exceeded the step cap of {cap} pivots", cap)
+    yield from ()
 
 
 def _basis_names(labels: Iterable[int], m: int, n: int, side: str) -> str:

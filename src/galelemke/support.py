@@ -9,20 +9,14 @@ infeasible systems are normal negative outcomes.
 from __future__ import annotations
 
 import csv
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import BudgetExceededError, NoEquilibriumError
-from .game import (
-    ZERO,
-    BimatrixGame,
-    MixedProfile,
-    UnitVectorGame,
-    _all_equal_supports,
-    verify_equilibrium,
-)
+from .errors import BudgetExceededError, InvariantError, NoEquilibriumError
+from .game import ZERO, BimatrixGame, MixedProfile, UnitVectorGame, verify_equilibrium
 from .linalg import solve_square
 
 
@@ -106,6 +100,13 @@ def solve_support(game: BimatrixGame, pair: SupportPair) -> MixedProfile | None:
             if payoff > v:
                 return None
     return MixedProfile(tuple(x), tuple(y))
+
+
+def _all_equal_supports(m: int, n: int):
+    for size in range(1, min(m, n) + 1):
+        for s1 in itertools.combinations(range(1, m + 1), size):
+            for s2 in itertools.combinations(range(1, n + 1), size):
+                yield frozenset(s1), frozenset(s2)
 
 
 def enumerate_equilibria(game: BimatrixGame, max_pairs: int = 1 << 22) -> list[MixedProfile]:
@@ -265,7 +266,8 @@ def randomized_support_search(
         guesses += 1
         profile = _try_full_row_support(game, universe.support(index))
         if profile is not None:
-            assert verify_equilibrium(game, profile)
+            if not verify_equilibrium(game, profile):
+                raise InvariantError("support solution fails the label cover")
             return profile, SearchStats(guesses, size, equilibria)
     raise NoEquilibriumError(
         f"no equilibrium among the {size} supports of universe {universe.name!r}"

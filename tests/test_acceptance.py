@@ -27,7 +27,6 @@ from galelemke import (
     randomized_support_search,
     triple_morris_game,
     triple_morris_polytope,
-    unit_vector_game,
 )
 from galelemke.gale import LabeledGalePolytope
 from galelemke.game import equilibria_by_vertex_enumeration
@@ -171,7 +170,7 @@ def test_criterion_7_triple_equals_single():
 
 def test_criterion_8_guess_count_matches_expectation():
     start = time.perf_counter()
-    game = unit_vector_game(triple_morris_game(2))
+    game = triple_morris_game(2).to_bimatrix()
     universe = AllColumnSubsets(game)
     assert len(universe) == 15
     _, stats = randomized_support_search(game, universe, seed=0, count_supports=True)

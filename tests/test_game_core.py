@@ -18,7 +18,6 @@ from galelemke import (
     split_symmetric_profile,
     symmetric_profile,
     symmetrize,
-    unit_vector_game,
     verify_equilibrium,
 )
 from galelemke.errors import BudgetExceededError
@@ -249,11 +248,11 @@ class TestImitationGame:
 class TestUnitVectorGame:
     def test_worked_example_is_unit_vector_game(self, game22):
         u = UnitVectorGame.of(3, (1, 2, 3), game22.b)
-        assert unit_vector_game(u) == game22
+        assert u.to_bimatrix() == game22
 
     def test_constant_label_duplicates_columns(self):
         u = UnitVectorGame.of(2, (1, 1, 1), [[1, 2, 3], [4, 5, 6]])
-        game = unit_vector_game(u)
+        game = u.to_bimatrix()
         assert all(game.a[0][j] == 1 for j in range(3))
         assert all(game.a[1][j] == 0 for j in range(3))
 
@@ -273,7 +272,7 @@ class TestUnitVectorGame:
                 continue
             b = [[rng.randint(1, 50) for _ in range(5)] for _ in range(3)]
             u = UnitVectorGame.of(3, ell, b)
-            game = unit_vector_game(u)
+            game = u.to_bimatrix()
             if not is_nondegenerate(game):
                 continue
             eq_x = {p.x for p in enumerate_equilibria(game)}

@@ -21,7 +21,6 @@ from galelemke import (
     shuffle_columns,
     triple_morris_game,
     triple_morris_polytope,
-    unit_vector_game,
     verify_equilibrium,
 )
 from galelemke.errors import GaleLemkeError
@@ -70,7 +69,7 @@ class TestTripleMorris:
 
     def test_two_dimensional_game(self):
         u = triple_morris_game(2)
-        game = unit_vector_game(u)
+        game = u.to_bimatrix()
         equilibria = enumerate_equilibria(game)
         assert len(equilibria) == 3
         assert all(all(v > 0 for v in p.x) for p in equilibria)
@@ -78,7 +77,7 @@ class TestTripleMorris:
     @pytest.mark.parametrize("m", [2, 4])
     def test_equilibria_match_strings(self, m):
         u = triple_morris_game(m)
-        game = unit_vector_game(u)
+        game = u.to_bimatrix()
         string_supports = {
             frozenset(p - u.m for p in s.ones())
             for s in completely_labeled_strings(triple_morris_polytope(m))
@@ -88,11 +87,11 @@ class TestTripleMorris:
         assert equilibrium_supports == string_supports
 
     def test_four_dimensional_count(self):
-        game = unit_vector_game(triple_morris_game(4))
+        game = triple_morris_game(4).to_bimatrix()
         assert len(enumerate_equilibria(game)) == 9
 
     def test_morris_game_single_equilibrium(self):
-        game = unit_vector_game(morris_game(4))
+        game = morris_game(4).to_bimatrix()
         equilibria = enumerate_equilibria(game)
         assert len(equilibria) == 1
         assert all(v > 0 for v in equilibria[0].x)
@@ -101,7 +100,7 @@ class TestTripleMorris:
         u = triple_morris_game(2)
         shuffled = shuffle_columns(u, seed=3)
         assert sorted(shuffled.ell) == sorted(u.ell)
-        game = unit_vector_game(shuffled)
+        game = shuffled.to_bimatrix()
         assert len(enumerate_equilibria(game)) == 3
 
 

@@ -19,7 +19,6 @@ from galelemke import (
     randomized_support_search,
     solve_support,
     triple_morris_game,
-    unit_vector_game,
     verify_equilibrium,
 )
 from galelemke.errors import NoEquilibriumError
@@ -75,7 +74,7 @@ class TestEnumerateEquilibria:
         assert {(p.x, p.y) for p in enumerate_equilibria(game)} == expected
 
     def test_triple_morris_count(self):
-        game = unit_vector_game(triple_morris_game(2))
+        game = triple_morris_game(2).to_bimatrix()
         assert len(enumerate_equilibria(game)) == 3
 
     def test_odd_equilibrium_counts(self):
@@ -128,7 +127,7 @@ class TestUniverses:
 
 class TestRandomizedSearch:
     def test_stats_on_triple_morris(self):
-        game = unit_vector_game(triple_morris_game(2))
+        game = triple_morris_game(2).to_bimatrix()
         universe = AllColumnSubsets(game)
         profile, stats = randomized_support_search(game, universe, seed=0, count_supports=True)
         assert verify_equilibrium(game, profile)
@@ -150,7 +149,7 @@ class TestRandomizedSearch:
 
     def test_search_on_label_class_universe(self):
         uv = triple_morris_game(2)
-        game = unit_vector_game(uv)
+        game = uv.to_bimatrix()
         universe = OnePerLabelClass(uv)
         profile, stats = randomized_support_search(game, universe, seed=2, count_supports=True)
         assert verify_equilibrium(game, profile)
@@ -158,14 +157,14 @@ class TestRandomizedSearch:
         assert stats.equilibrium_support_count == 3
 
     def test_deterministic_given_seed(self):
-        game = unit_vector_game(triple_morris_game(2))
+        game = triple_morris_game(2).to_bimatrix()
         universe = AllColumnSubsets(game)
         first = randomized_support_search(game, universe, seed=9)
         second = randomized_support_search(game, universe, seed=9)
         assert first == second
 
     def test_monte_carlo_mean_matches_expectation(self):
-        game = unit_vector_game(triple_morris_game(2))
+        game = triple_morris_game(2).to_bimatrix()
         universe = AllColumnSubsets(game)
         counts = [
             randomized_support_search(game, universe, seed=s)[1].guesses
@@ -216,5 +215,5 @@ class TestStatsCsv:
         assert lines[2] == "1,2,15,"
 
     def test_count_helper(self):
-        game = unit_vector_game(triple_morris_game(2))
+        game = triple_morris_game(2).to_bimatrix()
         assert count_equilibrium_supports(game, AllColumnSubsets(game)) == 3
