@@ -11,13 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 from .errors import BudgetExceededError
+from .linalg import scaled_to_integers
 from .polytope import vertices_nonneg_form
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 LabelSet = frozenset[int]
+ScaledRow = tuple[int, tuple[int, ...]]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -116,6 +118,33 @@ class BimatrixGame:
                 f"match game {self.m}x{self.n}"
             )
 
+    # Derived payoffs are computed once per instance and kept in its
+    # __dict__ (cached_property writes there directly, so this works on a
+    # frozen dataclass and leaves ==, hash and repr alone).
+
+    @cached_property
+    def _normalized(self) -> tuple[Matrix, Matrix, Fraction, Fraction]:
+        a_cols = [tuple(row[j] for row in self.a) for j in range(self.n)]
+        shift_a = _shift_amount(self.a, a_cols)
+        shift_b = _shift_amount(self.b, self.b)
+        return _shifted(self.a, shift_a), _shifted(self.b, shift_b), shift_a, shift_b
+
+    @cached_property
+    def integer_payoffs(self) -> tuple[tuple[ScaledRow, ...], tuple[ScaledRow, ...]]:
+        """Rows of the normalized A and columns of the normalized B, each
+        multiplied by the lcm of its denominators: ``(a_rows, b_cols)`` of
+        ``(scale, integers)`` pairs.
+
+        A positive scale of a whole row of A (column of B) changes no
+        ratio, sign or comparison the exact engines make, so the tableau
+        and the support systems start from these instead of Fractions.
+        """
+        a2, b2, _, _ = self._normalized
+        return (
+            tuple(scaled_to_integers(row) for row in a2),
+            tuple(scaled_to_integers(col) for col in transpose(b2)),
+        )
+
 
 def _shift_amount(mat: Matrix, vectors) -> Fraction:
     """Shift making all entries positive, or 0 if the matrix already has
@@ -133,20 +162,16 @@ def _shifted(mat: Matrix, amount: Fraction) -> Matrix:
     return tuple(tuple(v + amount for v in row) for row in mat)
 
 
-@lru_cache(maxsize=512)
 def normalized_matrices(game: BimatrixGame) -> tuple[Matrix, Matrix, Fraction, Fraction]:
     """Payoff matrices shifted so A and B-transpose are nonnegative with no
-    zero column, plus the per-matrix shifts applied.
+    zero column, plus the per-matrix shifts applied (cached on the game).
 
     Shifting a player's payoffs by a constant never moves an equilibrium, so
     solvers may work on the shifted copies and report results for the
     original game.  The zero-column condition keeps the derived polytopes
     bounded (columns of A, rows of B).
     """
-    a_cols = [tuple(row[j] for row in game.a) for j in range(game.n)]
-    shift_a = _shift_amount(game.a, a_cols)
-    shift_b = _shift_amount(game.b, game.b)
-    return _shifted(game.a, shift_a), _shifted(game.b, shift_b), shift_a, shift_b
+    return game._normalized
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +399,12 @@ class UnitVectorGame:
         return {k: tuple(v) for k, v in classes.items()}
 
     def to_bimatrix(self) -> BimatrixGame:
+        """The bimatrix game (A, B).  It is built once per instance, so
+        every caller shares its cached payoffs."""
+        return self._bimatrix
+
+    @cached_property
+    def _bimatrix(self) -> BimatrixGame:
         a = tuple(
             tuple(ONE if self.ell[j] == i + 1 else ZERO for j in range(self.n))
             for i in range(self.m)

@@ -3,8 +3,11 @@
 The walk starts at the origin pair, drops the chosen missing label, and
 alternates pivots between the two systems until that label is picked up
 again, at which point the basic solution is an equilibrium.  All pivoting is
-exact; the lexicographic ratio test keeps the right-hand side nonnegative
-and rules out cycling even on degenerate inputs.
+exact and runs on integers: each system keeps one common denominator (the
+determinant of its basis) and every pivot is a fraction-free Bareiss step,
+as in the integer pivoting of lrsnash (Avis, Rosenberg, Savani and von
+Stengel 2010).  The lexicographic ratio test keeps the right-hand side
+nonnegative and rules out cycling even on degenerate inputs.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .game import (
     LabelSet,
     MixedProfile,
     UnitVectorGame,
-    normalized_matrices,
     simplex_scaled,
 )
 from .paths import PivotPath, PivotStep, capped
@@ -31,59 +33,98 @@ from .paths import PivotPath, PivotStep, capped
 DEFAULT_STEP_CAP = 10_000_000
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class _Tableau:
-    """One system in row dictionary form: every row holds the coefficients
-    of all variables plus the right-hand side; ``basis[r]`` is the basic
-    variable of row r.  Variable ids are 0-based and id v carries label v+1.
+    """One system in row dictionary form over the integers.
+
+    Every row holds the coefficients of all variables plus the right-hand
+    side, all multiplied by the common denominator ``det`` (the determinant
+    of the current basis, kept positive); ``basis[r]`` is the basic variable
+    of row r, and its column holds ``det`` in row r and 0 elsewhere.
+    Variable ids are 0-based and id v carries label v+1.
     """
 
-    def __init__(self, rows: list[list[Fraction]], basis: list[int], lex_cols: tuple[int, ...]):
+    def __init__(self, rows: list[list[int]], basis: list[int], lex_cols: tuple[int, ...]):
         self.rows = rows
         self.basis = basis
         self.lex_cols = lex_cols
+        self.det = 1
         self.saw_tie = False
 
     def is_basic(self, var: int) -> bool:
         return var in self.basis
 
     def choose_leaving(self, entering: int, lexicographic: bool) -> int:
-        """Row index of the leaving variable by the (lexico-)minimum ratio."""
-        eligible = [r for r, row in enumerate(self.rows) if row[entering] > 0]
-        if not eligible:
+        """Row index of the leaving variable by the (lexico-)minimum ratio.
+
+        Ratios are compared by cross-multiplication: ``_order`` gives the
+        sign of row r's ratio minus row s's, and the common denominator
+        cancels.
+        """
+        tied: list[int] = []
+        for r, row in enumerate(self.rows):
+            if row[entering] <= 0:
+                continue
+            if tied:
+                order = self._order(r, tied[0], entering, -1)
+                if order > 0:
+                    continue
+                if order == 0:
+                    tied.append(r)
+                    continue
+            tied = [r]
+        if not tied:
             raise UnboundedPolytopeError(
                 "entering column has no positive coefficient; polytope is unbounded"
             )
-        ratios = {r: self.rows[r][-1] / self.rows[r][entering] for r in eligible}
-        best = min(ratios.values())
-        tied = [r for r in eligible if ratios[r] == best]
         if len(tied) == 1:
             return tied[0]
         self.saw_tie = True
         if not lexicographic:
             return tied[0]
+        best = tied[0]
+        for r in tied[1:]:
+            order = 0
+            for c in self.lex_cols:
+                order = self._order(r, best, entering, c)
+                if order:
+                    break
+            if order < 0:
+                best = r
+        return best
 
-        def key(r: int):
-            coeff = self.rows[r][entering]
-            return tuple(self.rows[r][c] / coeff for c in self.lex_cols)
-
-        return min(tied, key=key)
+    def _order(self, r: int, s: int, entering: int, col: int) -> int:
+        """An integer with the sign of ``rows[r][col]/rows[r][entering] -
+        rows[s][col]/rows[s][entering]``; both entering coefficients are
+        positive."""
+        row_r, row_s = self.rows[r], self.rows[s]
+        return row_r[col] * row_s[entering] - row_s[col] * row_r[entering]
 
     def pivot(self, entering: int, row_index: int) -> int:
         """Bring ``entering`` into the basis on the given row; returns the
-        leaving variable."""
+        leaving variable.
+
+        Integer pivoting: the pivot row stays as it is, every other row
+        becomes ``(v*p - f*w) // det`` (an exact division; a row with f == 0
+        becomes ``v*p // det``, which is itself when p == det) and the pivot
+        entry p becomes the new common denominator.
+        """
         row = self.rows[row_index]
-        coeff = row[entering]
-        if coeff <= 0:
+        p = row[entering]
+        if p <= 0:
             raise ValueError("pivot coefficient must be positive")
-        self.rows[row_index] = row = [v / coeff for v in row]
+        det = self.det
         for r, other in enumerate(self.rows):
-            if r == row_index or other[entering] == 0:
+            if r == row_index:
                 continue
-            factor = other[entering]
-            self.rows[r] = [v - factor * w for v, w in zip(other, row)]
+            f = other[entering]
+            if f == 0:
+                if p != det:
+                    self.rows[r] = [v * p // det for v in other]
+            else:
+                self.rows[r] = [(v * p - f * w) // det for v, w in zip(other, row)]
+        self.det = p
         leaving = self.basis[row_index]
         self.basis[row_index] = entering
         if any(r[-1] < 0 for r in self.rows):
@@ -93,7 +134,7 @@ class _Tableau:
     def basic_value(self, var: int) -> Fraction:
         for r, b in enumerate(self.basis):
             if b == var:
-                return self.rows[r][-1]
+                return Fraction(self.rows[r][-1], self.det)
         return ZERO
 
     def nonbasic_labels(self, nvars: int) -> LabelSet:
@@ -102,20 +143,26 @@ class _Tableau:
 
 
 def _build_tableaux(game: BimatrixGame) -> tuple[_Tableau, _Tableau]:
-    a2, b2, _, _ = normalized_matrices(game)
+    """Initial integer tableaux of P (one row per column of B) and Q (one
+    row per row of A).  Each row is scaled to integers and its slack
+    variable by the inverse scale, so the slack keeps coefficient 1 and the
+    slack basis has determinant 1.  Positive row and column scales leave the
+    ratio test, its ties and the lexicographic order unchanged.
+    """
+    a_rows, b_cols = game.integer_payoffs
     m, n = game.m, game.n
     nvars = m + n
     p_rows = []
-    for j in range(n):
-        row = [b2[i][j] for i in range(m)]
-        row += [ONE if k == j else ZERO for k in range(n)]
-        row.append(ONE)
+    for j, (scale, col) in enumerate(b_cols):
+        row = list(col)
+        row += [1 if k == j else 0 for k in range(n)]
+        row.append(scale)
         p_rows.append(row)
     q_rows = []
-    for i in range(m):
-        row = [ONE if k == i else ZERO for k in range(m)]
-        row += [a2[i][j] for j in range(n)]
-        row.append(ONE)
+    for i, (scale, entries) in enumerate(a_rows):
+        row = [1 if k == i else 0 for k in range(m)]
+        row += entries
+        row.append(scale)
         q_rows.append(row)
     tab_p = _Tableau(p_rows, [m + j for j in range(n)], tuple(range(m, nvars)))
     tab_q = _Tableau(q_rows, list(range(m)), tuple(range(m)))

@@ -2,39 +2,20 @@
 
 Brute force over square subsystems of binding constraints.  Intended as an
 oracle and for nondegeneracy checks; cost grows as C(#constraints, dim).
-The inner loops run on integers: rows are pre-scaled and candidate points
-are compared through a common denominator.
+The inner loops of ``vertices_nonneg_form`` run on integers: rows are
+scaled once, each subsystem goes to the Bareiss kernel, and candidate points
+stay as numerators over a common denominator until a new vertex is found.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import gcd
 
-from .linalg import dot, solve_square
+from .linalg import bareiss_solve, dot, scaled_to_integers, solve_square
 
-ONE = Fraction(1)
 ZERO = Fraction(0)
-
-
-def _scaled_rows(rows, rhs):
-    """Clear denominators per row: (integer row, integer rhs) pairs."""
-    out = []
-    for row, b in zip(rows, rhs):
-        entries = list(row) + [b]
-        scale = lcm(*(e.denominator for e in entries))
-        if scale == 1:
-            out.append(([e.numerator for e in row], b.numerator))
-        else:
-            out.append(([int(e * scale) for e in row], int(b * scale)))
-    return out
-
-
-def _scaled_point(point):
-    """(integer coordinates, common denominator) of a rational point."""
-    denom = lcm(*(v.denominator for v in point)) if point else 1
-    return [int(v * denom) for v in point], denom
 
 
 def vertices_nonneg_form(rows, dim):
@@ -46,33 +27,31 @@ def vertices_nonneg_form(rows, dim):
     bind there, so a degenerate vertex reports more than ``dim`` of them.
     """
     nrows = len(rows)
-    int_rows = _scaled_rows(rows, [ONE] * nrows)
+    # R z <= 1 scaled row by row: (integer row, integer right-hand side)
+    int_rows = [(ints, scale) for scale, ints in map(scaled_to_integers, rows)]
     seen: set[tuple] = set()
     for k in range(0, dim + 1):
         for free in itertools.combinations(range(dim), k):
-            columns = [
-                ([row[c] for c in free], b) for row, b in int_rows
-            ]
+            columns = [[row[c] for c in free] + [b] for row, b in int_rows]
             for tight in itertools.combinations(range(nrows), k):
-                sol = solve_square(
-                    [columns[r][0] for r in tight], [columns[r][1] for r in tight]
-                )
-                if sol is None:
+                solved = bareiss_solve([list(columns[r]) for r in tight])
+                if solved is None:
                     continue
-                if any(v < 0 for v in sol):
+                num, den = solved
+                if any(v < 0 for v in num):
                     continue
-                point = [ZERO] * dim
-                for c, v in zip(free, sol):
-                    point[c] = v
-                key = tuple(point)
+                scaled = [0] * dim
+                for c, v in zip(free, num):
+                    scaled[c] = v
+                g = gcd(den, *num)
+                key = (tuple(v // g for v in scaled), den // g)
                 if key in seen:
                     continue
-                scaled, denom = _scaled_point(point)
                 feasible = True
                 tight_rows = set()
                 for j, (row, b) in enumerate(int_rows):
                     value = sum(c * z for c, z in zip(row, scaled))
-                    bound = b * denom
+                    bound = b * den
                     if value > bound:
                         feasible = False
                         break
@@ -81,8 +60,9 @@ def vertices_nonneg_form(rows, dim):
                 if not feasible:
                     continue
                 seen.add(key)
-                tight_coords = frozenset(i + 1 for i in range(dim) if point[i] == 0)
-                yield tuple(point), tight_coords, frozenset(tight_rows)
+                tight_coords = frozenset(i + 1 for i in range(dim) if scaled[i] == 0)
+                point = tuple(Fraction(v, den) if v else ZERO for v in scaled)
+                yield point, tight_coords, frozenset(tight_rows)
 
 
 def vertices_general_form(rows, rhs):

@@ -17,7 +17,7 @@ from math import comb
 
 from .errors import BudgetExceededError, InvariantError, NoEquilibriumError
 from .game import ZERO, BimatrixGame, MixedProfile, UnitVectorGame, verify_equilibrium
-from .linalg import solve_square
+from .linalg import bareiss_solve
 
 
 @dataclass(frozen=True)
@@ -36,17 +36,40 @@ class SupportPair:
         return cls(frozenset(int(v) for v in s1), frozenset(int(v) for v in s2))
 
 
-def _indifference_solution(payoff_rows, size):
-    """Solve: opponent is indifferent across ``payoff_rows`` (one row per
-    own support strategy), weights sum to 1.  Unknowns: weights and the
-    common payoff.  Returns (weights, payoff) or None if singular."""
-    system = [row + [Fraction(-1)] for row in payoff_rows]
-    system.append([Fraction(1)] * size + [Fraction(0)])
-    rhs = [ZERO] * size + [Fraction(1)]
-    sol = solve_square(system, rhs)
-    if sol is None:
-        return None
-    return sol[:size], sol[size]
+def _indifference_solution(scaled, own, other):
+    """Weights on ``other`` that make the opponent indifferent across
+    ``own``, which sum to 1, and the common payoff.
+
+    ``scaled[k]`` is the opponent's payoff vector of own strategy k+1 as a
+    ``(scale, integers)`` pair.  Returns ``(numerators, denominator)`` with
+    the weights first and the scaled payoff last, or None if the system is
+    singular.
+    """
+    system = []
+    for i in own:
+        scale, entries = scaled[i - 1]
+        system.append([entries[j - 1] for j in other] + [-scale, 0])
+    system.append([1] * len(other) + [0, 1])
+    return bareiss_solve(system)
+
+
+def _beaten(scaled, own, other, numerators) -> bool:
+    """True iff a strategy outside ``own`` earns more than the support
+    payoff against the weights (all compared over their common
+    denominator)."""
+    payoff = numerators[-1]
+    for i, (scale, entries) in enumerate(scaled, start=1):
+        if i not in own:
+            if sum(entries[j - 1] * w for j, w in zip(other, numerators)) > scale * payoff:
+                return True
+    return False
+
+
+def _mixed(size: int, support, numerators, denominator) -> tuple[Fraction, ...]:
+    weights = [ZERO] * size
+    for k, w in zip(support, numerators):
+        weights[k - 1] = Fraction(w, denominator)
+    return tuple(weights)
 
 
 def solve_support(game: BimatrixGame, pair: SupportPair) -> MixedProfile | None:
@@ -54,7 +77,11 @@ def solve_support(game: BimatrixGame, pair: SupportPair) -> MixedProfile | None:
 
     Requires equal support sizes.  Returns None when the linear systems are
     singular, a weight leaves the support (zero or negative), or a strategy
-    outside a support beats the support payoff.
+    outside a support beats the support payoff.  Works on the game's
+    integer (normalized) payoffs: shifting a player's payoffs by a constant
+    moves the support payoff by the same constant and leaves the weights,
+    the singular cases and every best-response comparison as they are.
+    Fractions are built only for an equilibrium found.
     """
     m, n = game.m, game.n
     s1 = sorted(pair.s1)
@@ -64,42 +91,26 @@ def solve_support(game: BimatrixGame, pair: SupportPair) -> MixedProfile | None:
     if s1[-1] > m or s2[-1] > n:
         raise ValueError("support indices out of range")
     size = len(s1)
+    a_rows, b_cols = game.integer_payoffs
 
     # player 2's mix makes player 1 indifferent across s1
-    rows_a = [[game.a[i - 1][j - 1] for j in s2] for i in s1]
-    y_sol = _indifference_solution(rows_a, size)
+    y_sol = _indifference_solution(a_rows, s1, s2)
     if y_sol is None:
         return None
-    y_weights, u = y_sol
-    if any(w <= 0 for w in y_weights):
+    y_num, y_den = y_sol
+    if any(w <= 0 for w in y_num[:size]):
         return None
     # player 1's mix makes player 2 indifferent across s2
-    rows_b = [[game.b[i - 1][j - 1] for i in s1] for j in s2]
-    x_sol = _indifference_solution(rows_b, size)
+    x_sol = _indifference_solution(b_cols, s2, s1)
     if x_sol is None:
         return None
-    x_weights, v = x_sol
-    if any(w <= 0 for w in x_weights):
+    x_num, x_den = x_sol
+    if any(w <= 0 for w in x_num[:size]):
         return None
-
-    x = [ZERO] * m
-    for i, w in zip(s1, x_weights):
-        x[i - 1] = w
-    y = [ZERO] * n
-    for j, w in zip(s2, y_weights):
-        y[j - 1] = w
     # best-response checks outside the supports
-    for i in range(1, m + 1):
-        if i not in pair.s1:
-            payoff = sum((game.a[i - 1][j - 1] * y[j - 1] for j in s2), ZERO)
-            if payoff > u:
-                return None
-    for j in range(1, n + 1):
-        if j not in pair.s2:
-            payoff = sum((game.b[i - 1][j - 1] * x[i - 1] for i in s1), ZERO)
-            if payoff > v:
-                return None
-    return MixedProfile(tuple(x), tuple(y))
+    if _beaten(a_rows, pair.s1, s2, y_num) or _beaten(b_cols, pair.s2, s1, x_num):
+        return None
+    return MixedProfile(_mixed(m, s1, x_num, x_den), _mixed(n, s2, y_num, y_den))
 
 
 def _all_equal_supports(m: int, n: int):

@@ -1,0 +1,168 @@
+"""Golden outputs of the exact engines.
+
+Each digest is a SHA-256 of a canonical text form of solver output on a
+fixed instance set: LH paths and equilibria (with the exception type and
+message where a walk fails), randomized support search profiles and guess
+counts, support enumeration, vertex enumeration and the nondegeneracy
+check.  The digests were recorded on the rational (``Fraction``) tableau
+and per-guess rescaling implementation; any change of arithmetic must
+leave every one of them unchanged.
+"""
+
+import hashlib
+import random
+from fractions import Fraction
+
+import pytest
+
+from galelemke import (
+    AllColumnSubsets,
+    BimatrixGame,
+    OnePerLabelClass,
+    enumerate_equilibria,
+    imitation_game,
+    is_nondegenerate,
+    lemke_path_on_unit_vector_game,
+    lh_solve,
+    morris_game,
+    random_game,
+    randomized_support_search,
+    triple_morris_game,
+)
+from galelemke.errors import GaleLemkeError
+from galelemke.game import p_vertices, q_vertices
+
+from conftest import C_DEGENERATE, C_THREE_EQ
+
+
+def _canon(obj):
+    """Text form independent of set iteration order."""
+    if isinstance(obj, (frozenset, set)):
+        return "{" + ",".join(sorted(_canon(v) for v in obj)) + "}"
+    if isinstance(obj, (tuple, list)):
+        return "(" + ",".join(_canon(v) for v in obj) + ")"
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
+    return repr(obj)
+
+
+def _digest(records) -> str:
+    return hashlib.sha256(_canon(records).encode()).hexdigest()
+
+
+def _path_record(path):
+    return (
+        path.missing_label,
+        path.start,
+        tuple((s.dropped, s.picked, s.vertex, s.system) for s in path.steps),
+    )
+
+
+def _lh_record(game, label, **kwargs):
+    try:
+        result = lh_solve(game, label, **kwargs)
+    except GaleLemkeError as exc:
+        return ("error", type(exc).__name__, str(exc))
+    eq = result.equilibrium
+    return ("ok", _path_record(result.path), eq.x, eq.y)
+
+
+def _all_labels(game, **kwargs):
+    return [_lh_record(game, k, **kwargs) for k in range(1, game.m + game.n + 1)]
+
+
+def _degenerate_games():
+    games = [imitation_game(C_DEGENERATE)]
+    games += [
+        random_game(4, 4, seed, payoff_range=(0, 2), filter_degenerate=False)
+        for seed in range(12)
+    ]
+    # these cycle when the lexicographic rule is off
+    games += [
+        random_game(m, m, seed, payoff_range=(0, 2), filter_degenerate=False)
+        for m, seed in ((3, 372), (4, 148), (4, 223), (5, 19), (5, 24))
+    ]
+    return games
+
+
+def _rational_game(m, n, seed):
+    rng = random.Random(seed)
+
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+    return BimatrixGame.from_rows(
+        [[entry() for _ in range(n)] for _ in range(m)],
+        [[entry() for _ in range(n)] for _ in range(m)],
+    )
+
+
+def _rational_games():
+    return [_rational_game(3, 4, s) for s in range(4)] + [_rational_game(4, 3, 10 + s) for s in range(3)]
+
+
+def _oracle_games():
+    return (
+        [imitation_game(C_THREE_EQ), imitation_game(C_DEGENERATE)]
+        + [random_game(3, 3, s) for s in range(3)]
+        + [random_game(3, 4, s, payoff_range=(0, 3), filter_degenerate=False) for s in range(4)]
+        + _rational_games()[:3]
+        + [triple_morris_game(2).to_bimatrix(), morris_game(4).to_bimatrix()]
+    )
+
+
+GOLDEN = {
+    "lh_triple_morris": "b67fcbed48823629df5c3c39035560b13acc085cb89791e2a54cdb6adfc2558b",
+    "lh_degenerate_lex": "5f9092e1d07aeaaa61f15c0f01d3493403b2e32c71b765e1a407a14b97589df9",
+    "lh_degenerate_nolex": "acd63d83fd070ee60ae5115e2eef297cc611db8aee2bd504310588655df8efbf",
+    "lh_degenerate_strict": "3ebb28c6c7198828d59cd89867080b724db20decf6d99c6964627f4d3a27e769",
+    "lh_rational": "3da7dbdf23bc1fe0700bce2df1674c53793228173b5d5411f6540256608b0b1c",
+    "lh_random": "949963e9c485228d4e29acf55f96b7ddbcb5214e92146d27070b9f4c559b29ea",
+    "unit_vector_paths": "8f1b7c4a5b51022ea01e246431dc12d164311adca67887d42c1dbab245da74c2",
+    "support_search": "bb3c5f316e20272f6a525568f278d3f869eaa8995e8bfe9930815401db47b2c3",
+    "support_enumeration": "e39bedad95af733f62ae04a64bb86c40e32c8e2f06e2a75e49c3a74a4519e217",
+    "vertex_enumeration": "98929ce0b10628de8986a56859bb9318aa6f3f645543be9e65695a40ac1c8d22",
+}
+
+
+def _outputs(name):
+    if name == "lh_triple_morris":
+        return [_all_labels(triple_morris_game(m).to_bimatrix()) for m in (4, 6, 8)]
+    if name == "lh_degenerate_lex":
+        return [_all_labels(g) for g in _degenerate_games()]
+    if name == "lh_degenerate_nolex":
+        return [_all_labels(g, lexicographic=False) for g in _degenerate_games()]
+    if name == "lh_degenerate_strict":
+        return [_all_labels(g, expect_nondegenerate=True) for g in _degenerate_games()]
+    if name == "lh_rational":
+        return [_all_labels(g) for g in _rational_games()]
+    if name == "lh_random":
+        return [_all_labels(random_game(4, 5, s)) for s in range(6)]
+    if name == "unit_vector_paths":
+        return [
+            [_path_record(lemke_path_on_unit_vector_game(u, k)) for k in range(1, u.m + u.n + 1)]
+            for u in (triple_morris_game(4), triple_morris_game(6), morris_game(6))
+        ]
+    if name == "support_search":
+        out = []
+        for m in (4, 6):
+            u = triple_morris_game(m)
+            game = u.to_bimatrix()
+            for universe in (AllColumnSubsets(game), OnePerLabelClass(u)):
+                for seed in range(6):
+                    profile, stats = randomized_support_search(game, universe, seed)
+                    out.append((m, universe.name, seed, profile.x, profile.y, stats.guesses))
+        return out
+    if name == "support_enumeration":
+        return [[(p.x, p.y) for p in enumerate_equilibria(g)] for g in _oracle_games()]
+    if name == "vertex_enumeration":
+        return [
+            (list(p_vertices(g)), list(q_vertices(g)), is_nondegenerate(g))
+            for g in _oracle_games()
+        ]
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_digest(name):
+    assert _digest(_outputs(name)) == GOLDEN[name]

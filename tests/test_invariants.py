@@ -22,7 +22,8 @@ from galelemke import (
 from galelemke import support
 from galelemke.cli import main
 from galelemke.errors import GaleLemkeError, InvariantError, StepCapExceededError
-from galelemke.lemke_howson import _Tableau
+from galelemke.generators import random_game
+from galelemke.lemke_howson import _build_tableaux, _Tableau, lh_steps
 
 ENTRY_POINTS = {
     "combinatorial_lemke": lambda cap: combinatorial_lemke(
@@ -87,6 +88,38 @@ def test_pivot_off_the_ratio_test_raises():
     tableau = _Tableau(rows, [1, 2], (1, 2))
     with pytest.raises(InvariantError):
         tableau.pivot(0, 0)
+
+
+def _check_common_denominator(tab, entering):
+    det = tab.det
+    assert det > 0
+    # the pivot row is kept, so its entry in the entering column is the
+    # last pivot, which is the new common denominator
+    assert tab.rows[tab.basis.index(entering)][entering] == det
+    for r, var in enumerate(tab.basis):
+        assert [row[var] for row in tab.rows] == [det if k == r else 0 for k in range(len(tab.rows))]
+
+
+@pytest.mark.parametrize(
+    "game, lexicographic",
+    [
+        (triple_morris_game(6).to_bimatrix(), True),
+        (random_game(4, 4, 3, payoff_range=(0, 2), filter_degenerate=False), True),
+        (random_game(4, 4, 3, payoff_range=(0, 2), filter_degenerate=False), False),
+    ],
+    ids=["triple-morris-6", "degenerate-lex", "degenerate-nolex"],
+)
+def test_integer_pivoting_keeps_one_positive_denominator(game, lexicographic):
+    for label in range(1, game.m + game.n + 1):
+        tableaux = _build_tableaux(game)
+        for tab in tableaux:
+            assert tab.det == 1
+        pivots = 0
+        for step in lh_steps(tableaux, label, lexicographic):
+            tab = tableaux[0] if step.system == "P" else tableaux[1]
+            _check_common_denominator(tab, step.dropped - 1)
+            pivots += 1
+        assert pivots > 0
 
 
 def test_no_assert_in_package_sources():
