@@ -7,6 +7,13 @@ counts, support enumeration, vertex enumeration and the nondegeneracy
 check.  The digests were recorded on the rational (``Fraction``) tableau
 and per-guess rescaling implementation; any change of arithmetic must
 leave every one of them unchanged.
+
+The ``gale_*`` digests pin the bitstring engine: every step of the
+combinatorial Lemke paths (dropped label, picked label, vertex bits) on
+Morris and triple-Morris polytopes and on seeded random labelings, the
+exception type and message where a walk fails, streamed path lengths and
+endpoints, single pivots and vertex enumeration.  They were recorded on
+the run-stepping pivot implementation.
 """
 
 import hashlib
@@ -18,16 +25,24 @@ import pytest
 from galelemke import (
     AllColumnSubsets,
     BimatrixGame,
+    LabeledGalePolytope,
     OnePerLabelClass,
+    combinatorial_lemke,
+    completely_labeled_strings,
     enumerate_equilibria,
+    enumerate_gale_vertices,
+    gale_pivot,
     imitation_game,
     is_nondegenerate,
+    lemke_path_length,
     lemke_path_on_unit_vector_game,
     lh_solve,
     morris_game,
+    morris_polytope,
     random_game,
     randomized_support_search,
     triple_morris_game,
+    triple_morris_polytope,
 )
 from galelemke.errors import GaleLemkeError
 from galelemke.game import p_vertices, q_vertices
@@ -111,6 +126,52 @@ def _oracle_games():
     )
 
 
+def _gale_path_record(poly, label, step_cap=None):
+    try:
+        path = combinatorial_lemke(poly, label, step_cap)
+    except (GaleLemkeError, ValueError) as exc:
+        return ("error", type(exc).__name__, str(exc))
+    steps = tuple((s.dropped, s.picked, s.vertex.f, s.vertex.bits) for s in path.steps)
+    return ("ok", path.missing_label, path.start.f, path.start.bits, steps)
+
+
+def _gale_stream_record(poly, label, step_cap=None):
+    try:
+        length, end = lemke_path_length(poly, label, step_cap)
+    except (GaleLemkeError, ValueError) as exc:
+        return ("error", type(exc).__name__, str(exc))
+    return ("ok", length, end.f, end.bits)
+
+
+def _gale_all_labels(poly, record=_gale_path_record):
+    return [record(poly, k) for k in range(1, poly.m + 1)]
+
+
+def _gale_failures(poly, record):
+    """Labels out of range and a cap a few pivots short of each path."""
+    out = [record(poly, k) for k in (0, poly.m + 1)]
+    for k in range(1, poly.m + 1):
+        out += [record(poly, k, cap) for cap in (0, 1, 3)]
+    return out
+
+
+def _morris_polytopes():
+    return [build(m) for build in (morris_polytope, triple_morris_polytope) for m in range(2, 17, 2)]
+
+
+def _random_labelings():
+    """Seeded label strings, short and long; half of them draw from a few
+    labels only, so long runs of one repeated label are common."""
+    polys = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        m = rng.choice([2, 4, 6, 8])
+        n = rng.randint(1, 3 * m)
+        pool = rng.sample(range(1, m + 1), rng.randint(1, 2)) if seed % 2 else range(1, m + 1)
+        polys.append(LabeledGalePolytope.of(m, [rng.choice(pool) for _ in range(n)]))
+    return polys
+
+
 GOLDEN = {
     "lh_triple_morris": "b67fcbed48823629df5c3c39035560b13acc085cb89791e2a54cdb6adfc2558b",
     "lh_degenerate_lex": "5f9092e1d07aeaaa61f15c0f01d3493403b2e32c71b765e1a407a14b97589df9",
@@ -122,6 +183,11 @@ GOLDEN = {
     "support_search": "bb3c5f316e20272f6a525568f278d3f869eaa8995e8bfe9930815401db47b2c3",
     "support_enumeration": "e39bedad95af733f62ae04a64bb86c40e32c8e2f06e2a75e49c3a74a4519e217",
     "vertex_enumeration": "98929ce0b10628de8986a56859bb9318aa6f3f645543be9e65695a40ac1c8d22",
+    "gale_morris_paths": "b7184cd6f2c0ce2d9d7b2d298c3062a966a55ff08e9a20cabe3fd70c4aec8752",
+    "gale_random_paths": "d4c7200943b750096b3c16ed84bbc1247d91e6df8ee82deaabd0445ec249b1cd",
+    "gale_stream": "f8740cf5e0c74c77e264bac4fc640762f5603cf9db070fd3630089b016af5327",
+    "gale_pivots": "be69ebadf1ccd7bbe4ff23a2f1ee8943bc192128a8f86418ac0a2e96dc69e32b",
+    "gale_vertices": "e82bc5bff7dd8f8f87c40470da2abb2fe853287f5468f6cf2cb7b2caeef6f0b5",
 }
 
 
@@ -160,6 +226,31 @@ def _outputs(name):
             (list(p_vertices(g)), list(q_vertices(g)), is_nondegenerate(g))
             for g in _oracle_games()
         ]
+    if name == "gale_morris_paths":
+        return [_gale_all_labels(poly) for poly in _morris_polytopes()]
+    if name == "gale_random_paths":
+        return [
+            (poly.m, poly.ell, _gale_all_labels(poly), _gale_failures(poly, _gale_path_record))
+            for poly in _random_labelings()
+        ]
+    if name == "gale_stream":
+        return [
+            (_gale_all_labels(poly, _gale_stream_record), _gale_failures(poly, _gale_stream_record))
+            for poly in _morris_polytopes() + _random_labelings()
+        ]
+    if name == "gale_pivots":
+        return [
+            (s.bits, p, moved.bits, entered)
+            for m, f in ((2, 3), (2, 7), (4, 5), (4, 9), (6, 7), (6, 11), (8, 12))
+            for s in enumerate_gale_vertices(m, f)
+            for p in s.ones()
+            for moved, entered in [gale_pivot(s, p)]
+        ]
+    if name == "gale_vertices":
+        return [
+            [(s.f, s.bits) for s in enumerate_gale_vertices(m, f)]
+            for m, f in ((2, 3), (2, 6), (4, 5), (4, 10), (6, 12), (8, 13), (10, 14))
+        ] + [[(s.f, s.bits) for s in completely_labeled_strings(poly)] for poly in _random_labelings()[:20]]
     raise KeyError(name)
 
 
