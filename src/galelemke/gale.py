@@ -4,7 +4,7 @@ Vertices of a dual cyclic polytope in even dimension m with f facets are
 exactly the length-f bitstrings with m ones in which every maximal cyclic
 run of ones has even length.  Dropping one facet of a vertex leaves m-1
 fixed facets that admit exactly two completions, which makes edge-following
-a purely combinatorial operation: no arithmetic, O(f) per pivot.
+a purely combinatorial operation: no arithmetic, a few bit scans per pivot.
 """
 
 from __future__ import annotations
@@ -63,6 +63,15 @@ class GaleString:
         return "".join("1" if self.bits >> i & 1 else "." for i in range(self.f))
 
     text = property(__str__)
+
+
+def _gale_string(f: int, bits: int) -> GaleString:
+    """A GaleString without the checks of ``__post_init__``, for bits that a
+    pivot or the vertex enumeration produced and so are Gale-even."""
+    s = object.__new__(GaleString)
+    object.__setattr__(s, "f", f)  # as the frozen dataclass __init__ does
+    object.__setattr__(s, "bits", bits)
+    return s
 
 
 def _parse_bits(text: str) -> tuple[int, int]:
@@ -125,7 +134,7 @@ def enumerate_gale_vertices(m: int, f: int, budget: int = 1_000_000) -> list[Gal
 
     # Depth-first over positions; a run closed by an interior zero must be
     # even, and the initial and terminal runs must have an even sum.
-    def extend(idx: int, ones_left: int, run: int, lead: int | None):
+    def extend(idx: int, ones_left: int, run: int, lead: int | None, bits: int):
         if ones_left > f - idx:
             return
         if idx == f:
@@ -134,59 +143,40 @@ def enumerate_gale_vertices(m: int, f: int, budget: int = 1_000_000) -> list[Gal
                     raise BudgetExceededError(
                         f"more than {budget} vertex strings for ({m}, {f})"
                     )
-                out.append(GaleString(f, _buffer_bits(buffer)))
+                out.append(_gale_string(f, bits))
             return
         # zero branch first: lexicographically ascending output
         if lead is None:
-            buffer[idx] = 0
-            extend(idx + 1, ones_left, 0, run)
+            extend(idx + 1, ones_left, 0, run, bits)
         elif run % 2 == 0:
-            buffer[idx] = 0
-            extend(idx + 1, ones_left, 0, lead)
+            extend(idx + 1, ones_left, 0, lead, bits)
         if ones_left > 0:
-            buffer[idx] = 1
-            extend(idx + 1, ones_left - 1, run + 1, lead)
-            buffer[idx] = 0
+            extend(idx + 1, ones_left - 1, run + 1, lead, bits | 1 << idx)
 
-    buffer = [0] * f
-    extend(0, m, 0, None)
+    extend(0, m, 0, None, 0)
     return out
 
 
-def _buffer_bits(buffer) -> int:
-    bits = 0
-    for i, v in enumerate(buffer):
-        if v:
-            bits |= 1 << i
-    return bits
-
-
-def _run_span(bits: int, f: int, p0: int) -> tuple[int, int]:
-    """(start, length) of the maximal cyclic run of ones containing bit p0."""
-    start = p0
-    while bits >> ((start - 1) % f) & 1:
-        start = (start - 1) % f
-    end = p0
-    while bits >> ((end + 1) % f) & 1:
-        end = (end + 1) % f
-    return start, (end - start) % f + 1
-
-
 def _pivot_bits(bits: int, f: int, p0: int) -> tuple[int, int]:
-    """Drop bit p0 and return (new bits, entered bit).
+    """Drop the one at bit p0 of a Gale-even string that has a zero and
+    return (new bits, entered bit).
 
     Removing a one splits its run into two fragments, exactly one of odd
     length; the only repairs by a single new one are re-adding p0 (the old
     vertex) or extending the odd fragment at its far end, so the traversed
-    edge is unique.
+    edge is unique.  On the doubled ring, ``down`` counts the ones from p0
+    downwards; if it is even the odd fragment lies below p0 and the zero
+    under it enters, otherwise the first zero above p0 enters.
     """
-    start, length = _run_span(bits, f, p0)
-    left = (p0 - start) % f
-    if left % 2 == 1:
-        q0 = (start - 1) % f
+    ring = bits | bits << f
+    window = (1 << (p0 + f + 1)) - 1
+    down = p0 + f + 1 - (ring & window ^ window).bit_length()
+    if down % 2 == 0:
+        q0 = (p0 - down) % f
     else:
-        q0 = (start + length) % f
-    return (bits & ~(1 << p0)) | (1 << q0), q0
+        x = ring >> p0
+        q0 = (p0 + (~x & (x + 1)).bit_length() - 1) % f
+    return bits ^ 1 << p0 | 1 << q0, q0
 
 
 def gale_pivot(s: GaleString, drop_position: int) -> tuple[GaleString, int]:
@@ -197,7 +187,7 @@ def gale_pivot(s: GaleString, drop_position: int) -> tuple[GaleString, int]:
     if s.m == s.f:
         raise ValueError("cannot pivot: every facet is tight")
     new_bits, q0 = _pivot_bits(s.bits, s.f, drop_position - 1)
-    return GaleString(s.f, new_bits), q0 + 1
+    return _gale_string(s.f, new_bits), q0 + 1
 
 
 @dataclass(frozen=True)
@@ -259,35 +249,32 @@ def completely_labeled_strings(
 
 
 def _lemke_pivots(poly: LabeledGalePolytope, missing_label: int):
-    """Generate (new_bits, dropped_label, entered_position, picked_label)
-    pivots of the path for the missing label, starting from the vertex with
-    the first m facets tight."""
+    """Generate (new_bits, dropped_label, picked_label) pivots of the path
+    for the missing label, starting from the vertex with the first m facets
+    tight."""
     if not 1 <= missing_label <= poly.m:
         raise ValueError(f"missing label {missing_label} out of range 1..{poly.m}")
     f = poly.f
     labels = poly.position_labels()
-    positions_of: dict[int, set[int]] = {lab: set() for lab in range(1, poly.m + 1)}
-    for p in range(1, poly.m + 1):
-        positions_of[labels[p - 1]].add(p)
+    masks = [0] * (poly.m + 1)  # masks[lab]: the positions carrying label lab
+    for q, lab in enumerate(labels):
+        masks[lab] |= 1 << q
     bits = (1 << poly.m) - 1
-    drop_pos = missing_label
+    p0 = missing_label - 1
     while True:
-        drop_label = labels[drop_pos - 1]
-        bits, q0 = _pivot_bits(bits, f, drop_pos - 1)
-        entered = q0 + 1
-        picked = labels[entered - 1]
-        positions_of[drop_label].discard(drop_pos)
-        positions_of[picked].add(entered)
-        yield bits, drop_label, entered, picked
+        dropped = labels[p0]
+        bits, q0 = _pivot_bits(bits, f, p0)
+        picked = labels[q0]
+        yield bits, dropped, picked
         if picked == missing_label:
             return
-        holders = positions_of[picked]
-        if len(holders) != 2:
+        holders = bits & masks[picked]
+        if holders.bit_count() != 2:
             raise DegenerateGameError(
-                f"label {picked} held by {len(holders)} tight positions; "
+                f"label {picked} held by {holders.bit_count()} tight positions; "
                 "labeling is degenerate"
             )
-        (drop_pos,) = holders - {entered}
+        p0 = (holders ^ 1 << q0).bit_length() - 1
 
 
 def combinatorial_lemke(
@@ -302,10 +289,11 @@ def combinatorial_lemke(
     checked against the ones visited before it.
     """
     start = poly.start_vertex()
+    f = poly.f
     steps: list[PivotStep] = []
     visited = {start.bits}
-    for bits, dropped, _, picked in capped(_lemke_pivots(poly, missing_label), step_cap):
-        vertex = GaleString(poly.f, bits)
+    for bits, dropped, picked in capped(_lemke_pivots(poly, missing_label), step_cap):
+        vertex = _gale_string(f, bits)
         if bits in visited:
             raise InvariantError(f"pivoting revisited vertex {vertex}")
         visited.add(bits)
@@ -323,7 +311,7 @@ def lemke_path_length(
     """
     for count, pivot in enumerate(capped(_lemke_pivots(poly, missing_label), step_cap), 1):
         pass
-    return count, GaleString(poly.f, pivot[0])
+    return count, _gale_string(poly.f, pivot[0])
 
 
 # ---------------------------------------------------------------------------

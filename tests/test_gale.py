@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from galelemke import (
     EulerGraph,
@@ -21,6 +23,7 @@ from galelemke import (
     triple_morris_polytope,
 )
 from galelemke.errors import StepCapExceededError
+from galelemke.gale import _pivot_bits
 
 
 def brute_force_gale(m, f):
@@ -127,6 +130,73 @@ class TestPivot:
                     moved, entered = gale_pivot(s, p)
                     assert moved.bits in universe
                     assert entered - 1 in completions and entered != p
+
+
+def reference_pivot_bits(bits, f, p0):
+    """Independent pivot rule: step to both ends of the cyclic run holding
+    p0, then extend the odd fragment at its far end."""
+    start = p0
+    while bits >> ((start - 1) % f) & 1:
+        start = (start - 1) % f
+    end = p0
+    while bits >> ((end + 1) % f) & 1:
+        end = (end + 1) % f
+    length = (end - start) % f + 1
+    if (p0 - start) % f % 2 == 1:
+        q0 = (start - 1) % f
+    else:
+        q0 = (start + length) % f
+    return (bits & ~(1 << p0)) | (1 << q0), q0
+
+
+@st.composite
+def gale_even_strings(draw, max_f=70):
+    """A Gale-even string with 2 <= m < f: pairs of ones and single zeros
+    in any order, rotated so a run may wrap past position f."""
+    f = draw(st.integers(3, max_f))
+    pairs = draw(st.integers(1, (f - 1) // 2))
+    blocks = draw(st.permutations([1] * pairs + [0] * (f - 2 * pairs)))
+    text = "".join("11" if block else "0" for block in blocks)
+    shift = draw(st.integers(0, f - 1))
+    return GaleString.from_text(text[shift:] + text[:shift])
+
+
+class TestPivotProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(gale_even_strings())
+    @example(GaleString.from_text("1..111"))  # run wraps past position f
+    @example(GaleString.from_text("11.1111.11"))  # m = f - 2
+    @example(GaleString.from_text("111..11111"))  # m = f - 2, wrapping
+    def test_matches_run_stepping_reference(self, s):
+        for p in s.ones():
+            assert _pivot_bits(s.bits, s.f, p - 1) == reference_pivot_bits(s.bits, s.f, p - 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(gale_even_strings())
+    @example(GaleString.from_text("1..111"))
+    @example(GaleString.from_text("111..11111"))
+    def test_pivot_is_an_involution(self, s):
+        for p in s.ones():
+            moved, entered = gale_pivot(s, p)
+            assert GaleString(moved.f, moved.bits) == moved  # still Gale-even
+            assert gale_pivot(moved, entered) == (s, p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(
+        lambda half: st.tuples(
+            st.just(2 * half),
+            st.lists(st.integers(1, 2 * half), min_size=1, max_size=6 * half),
+        )
+    ))
+    def test_walked_vertices_pass_the_checked_constructor(self, labeling):
+        m, ell = labeling
+        poly = LabeledGalePolytope.of(m, ell)
+        for k in range(1, m + 1):
+            path = combinatorial_lemke(poly, k)
+            for v in path.vertices():
+                assert GaleString(v.f, v.bits) == v
+            _, end = lemke_path_length(poly, k)
+            assert GaleString(end.f, end.bits) == end == path.endpoint
 
 
 class TestLemkePaths:
