@@ -14,6 +14,14 @@ Morris and triple-Morris polytopes and on seeded random labelings, the
 exception type and message where a walk fails, streamed path lengths and
 endpoints, single pivots and vertex enumeration.  They were recorded on
 the run-stepping pivot implementation.
+
+The ``cyclic_*`` and ``unit_vector_points`` digests pin the polytope
+geometry: the canonical-form matrices of dual cyclic polytopes, the vertex
+incidences of the geometric enumeration (incidences only, as a sorted list,
+so neither the coordinates nor the order of the yielded points is fixed),
+and the completely labeled points of unit-vector games with the equilibria
+built from them.  They were recorded on the explicit-inverse canonical form
+and the general-form vertex enumerator.
 """
 
 import hashlib
@@ -29,9 +37,11 @@ from galelemke import (
     OnePerLabelClass,
     combinatorial_lemke,
     completely_labeled_strings,
+    cyclic_geometry,
     enumerate_equilibria,
     enumerate_gale_vertices,
     gale_pivot,
+    geometry_vertex_strings,
     imitation_game,
     is_nondegenerate,
     lemke_path_length,
@@ -41,11 +51,17 @@ from galelemke import (
     morris_polytope,
     random_game,
     randomized_support_search,
+    to_canonical_form,
     triple_morris_game,
     triple_morris_polytope,
 )
 from galelemke.errors import GaleLemkeError
-from galelemke.game import p_vertices, q_vertices
+from galelemke.game import (
+    equilibrium_from_labeled_point,
+    p_vertices,
+    q_vertices,
+    unit_vector_completely_labeled_points,
+)
 
 from conftest import C_DEGENERATE, C_THREE_EQ
 
@@ -172,6 +188,13 @@ def _random_labelings():
     return polys
 
 
+def _cyclic_geometries():
+    geoms = [cyclic_geometry(m, f) for m in range(2, 13, 2) for f in sorted({m + 1, 2 * m, 4 * m})]
+    geoms.append(cyclic_geometry(2, 5, t=["-2", "1/3", "5", "7", "19/2"]))
+    geoms.append(cyclic_geometry(4, 9, t=["-3", "-1/2", "0", "2/7", "1", "5/3", "4", "9", "11"]))
+    return geoms
+
+
 GOLDEN = {
     "lh_triple_morris": "b67fcbed48823629df5c3c39035560b13acc085cb89791e2a54cdb6adfc2558b",
     "lh_degenerate_lex": "5f9092e1d07aeaaa61f15c0f01d3493403b2e32c71b765e1a407a14b97589df9",
@@ -188,6 +211,9 @@ GOLDEN = {
     "gale_stream": "f8740cf5e0c74c77e264bac4fc640762f5603cf9db070fd3630089b016af5327",
     "gale_pivots": "be69ebadf1ccd7bbe4ff23a2f1ee8943bc192128a8f86418ac0a2e96dc69e32b",
     "gale_vertices": "e82bc5bff7dd8f8f87c40470da2abb2fe853287f5468f6cf2cb7b2caeef6f0b5",
+    "cyclic_canonical_b": "6ab91fd92268f30c61eef14739db6246ea1fed3d72e18b19fd00423e5166f897",
+    "cyclic_incidences": "71cb66007f12b1a06bb9249c8c54327e2480d72b1626bf02813c93cdd079ddc0",
+    "unit_vector_points": "836f796ba3ec3bb75b56559b97f210f5d9a93eac330b3135b953b8d83d039ece",
 }
 
 
@@ -251,6 +277,21 @@ def _outputs(name):
             [(s.f, s.bits) for s in enumerate_gale_vertices(m, f)]
             for m, f in ((2, 3), (2, 6), (4, 5), (4, 10), (6, 12), (8, 13), (10, 14))
         ] + [[(s.f, s.bits) for s in completely_labeled_strings(poly)] for poly in _random_labelings()[:20]]
+    if name == "cyclic_canonical_b":
+        return [(g.m, g.t, to_canonical_form(g).b) for g in _cyclic_geometries()]
+    if name == "cyclic_incidences":
+        return [
+            (m, f, sorted(s.bits for _, s in geometry_vertex_strings(cyclic_geometry(m, f))))
+            for m in (2, 4, 6)
+            for f in range(m + 1, m + 7)
+        ]
+    if name == "unit_vector_points":
+        out = []
+        for u in (morris_game(4), morris_game(6), triple_morris_game(2), triple_morris_game(4)):
+            for point, facets in unit_vector_completely_labeled_points(u):
+                eq = equilibrium_from_labeled_point(u, point)
+                out.append((u.m, u.ell, point, facets, eq.x, eq.y))
+        return out
     raise KeyError(name)
 
 
