@@ -12,7 +12,8 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import permutations
 
@@ -181,37 +182,20 @@ class BenchRecord:
     truncated: bool = False
 
     def row(self) -> list:
-        def opt(v):
-            return "" if v is None else v
-
-        return [
-            self.instance,
-            self.m,
-            self.n,
-            self.solver,
-            opt(self.missing_label),
-            opt(self.seed),
-            opt(self.path_length),
-            opt(self.guesses),
-            opt(self.equilibria),
-            f"{self.wall_time:.6f}",
-            "true" if self.truncated else "false",
-        ]
+        return [_csv_cell(getattr(self, name)) for name in BENCH_HEADER]
 
 
-BENCH_HEADER = [
-    "instance",
-    "m",
-    "n",
-    "solver",
-    "missing_label",
-    "seed",
-    "path_length",
-    "guesses",
-    "equilibria",
-    "wall_time",
-    "truncated",
-]
+BENCH_HEADER = [field.name for field in fields(BenchRecord)]
+
+
+def _csv_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return value
 
 
 def _bench_labels(m: int, choice: str) -> list[int]:
@@ -288,17 +272,17 @@ def _morris_bench(args, writer) -> list[BenchRecord]:
                 for label in _bench_labels(m, args.labels)
             ]
     records = []
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(fn, *fnargs) for fn, fnargs in tasks]
-            for future in futures:  # submission order keeps the CSV deterministic
-                records.append(future.result())
-                writer(records[-1])
-    else:
-        for fn, fnargs in tasks:
-            records.append(fn(*fnargs))
-            writer(records[-1])
+    with ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else nullcontext() as pool:
+        # both maps yield in submission order, which keeps the CSV deterministic
+        for record in (pool.map if pool else map)(_run_task, tasks):
+            records.append(record)
+            writer(record)
     return records
+
+
+def _run_task(task):
+    fn, fnargs = task
+    return fn(*fnargs)
 
 
 def _growth_summary(records: list[BenchRecord]) -> list[str]:
@@ -316,9 +300,8 @@ def _growth_summary(records: list[BenchRecord]) -> list[str]:
     return lines
 
 
-def _permutation_bench(args, writer) -> list[BenchRecord]:
+def _permutation_bench(args, writer) -> None:
     n = args.n
-    records = []
     if args.exhaustive:
         total = Fraction(0)
         count = 0
@@ -335,7 +318,6 @@ def _permutation_bench(args, writer) -> list[BenchRecord]:
                 equilibria=eq_count,
                 wall_time=time.perf_counter() - start,
             )
-            records.append(record)
             writer(record)
             total += eq_count
             count += 1
@@ -356,9 +338,7 @@ def _permutation_bench(args, writer) -> list[BenchRecord]:
                 guesses=guesses,
                 wall_time=time.perf_counter() - start,
             )
-            records.append(record)
             writer(record)
-    return records
 
 
 def cmd_bench(args) -> int:

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .errors import BudgetExceededError
-from .game import Matrix, as_fraction
+from .game import Matrix, as_fraction, transpose
 from .gale import GaleString
-from .linalg import dot, invert, solve_square
-from .polytope import vertices_general_form
+from .linalg import dot, scaled_to_integers, solve_square
+from .polytope import vertices_nonneg_form
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -66,17 +67,21 @@ def cyclic_geometry(m: int, f: int, t=None) -> CyclicPolytopeGeometry:
 def geometry_vertex_strings(geom: CyclicPolytopeGeometry, budget: int = 200_000):
     """Brute-force vertex enumeration, yielding (point, incidence string).
 
-    Oracle-grade: solves every m-subset of facets; use small sizes only.
+    Runs the vertex enumerator on ``to_canonical_form(geom)``, so each point
+    is in canonical coordinates (``CanonicalForm.incidence_of`` maps it back
+    to its string): tight coordinate i is facet i, tight row j facet m+j.
+    Oracle-grade: it solves all C(f, m) square subsystems of facets; use
+    small sizes only.
     """
-    from math import comb
-
     if comb(geom.f, geom.m) > budget:
         raise BudgetExceededError(
             f"vertex enumeration over C({geom.f},{geom.m}) subsets exceeds budget"
         )
-    rhs = [ONE] * geom.f
-    for point, tight in vertices_general_form(geom.rows, rhs):
-        yield point, GaleString.from_positions(geom.f, tight)
+    m = geom.m
+    int_rows = [scaled_to_integers(col) for col in transpose(to_canonical_form(geom).b)]
+    for point, tight_coords, tight_rows in vertices_nonneg_form(int_rows, m):
+        positions = [*tight_coords, *(m + j for j in tight_rows)]
+        yield point, GaleString.from_positions(geom.f, positions)
 
 
 @dataclass(frozen=True)
@@ -132,20 +137,20 @@ class CanonicalForm:
 def to_canonical_form(geom: CyclicPolytopeGeometry) -> CanonicalForm:
     """Affine change of coordinates sending the vertex on the first m facets
     to the origin and those facets to the coordinate hyperplanes; the last n
-    inequalities are normalized to right-hand side 1."""
-    m = geom.m
-    leading = [list(geom.rows[i]) for i in range(m)]
-    inv = invert(leading)
-    if inv is None:
-        raise ValueError("the first m facet normals are linearly dependent")
-    base_vertex = [sum(inv[i][k] for k in range(m)) for i in range(m)]  # G^-1 1
+    inequalities are normalized to right-hand side 1.
+
+    With G the first m facet normals, x = v - G^-1 z where G v = 1; a later
+    facet g^T x <= 1 becomes -w^T z <= 1 - g^T v with G^T w = g, and
+    g^T v = w^T 1, so each facet costs one exact solve.
+    """
+    leading_t = transpose(geom.rows[: geom.m])
     columns = []
-    for j in range(m, geom.f):
-        g = geom.rows[j]
-        w = [sum(g[k] * inv[k][i] for k in range(m)) for i in range(m)]
-        slack = ONE - dot(g, base_vertex)
+    for g in geom.rows[geom.m:]:
+        w = solve_square(leading_t, g)
+        if w is None:
+            raise ValueError("the first m facet normals are linearly dependent")
+        slack = ONE - sum(w)
         if slack <= 0:
             raise ValueError("base vertex unexpectedly lies on a later facet")
-        columns.append([-w[i] / slack for i in range(m)])
-    b = tuple(tuple(columns[j][i] for j in range(geom.n)) for i in range(m))
-    return CanonicalForm(geom, b)
+        columns.append(tuple(-v / slack for v in w))
+    return CanonicalForm(geom, transpose(tuple(columns)))

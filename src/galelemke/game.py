@@ -208,11 +208,6 @@ def verify_equilibrium(game: BimatrixGame, profile: MixedProfile) -> bool:
     return x_labels | y_labels == frozenset(range(1, game.m + game.n + 1))
 
 
-def missing_labels(game: BimatrixGame, profile: MixedProfile) -> frozenset[int]:
-    x_labels, y_labels = labels_of_profile(game, profile)
-    return frozenset(range(1, game.m + game.n + 1)) - (x_labels | y_labels)
-
-
 # ---------------------------------------------------------------------------
 # Polytope views.  P = {x >= 0, B'x <= 1} and Q = {Ay <= 1, y >= 0} for the
 # normalized matrices; labels mark binding inequalities.
@@ -238,42 +233,32 @@ def polytope_coordinates(game: BimatrixGame, profile: MixedProfile) -> tuple[tup
 
 def p_vertices(game: BimatrixGame):
     """Vertices of P with their label sets: (point, labels)."""
-    _, b2, _, _ = normalized_matrices(game)
-    rows = [tuple(b2[i][j] for i in range(game.m)) for j in range(game.n)]
-    for point, tight_coords, tight_rows in vertices_nonneg_form(rows, game.m):
-        labels = frozenset(tight_coords) | frozenset(game.m + j for j in tight_rows)
-        yield point, labels
+    return _labeled_vertices(game.integer_payoffs[1], game.m, 0, game.m)
 
 
 def q_vertices(game: BimatrixGame):
     """Vertices of Q with their label sets: (point, labels)."""
-    a2, _, _, _ = normalized_matrices(game)
-    rows = [tuple(a2[i][j] for j in range(game.n)) for i in range(game.m)]
-    for point, tight_coords, tight_rows in vertices_nonneg_form(rows, game.n):
-        labels = frozenset(game.m + j for j in tight_coords) | frozenset(tight_rows)
-        yield point, labels
+    return _labeled_vertices(game.integer_payoffs[0], game.n, game.m, 0)
 
 
-def completely_labeled_pairs(game: BimatrixGame):
-    """All completely labeled vertex pairs of P x Q except the origin pair.
-
-    Yields (x_point, y_point, x_labels, y_labels) in polytope coordinates.
-    """
-    full = frozenset(range(1, game.m + game.n + 1))
-    qs = list(q_vertices(game))
-    for x_point, x_labels in p_vertices(game):
-        for y_point, y_labels in qs:
-            if x_labels | y_labels == full:
-                if all(v == 0 for v in x_point) and all(v == 0 for v in y_point):
-                    continue
-                yield x_point, y_point, x_labels, y_labels
+def _labeled_vertices(int_rows, dim, coord_offset, row_offset):
+    """Label tight coordinate i with coord_offset + i and tight row j with
+    row_offset + j."""
+    for point, tight_coords, tight_rows in vertices_nonneg_form(int_rows, dim):
+        labels = {coord_offset + i for i in tight_coords} | {row_offset + j for j in tight_rows}
+        yield point, frozenset(labels)
 
 
 def equilibria_by_vertex_enumeration(game: BimatrixGame) -> list[MixedProfile]:
-    """Equilibria via exhaustive P x Q vertex enumeration (oracle path)."""
+    """Equilibria via exhaustive P x Q vertex enumeration (oracle path): one
+    per completely labeled vertex pair other than the origin pair."""
+    full = frozenset(range(1, game.m + game.n + 1))
+    qs = list(q_vertices(game))
     found = set()
-    for x_point, y_point, _, _ in completely_labeled_pairs(game):
-        found.add(MixedProfile(simplex_scaled(x_point), simplex_scaled(y_point)))
+    for x_point, x_labels in p_vertices(game):
+        for y_point, y_labels in qs:
+            if x_labels | y_labels == full and (any(x_point) or any(y_point)):
+                found.add(MixedProfile(simplex_scaled(x_point), simplex_scaled(y_point)))
     return sorted(found, key=lambda p: (p.x, p.y))
 
 
@@ -412,25 +397,13 @@ class UnitVectorGame:
         return BimatrixGame(a, self.b)
 
 
-def labeled_polytope_vertices(u: UnitVectorGame):
-    """Vertices of the single labeled polytope of a unit-vector game.
-
-    Yields (point, facet_labels) where facet labels are drawn from 1..m:
-    facet i <= m keeps label i, facet m+j carries ell(j).
-    """
-    game = u.to_bimatrix()
-    for point, facets in p_vertices(game):
-        labels = frozenset(
-            f if f <= u.m else u.ell[f - u.m - 1] for f in facets
-        )
-        yield point, labels, facets
-
-
 def unit_vector_completely_labeled_points(u: UnitVectorGame):
-    """Nonzero completely labeled points of the labeled polytope."""
+    """Nonzero completely labeled points of the labeled polytope, as
+    (point, facets): facet i <= m keeps label i, facet m+j carries ell(j)."""
     full = frozenset(range(1, u.m + 1))
-    for point, labels, facets in labeled_polytope_vertices(u):
-        if labels == full and any(v != 0 for v in point):
+    for point, facets in p_vertices(u.to_bimatrix()):
+        labels = {f if f <= u.m else u.ell[f - u.m - 1] for f in facets}
+        if labels == full and any(point):
             yield point, facets
 
 

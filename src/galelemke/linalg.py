@@ -80,18 +80,5 @@ def solve_square(matrix, rhs) -> list[Fraction] | None:
     return [Fraction(v, denominator) for v in numerators]
 
 
-def invert(matrix) -> list[list[Fraction]] | None:
-    """Exact inverse of a square matrix, or None if singular."""
-    n = len(matrix)
-    columns = []
-    for k in range(n):
-        unit = [Fraction(1) if i == k else Fraction(0) for i in range(n)]
-        col = solve_square(matrix, unit)
-        if col is None:
-            return None
-        columns.append(col)
-    return [[columns[j][i] for j in range(n)] for i in range(n)]
-
-
 def dot(u, v) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))

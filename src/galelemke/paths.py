@@ -13,13 +13,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from .errors import StepCapExceededError
 
 
-@dataclass(frozen=True)
-class PivotStep:
+class PivotStep(NamedTuple):
     dropped: int
     picked: int
     vertex: Any

@@ -1,11 +1,14 @@
 """Command-line behaviour: formats, exit codes, determinism."""
 
 import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import galelemke
 from galelemke import GaleString, enumerate_gale_vertices
 from galelemke.cli import main
 from galelemke.gameio import (
@@ -222,10 +225,15 @@ class TestBench:
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "cli.uvg"
+        # the child finds the package where this process found it
+        src = str(Path(galelemke.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
         result = subprocess.run(
             [sys.executable, "-m", "galelemke.cli", "gen", "morris", "--m", "4", "--out", str(out)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert result.returncode == 0
         assert out.exists()

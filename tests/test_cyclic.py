@@ -1,5 +1,7 @@
 """Geometry of the dual cyclic polytope and the canonical coordinate change."""
 
+from math import comb
+
 import pytest
 
 from galelemke import (
@@ -9,6 +11,7 @@ from galelemke import (
     geometry_vertex_strings,
     to_canonical_form,
 )
+from galelemke.errors import BudgetExceededError
 
 
 class TestGeometry:
@@ -27,9 +30,20 @@ class TestGeometry:
     def test_incidences_match_combinatorial_enumeration(self, m):
         for f in range(m + 1, m + 7):
             geom = cyclic_geometry(m, f)
-            geometric = {s for _, s in geometry_vertex_strings(geom)}
+            canon = to_canonical_form(geom)
+            yielded = list(geometry_vertex_strings(geom))
+            for point, s in yielded:
+                assert canon.incidence_of(point) == s
+            geometric = {s for _, s in yielded}
             combinatorial = set(enumerate_gale_vertices(m, f))
             assert geometric == combinatorial
+
+    def test_budget_counts_every_facet_subset(self):
+        geom = cyclic_geometry(4, 9)
+        with pytest.raises(BudgetExceededError):
+            next(geometry_vertex_strings(geom, budget=comb(9, 4) - 1))
+        vertices = list(geometry_vertex_strings(geom, budget=comb(9, 4)))
+        assert len(vertices) == len(list(enumerate_gale_vertices(4, 9)))
 
     def test_custom_parameters(self):
         geom = cyclic_geometry(2, 4, t=["-2", "1/3", "5", "7"])

@@ -5,6 +5,7 @@ import pytest
 from galelemke import (
     BimatrixGame,
     MixedProfile,
+    PivotStep,
     UnitVectorGame,
     combinatorial_lemke,
     enumerate_equilibria,
@@ -42,6 +43,13 @@ WORKED_EXAMPLE_SEQUENCE = [
     ({3, 4, 5}, {2, 4, 6}),
     ({3, 4, 5}, {1, 2, 6}),
 ]
+
+
+def test_pivot_step_fields_default_and_repr():
+    step = PivotStep(3, 5, "v")
+    assert (step.dropped, step.picked, step.vertex, step.system) == (3, 5, "v", None)
+    assert repr(step) == "PivotStep(dropped=3, picked=5, vertex='v', system=None)"
+    assert repr(PivotStep(1, 2, (0,), "Q")) == "PivotStep(dropped=1, picked=2, vertex=(0,), system='Q')"
 
 
 class TestWorkedExample:
