@@ -26,7 +26,6 @@ from .game import (
     imitation_game,
     is_nondegenerate,
     labels_of_profile,
-    normalized_matrices,
     split_symmetric_profile,
     symmetric_profile,
     symmetrize,
@@ -61,7 +60,6 @@ from .lemke_howson import (
 )
 from .paths import PivotPath, PivotStep, path_to_csv
 from .generators import (
-    MorrisSpec,
     PermutationGameSpec,
     morris_game,
     morris_polytope,

@@ -69,6 +69,8 @@ def _parse_m_range(text: str) -> list[int]:
         lo = hi = int(text)
     if lo % 2 or hi % 2 or lo < 2:
         raise ValueError("m range must cover even values >= 2")
+    if lo > hi:
+        raise ValueError(f"m range {text!r} is empty")
     return list(range(lo, hi + 1, 2))
 
 
@@ -121,8 +123,7 @@ def cmd_solve(args) -> int:
     loaded = gameio.load_game(args.game)
     game = loaded.to_bimatrix() if isinstance(loaded, UnitVectorGame) else loaded
     if args.method == "lh":
-        missing = args.missing_label or 1
-        result = lh_solve(game, missing, step_cap=_step_cap(args))
+        result = lh_solve(game, args.missing_label, step_cap=_step_cap(args))
         print(gameio.format_profile(result.equilibrium))
         print(f"path_length {result.path_length}")
         if args.path_csv:
@@ -238,7 +239,7 @@ def _path_task(solver: str, family: str, m: int, label: int, cap: int):
     )
 
 
-def _support_task(family: str, m: int, seed: int, _cap: int):
+def _support_task(family: str, m: int, seed: int):
     build = morris_game if family == "morris" else triple_morris_game
     uv = build(m)
     game = uv.to_bimatrix()
@@ -264,7 +265,7 @@ def _morris_bench(args, writer) -> list[BenchRecord]:
     tasks = []
     for m in ms:
         if args.solver == "support":
-            tasks += [(_support_task, (args.family, m, seed, cap)) for seed in range(args.seeds)]
+            tasks += [(_support_task, (args.family, m, seed)) for seed in range(args.seeds)]
         else:
             solver = "lh" if args.solver == "lh" else "combinatorial-lemke"
             tasks += [
@@ -393,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve a game file")
     solve.add_argument("game")
     solve.add_argument("--method", choices=["lh", "support"], default="lh")
-    solve.add_argument("--missing-label", type=int)
+    solve.add_argument("--missing-label", type=int, default=1)
     solve.add_argument("--seed", type=int)
     solve.add_argument("--step-cap", type=int)
     solve.add_argument("--path-csv", help="dump the pivot path as CSV")

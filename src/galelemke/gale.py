@@ -62,8 +62,6 @@ class GaleString:
         """Figure convention: ones as '1', zeros as dots."""
         return "".join("1" if self.bits >> i & 1 else "." for i in range(self.f))
 
-    text = property(__str__)
-
 
 def _gale_string(f: int, bits: int) -> GaleString:
     """A GaleString without the checks of ``__post_init__``, for bits that a
@@ -103,19 +101,14 @@ def _cyclic_runs_even(bits: int, f: int) -> bool:
     return True
 
 
-def is_gale_even(bits, m: int) -> bool:
-    """Check the evenness condition for a candidate bitstring with m ones.
+def is_gale_even(text: str, m: int) -> bool:
+    """Check the evenness condition for a candidate bitstring with m ones,
+    written as a string of '1' for ones and '0' or '.' for zeros.
 
-    Accepts a string of '1'/'0'/'.', a GaleString, or a (length, int) pair.
     Raises ValueError when the popcount differs from m or m is odd (only
     even dimensions carry the cyclic wrap-around form of the condition).
     """
-    if isinstance(bits, GaleString):
-        raw, f = bits.bits, bits.f
-    elif isinstance(bits, str):
-        f, raw = _parse_bits(bits)
-    else:
-        f, raw = bits
+    f, raw = _parse_bits(text)
     if m % 2 != 0:
         raise ValueError(f"only even numbers of ones are supported, got m={m}")
     if raw.bit_count() != m:
@@ -218,16 +211,14 @@ class LabeledGalePolytope:
     def f(self) -> int:
         return self.m + self.n
 
-    def label_of(self, position: int) -> int:
-        if not 1 <= position <= self.f:
-            raise ValueError(f"position {position} out of range 1..{self.f}")
-        return position if position <= self.m else self.ell[position - self.m - 1]
-
     def position_labels(self) -> tuple[int, ...]:
         return tuple(range(1, self.m + 1)) + self.ell
 
     def labels_of(self, s: GaleString) -> frozenset[int]:
-        return frozenset(self.label_of(p) for p in s.ones())
+        if s.f != self.f:
+            raise ValueError(f"string of length {s.f} on a polytope with {self.f} facets")
+        labels = self.position_labels()
+        return frozenset(labels[p - 1] for p in s.ones())
 
     def start_vertex(self) -> GaleString:
         return GaleString(self.f, (1 << self.m) - 1)

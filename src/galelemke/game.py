@@ -24,6 +24,8 @@ ScaledRow = tuple[int, tuple[int, ...]]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+NONDEGENERACY_MAX_LABELS = 20
+
 
 def as_fraction(value) -> Fraction:
     """Coerce ints, strings like "2/3", and Fractions; floats are refused."""
@@ -85,7 +87,7 @@ class BimatrixGame:
     """An m x n bimatrix game (A for the row player, B for the column player).
 
     The matrices are stored exactly as given; solvers shift payoffs into the
-    normal form they need (see normalized_matrices) without mutating them.
+    normal form they need (see ``normalized``) without mutating them.
     """
 
     a: Matrix
@@ -123,7 +125,15 @@ class BimatrixGame:
     # frozen dataclass and leaves ==, hash and repr alone).
 
     @cached_property
-    def _normalized(self) -> tuple[Matrix, Matrix, Fraction, Fraction]:
+    def normalized(self) -> tuple[Matrix, Matrix, Fraction, Fraction]:
+        """Payoff matrices shifted so A and B-transpose are nonnegative with
+        no zero column, plus the per-matrix shifts applied.
+
+        Shifting a player's payoffs by a constant never moves an equilibrium,
+        so solvers may work on the shifted copies and report results for the
+        original game.  The zero-column condition keeps the derived polytopes
+        bounded (columns of A, rows of B).
+        """
         a_cols = [tuple(row[j] for row in self.a) for j in range(self.n)]
         shift_a = _shift_amount(self.a, a_cols)
         shift_b = _shift_amount(self.b, self.b)
@@ -139,7 +149,7 @@ class BimatrixGame:
         ratio, sign or comparison the exact engines make, so the tableau
         and the support systems start from these instead of Fractions.
         """
-        a2, b2, _, _ = self._normalized
+        a2, b2, _, _ = self.normalized
         return (
             tuple(scaled_to_integers(row) for row in a2),
             tuple(scaled_to_integers(col) for col in transpose(b2)),
@@ -160,18 +170,6 @@ def _shifted(mat: Matrix, amount: Fraction) -> Matrix:
     if amount == 0:
         return mat
     return tuple(tuple(v + amount for v in row) for row in mat)
-
-
-def normalized_matrices(game: BimatrixGame) -> tuple[Matrix, Matrix, Fraction, Fraction]:
-    """Payoff matrices shifted so A and B-transpose are nonnegative with no
-    zero column, plus the per-matrix shifts applied (cached on the game).
-
-    Shifting a player's payoffs by a constant never moves an equilibrium, so
-    solvers may work on the shifted copies and report results for the
-    original game.  The zero-column condition keeps the derived polytopes
-    bounded (columns of A, rows of B).
-    """
-    return game._normalized
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +219,6 @@ def simplex_scaled(vec) -> tuple[Fraction, ...]:
     return tuple(v / total for v in vec)
 
 
-def polytope_coordinates(game: BimatrixGame, profile: MixedProfile) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Map a profile to (x, y) with B'x <= 1 and Ay <= 1 tight at best
-    responses, using the normalized matrices."""
-    game.check_profile(profile)
-    a2, b2, _, _ = normalized_matrices(game)
-    v = max(_column_payoffs(b2, profile.x))
-    u = max(_row_payoffs(a2, profile.y))
-    return tuple(c / v for c in profile.x), tuple(c / u for c in profile.y)
-
-
 def p_vertices(game: BimatrixGame):
     """Vertices of P with their label sets: (point, labels)."""
     return _labeled_vertices(game.integer_payoffs[1], game.m, 0, game.m)
@@ -262,17 +250,17 @@ def equilibria_by_vertex_enumeration(game: BimatrixGame) -> list[MixedProfile]:
     return sorted(found, key=lambda p: (p.x, p.y))
 
 
-def is_nondegenerate(game: BimatrixGame, max_labels: int = 20) -> bool:
+def is_nondegenerate(game: BimatrixGame) -> bool:
     """Exact nondegeneracy check by vertex enumeration.
 
     True iff every vertex of P lies on exactly m binding inequalities and
     every vertex of Q on exactly n.  Refuses games with m+n beyond
-    ``max_labels``; past that budget callers must rely on lexicographic
-    tie-breaking instead.
+    NONDEGENERACY_MAX_LABELS; past that budget callers must rely on
+    lexicographic tie-breaking instead.
     """
-    if game.m + game.n > max_labels:
+    if game.m + game.n > NONDEGENERACY_MAX_LABELS:
         raise BudgetExceededError(
-            f"nondegeneracy check refused for m+n={game.m + game.n} > {max_labels}"
+            f"nondegeneracy check refused for m+n={game.m + game.n} > {NONDEGENERACY_MAX_LABELS}"
         )
     for _, labels in p_vertices(game):
         if len(labels) > game.m:
@@ -295,7 +283,7 @@ def symmetrize(game: BimatrixGame) -> BimatrixGame:
     concatenation of its polytope coordinates, rescaled, is a symmetric
     equilibrium of the result.
     """
-    a2, b2, _, _ = normalized_matrices(game)
+    a2, b2, _, _ = game.normalized
     m, n = game.m, game.n
     size = m + n
     bt = transpose(b2)
@@ -312,9 +300,13 @@ def symmetrize(game: BimatrixGame) -> BimatrixGame:
 
 def symmetric_profile(game: BimatrixGame, profile: MixedProfile) -> tuple[Fraction, ...]:
     """The symmetric mixed strategy of symmetrize(game) induced by an
-    equilibrium: concatenate polytope coordinates and rescale."""
-    x_poly, y_poly = polytope_coordinates(game, profile)
-    return simplex_scaled(x_poly + y_poly)
+    equilibrium: concatenate the polytope coordinates (x with B'x <= 1 and
+    y with Ay <= 1, tight at best responses) and rescale."""
+    game.check_profile(profile)
+    a2, b2, _, _ = game.normalized
+    v = max(_column_payoffs(b2, profile.x))
+    u = max(_row_payoffs(a2, profile.y))
+    return simplex_scaled(tuple(c / v for c in profile.x) + tuple(c / u for c in profile.y))
 
 
 def split_symmetric_profile(game: BimatrixGame, z) -> MixedProfile:
@@ -411,7 +403,7 @@ def equilibrium_from_labeled_point(u: UnitVectorGame, point) -> MixedProfile:
     """Build the equilibrium for a completely labeled point x != 0: pick, for
     each played row i, one binding column with label i and play it."""
     game = u.to_bimatrix()
-    _, b2, _, _ = normalized_matrices(game)
+    _, b2, _, _ = game.normalized
     col_pay = _column_payoffs(b2, point)
     y = [ZERO] * u.n
     for i, weight in enumerate(point):

@@ -7,6 +7,7 @@ rationals (B).  Rationals are written "p" or "p/q".
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import GameFormatError
@@ -27,6 +28,11 @@ def _parse_int(token: str, line: int, column: int) -> int:
         raise GameFormatError(f"bad integer {token!r}", line, column) from None
 
 
+def _tokens(line: str) -> list[tuple[str, int]]:
+    """Whitespace-separated tokens of a line, each with its 1-based column."""
+    return [(match.group(), match.start() + 1) for match in re.finditer(r"\S+", line)]
+
+
 class _Reader:
     def __init__(self, text: str):
         self.lines = text.splitlines()
@@ -44,13 +50,7 @@ class _Reader:
         return line
 
     def tokens(self, expect: str, count: int | None = None) -> list[tuple[str, int]]:
-        line = self.next_line(expect)
-        toks = []
-        col = 1
-        for piece in line.split():
-            col = line.index(piece, col - 1) + 1
-            toks.append((piece, col))
-            col += len(piece)
+        toks = _tokens(self.next_line(expect))
         if not toks:
             raise GameFormatError(f"expected {expect}, got a blank line", self.line_no)
         if count is not None and len(toks) != count:
@@ -145,19 +145,23 @@ def format_profile(profile: MixedProfile) -> str:
 
 
 def parse_profile(text: str, m: int, n: int) -> MixedProfile:
-    """Parse the "x... ; y..." form (tolerates "x=", "y=" prefixes)."""
-    cleaned = text.replace("x=", " ").replace("y=", " ").strip()
+    """Parse the "x... ; y..." form (tolerates "x=", "y=" prefixes).
+
+    A bad token is reported at its column in ``text``: the prefixes become
+    as many spaces, and y's columns start after the ";".
+    """
+    cleaned = text.replace("x=", "  ").replace("y=", "  ")
     parts = cleaned.split(";")
     if len(parts) != 2:
         raise GameFormatError('expected "x... ; y..." with a single ";"', 1)
-    xs = parts[0].split()
-    ys = parts[1].split()
+    xs = _tokens(parts[0])
+    ys = [(t, c + len(parts[0]) + 1) for t, c in _tokens(parts[1])]
     if len(xs) != m or len(ys) != n:
         raise GameFormatError(
             f"expected {m} + {n} rationals, got {len(xs)} + {len(ys)}", 1
         )
-    x = [_parse_rational(t, 1, 1) for t in xs]
-    y = [_parse_rational(t, 1, 1) for t in ys]
+    x = [_parse_rational(t, 1, c) for t, c in xs]
+    y = [_parse_rational(t, 1, c) for t, c in ys]
     try:
         return MixedProfile.of(x, y)
     except ValueError as exc:

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Literal
 
 from .cyclic import cyclic_geometry, to_canonical_form
 from .errors import GaleLemkeError
 from .gale import LabeledGalePolytope
 from .game import (
+    NONDEGENERACY_MAX_LABELS,
     ONE,
     ZERO,
     BimatrixGame,
@@ -25,16 +25,14 @@ from .game import (
     matrix_from,
 )
 
-
-def _require_even(m: int) -> None:
-    if m < 2 or m % 2 != 0:
-        raise ValueError(f"m must be even and at least 2, got {m}")
+RANDOM_GAME_RETRIES = 50
 
 
 def morris_tau(m: int) -> tuple[int, ...]:
     """The string 1, 3, 2, 5, 4, ..., m: interior entries swap in adjacent
     pairs (i -> i + (-1)^i), the two boundary entries stay put."""
-    _require_even(m)
+    if m < 2 or m % 2 != 0:
+        raise ValueError(f"m must be even and at least 2, got {m}")
     out = [1]
     for i in range(2, m):
         out.append(i + (-1) ** i)
@@ -47,35 +45,14 @@ def morris_sigma(m: int) -> tuple[int, ...]:
     return tuple(reversed(morris_tau(m)))
 
 
-@dataclass(frozen=True)
-class MorrisSpec:
-    """Which labeled polytope to build: the plain one or the tripled one."""
-
-    m: int
-    variant: Literal["single", "triple"] = "single"
-
-    def __post_init__(self):
-        _require_even(self.m)
-        if self.variant not in ("single", "triple"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-
-    def label_string(self) -> tuple[int, ...]:
-        sigma = morris_sigma(self.m)
-        if self.variant == "single":
-            return sigma
-        return sigma + morris_tau(self.m) + sigma
-
-    def polytope(self) -> LabeledGalePolytope:
-        return LabeledGalePolytope(self.m, self.label_string())
-
-
 def morris_polytope(m: int) -> LabeledGalePolytope:
-    return MorrisSpec(m, "single").polytope()
+    return LabeledGalePolytope(m, morris_sigma(m))
 
 
 def triple_morris_polytope(m: int) -> LabeledGalePolytope:
     """Labeled polytope on 4m facets with label string sigma tau sigma."""
-    return MorrisSpec(m, "triple").polytope()
+    sigma = morris_sigma(m)
+    return LabeledGalePolytope(m, sigma + morris_tau(m) + sigma)
 
 
 def _unit_vector_game_from_polytope(poly: LabeledGalePolytope) -> UnitVectorGame:
@@ -189,35 +166,33 @@ def random_game(
     n: int,
     seed: int,
     payoff_range: tuple[int, int] = (0, 999),
-    retries: int = 50,
-    nondegeneracy_budget: int = 20,
     filter_degenerate: bool = True,
 ) -> BimatrixGame:
     """Integer-payoff game drawn uniformly from the range, rejecting
     degenerate draws.
 
-    Within the budget (m+n <= nondegeneracy_budget) degeneracy is checked
-    exactly and degenerate draws are redrawn up to ``retries`` times.  Past
-    the budget the check is skipped and the payoff range is widened to at
-    least a million values, which makes degeneracy merely improbable, not
-    impossible.
+    Within the budget of the exact check (m+n <= NONDEGENERACY_MAX_LABELS)
+    degeneracy is checked exactly and degenerate draws are redrawn up to
+    RANDOM_GAME_RETRIES times.  Past the budget the check is skipped and the
+    range keeps its low end but is widened upwards to at least a million
+    values, which makes degeneracy merely improbable, not impossible.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
     lo, hi = payoff_range
     if lo > hi:
         raise ValueError("empty payoff range")
-    check = filter_degenerate and m + n <= nondegeneracy_budget
-    if filter_degenerate and not check and hi - lo < 10**6:
-        lo, hi = 0, 10**6
+    check = filter_degenerate and m + n <= NONDEGENERACY_MAX_LABELS
+    if filter_degenerate and not check:
+        hi = max(hi, lo + 10**6)
     rng = random.Random(seed)
-    for _ in range(retries):
+    for _ in range(RANDOM_GAME_RETRIES):
         a = [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
         b = [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
         game = BimatrixGame.from_rows(a, b)
-        if not check or is_nondegenerate(game, max_labels=nondegeneracy_budget):
+        if not check or is_nondegenerate(game):
             return game
     raise GaleLemkeError(
-        f"no nondegenerate draw in {retries} attempts for seed {seed}; "
+        f"no nondegenerate draw in {RANDOM_GAME_RETRIES} attempts for seed {seed}; "
         "widen the payoff range"
     )

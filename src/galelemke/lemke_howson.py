@@ -260,24 +260,18 @@ def lh_all_labels(game: BimatrixGame, **kwargs) -> list[tuple[int, LhResult]]:
     ]
 
 
-def _collapse(sequence: list) -> list:
-    out = [sequence[0]]
-    for item in sequence[1:]:
-        if item != out[-1]:
-            out.append(item)
-    return out
-
-
-def project_path(result: LhResult | PivotPath) -> tuple[list[LabelSet], list[LabelSet]]:
+def project_path(result: LhResult) -> tuple[list[LabelSet], list[LabelSet]]:
     """Vertex sequences induced on the two polytopes, as label sets.
 
-    On a nondegenerate game both projections are simple: no vertex is left
-    and visited again.
+    Each side's sequence is its start and the vertex after each of its own
+    pivots: a pivot always changes the label set of the side that moved and
+    never the other side's.  On a nondegenerate game both projections are
+    simple: no vertex is left and visited again.
     """
-    path = result.path if isinstance(result, LhResult) else result
-    xs = [path.start[0]] + [step.vertex[0] for step in path.steps]
-    ys = [path.start[1]] + [step.vertex[1] for step in path.steps]
-    return _collapse(xs), _collapse(ys)
+    path = result.path
+    xs = [path.start[0]] + [step.vertex[0] for step in path.steps if step.system == "P"]
+    ys = [path.start[1]] + [step.vertex[1] for step in path.steps if step.system == "Q"]
+    return xs, ys
 
 
 def lemke_path_on_unit_vector_game(

@@ -82,22 +82,16 @@ def _basis_names(labels: Iterable[int], m: int, n: int, side: str) -> str:
     return ";".join(names)
 
 
-def path_to_csv(path: PivotPath, out, m: int | None = None, n: int | None = None) -> None:
-    """Dump a path as CSV: step, dropped_label, picked_label, polytope, basis.
+def path_to_csv(path: PivotPath, out, m: int, n: int) -> None:
+    """Dump a product-polytope path of an m x n game as CSV: step,
+    dropped_label, picked_label, polytope, basis.
 
-    For product-polytope paths pass the game dimensions so bases can be
-    reconstructed from label sets; bitstring paths list the tight positions.
+    The basis is that of the side that moved, reconstructed from its label
+    set.
     """
     writer = csv.writer(out)
     writer.writerow(["step", "dropped_label", "picked_label", "polytope", "basis"])
     for idx, step in enumerate(path.steps, start=1):
-        vertex = step.vertex
-        if isinstance(vertex, tuple) and m is not None and n is not None:
-            side = vertex[0] if step.system == "P" else vertex[1]
-            basis = _basis_names(side, m, n, step.system or "P")
-            polytope = step.system or "P"
-        else:
-            positions = vertex.ones() if hasattr(vertex, "ones") else sorted(vertex)
-            basis = ";".join(f"p{p}" for p in positions)
-            polytope = step.system or "P"
-        writer.writerow([idx, step.dropped, step.picked, polytope, basis])
+        labels = step.vertex[0] if step.system == "P" else step.vertex[1]
+        basis = _basis_names(labels, m, n, step.system)
+        writer.writerow([idx, step.dropped, step.picked, step.system, basis])

@@ -19,6 +19,8 @@ from .errors import BudgetExceededError, InvariantError, NoEquilibriumError
 from .game import ZERO, BimatrixGame, MixedProfile, UnitVectorGame, verify_equilibrium
 from .linalg import bareiss_solve
 
+MAX_SUPPORT_PAIRS = 1 << 22
+
 
 @dataclass(frozen=True)
 class SupportPair:
@@ -114,21 +116,28 @@ def solve_support(game: BimatrixGame, pair: SupportPair) -> MixedProfile | None:
 
 
 def _all_equal_supports(m: int, n: int):
-    for size in range(1, min(m, n) + 1):
-        for s1 in itertools.combinations(range(1, m + 1), size):
-            for s2 in itertools.combinations(range(1, n + 1), size):
-                yield frozenset(s1), frozenset(s2)
+    """Every equal-size support pair of an m x n game, size-ascending.
+
+    Raises BudgetExceededError, before building any pair, when there are
+    more than MAX_SUPPORT_PAIRS of them.
+    """
+    sizes = range(1, min(m, n) + 1)
+    total = sum(comb(m, k) * comb(n, k) for k in sizes)
+    if total > MAX_SUPPORT_PAIRS:
+        raise BudgetExceededError(f"{total} support pairs exceed the budget {MAX_SUPPORT_PAIRS}")
+    return (
+        (frozenset(s1), frozenset(s2))
+        for size in sizes
+        for s1 in itertools.combinations(range(1, m + 1), size)
+        for s2 in itertools.combinations(range(1, n + 1), size)
+    )
 
 
-def enumerate_equilibria(game: BimatrixGame, max_pairs: int = 1 << 22) -> list[MixedProfile]:
+def enumerate_equilibria(game: BimatrixGame) -> list[MixedProfile]:
     """All equilibria of a nondegenerate game, by trying every equal-size
     support pair; deduplicated and sorted lexicographically."""
-    m, n = game.m, game.n
-    total = sum(comb(m, k) * comb(n, k) for k in range(1, min(m, n) + 1))
-    if total > max_pairs:
-        raise BudgetExceededError(f"{total} support pairs exceed the budget {max_pairs}")
     found = set()
-    for s1, s2 in _all_equal_supports(m, n):
+    for s1, s2 in _all_equal_supports(game.m, game.n):
         profile = solve_support(game, SupportPair(s1, s2))
         if profile is not None:
             found.add(profile)
@@ -137,7 +146,8 @@ def enumerate_equilibria(game: BimatrixGame, max_pairs: int = 1 << 22) -> list[M
 
 def search_equal_supports(game: BimatrixGame, seed: int | None = None) -> tuple[MixedProfile, int]:
     """First equilibrium over all equal-size support pairs and the number of
-    guesses spent; size-ascending order, shuffled when a seed is given."""
+    guesses spent; size-ascending order, shuffled when a seed is given.
+    Refuses more than MAX_SUPPORT_PAIRS pairs, like enumerate_equilibria."""
     pairs = [SupportPair(s1, s2) for s1, s2 in _all_equal_supports(game.m, game.n)]
     if seed is not None:
         random.Random(seed).shuffle(pairs)

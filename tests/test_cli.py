@@ -62,6 +62,23 @@ class TestFormats:
         assert text == "1/3 2/3 0 ; 1/2 1/2 0"
         assert parse_profile(text, 3, 3) == game22_equilibrium
 
+    @pytest.mark.parametrize(
+        "text, token, column",
+        [
+            ("1/2 abc ; 1/3 1/3 1/3", "abc", 5),
+            ("1/2 1/2 ; 1/3 abc 2/3", "abc", 15),
+            ("x= 1/2 1/2 ; y= 1/3 1/x 1/3", "1/x", 21),
+            ("x=1/2 1/2;y=1/3 abc 2/3", "abc", 17),
+            ("1/2 1/2;1/3 1/3 1/0", "1/0", 17),
+        ],
+    )
+    def test_profile_parse_error_column(self, text, token, column):
+        with pytest.raises(GameFormatError) as info:
+            parse_profile(text, 2, 3)
+        assert info.value.line == 1
+        assert info.value.column == column
+        assert text[column - 1 : column - 1 + len(token)] == token
+
 
 class TestGen:
     def test_triple_morris_labels(self, tmp_path):
@@ -123,6 +140,16 @@ class TestSolve:
         main(["gen", "triple-morris", "--m", "2", "--out", str(out)])
         assert main(["solve", str(out), "--method", "lh"]) == 0
 
+    def test_missing_label_zero_is_out_of_range(self, game22_path, capsys):
+        assert main(["solve", game22_path, "--missing-label", "0"]) == 2
+        assert "out of range" in capsys.readouterr().err
+
+    def test_support_pair_budget_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "tm8.uvg"
+        main(["gen", "triple-morris", "--m", "8", "--out", str(out)])
+        assert main(["solve", str(out), "--method", "support"]) == 4
+        assert "budget" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_true_case(self, game22_path, capsys):
@@ -148,6 +175,11 @@ class TestVerify:
 
 
 class TestBench:
+    def test_empty_m_range_rejected(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "morris", "--m", "6..4", "--out", str(out)]) == 2
+        assert "empty" in capsys.readouterr().err
+
     def test_morris_growth_summary(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         code = main(["bench", "morris", "--m", "4..10", "--labels", "1", "--out", str(out)])

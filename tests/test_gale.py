@@ -261,6 +261,16 @@ class TestLemkePaths:
             combinatorial_lemke(morris_polytope(4), 5)
 
 
+def test_labels_of_rejects_a_string_of_another_length():
+    poly = LabeledGalePolytope.of(2, "12")  # four facets
+    short = GaleString.from_text("110")
+    with pytest.raises(ValueError):
+        poly.labels_of(short)
+    with pytest.raises(ValueError):
+        poly.is_completely_labeled(short)
+    assert poly.is_completely_labeled(GaleString.from_text("1100"))
+
+
 class TestCompletelyLabeledStrings:
     def test_triple_morris_two(self):
         poly = triple_morris_polytope(2)

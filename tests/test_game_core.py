@@ -14,7 +14,6 @@ from galelemke import (
     imitation_game,
     is_nondegenerate,
     labels_of_profile,
-    normalized_matrices,
     split_symmetric_profile,
     symmetric_profile,
     symmetrize,
@@ -124,20 +123,20 @@ class TestVerifyEquilibrium:
 
 class TestNormalization:
     def test_already_normal_untouched(self, game22):
-        a2, b2, sa, sb = normalized_matrices(game22)
+        a2, b2, sa, sb = game22.normalized
         assert (a2, b2) == (game22.a, game22.b)
         assert sa == 0 and sb == 0
 
     def test_negative_entries_shifted(self):
         game = BimatrixGame.from_rows([[-3, 1], [0, 2]], [[1, 1], [1, 1]])
-        a2, _, sa, _ = normalized_matrices(game)
+        a2, _, sa, _ = game.normalized
         assert sa == 4
         assert min(v for row in a2 for v in row) == 1
 
     def test_zero_row_of_b_shifted(self):
         # B^T would have a zero column: P would be unbounded without a shift
         game = BimatrixGame.from_rows([[1, 0], [0, 1]], [[0, 0], [1, 2]])
-        _, b2, _, sb = normalized_matrices(game)
+        _, b2, _, sb = game.normalized
         assert sb == 1
         assert all(any(v > 0 for v in row) for row in b2)
 
@@ -163,7 +162,7 @@ class TestNondegeneracy:
             [[1] * 11 for _ in range(11)], [[1] * 11 for _ in range(11)]
         )
         with pytest.raises(BudgetExceededError):
-            is_nondegenerate(game, max_labels=20)
+            is_nondegenerate(game)
 
 
 class TestSymmetrize:

@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 
 from galelemke import (
-    MorrisSpec,
     PermutationGameSpec,
     completely_labeled_strings,
     enumerate_equilibria,
     is_nondegenerate,
     morris_game,
+    morris_polytope,
     morris_sigma,
     morris_tau,
     permutation_equilibria,
@@ -51,7 +51,9 @@ class TestMorrisStrings:
         with pytest.raises(ValueError):
             morris_tau(5)
         with pytest.raises(ValueError):
-            MorrisSpec(3)
+            morris_polytope(3)
+        with pytest.raises(ValueError):
+            triple_morris_polytope(3)
 
 
 class TestTripleMorris:
@@ -174,5 +176,12 @@ class TestRandomGenerators:
             random_game(2, 2, 0, payoff_range=(1, 1))  # constant games are degenerate
 
     def test_wide_range_past_budget(self):
-        game = random_game(2, 2, 3, payoff_range=(0, 9), nondegeneracy_budget=1)
+        game = random_game(11, 10, 3, payoff_range=(0, 9))
         assert max(v for row in game.a for v in row) > 9
+
+    @pytest.mark.parametrize("lo, hi", [(10**7, 10**7 + 9), (-50, 50)])
+    def test_widened_range_keeps_its_low_end(self, lo, hi):
+        game = random_game(11, 10, 3, payoff_range=(lo, hi))
+        entries = [v for mat in (game.a, game.b) for row in mat for v in row]
+        assert lo <= min(entries) and max(entries) <= lo + 10**6
+        assert max(entries) > hi

@@ -21,7 +21,7 @@ from galelemke import (
     triple_morris_game,
     verify_equilibrium,
 )
-from galelemke.errors import NoEquilibriumError
+from galelemke.errors import BudgetExceededError, NoEquilibriumError
 from galelemke.support import SearchStats, search_equal_supports, stats_to_csv
 
 from conftest import C_THREE_EQ
@@ -201,6 +201,14 @@ class TestEqualSupportSearch:
     def test_seeded_order_still_finds_it(self, game22, game22_equilibrium):
         profile, _ = search_equal_supports(game22, seed=123)
         assert profile == game22_equilibrium
+
+    def test_pair_budget_checked_before_any_pair(self):
+        # C(32, 8) - 1 equal-size pairs, well past MAX_SUPPORT_PAIRS
+        game = triple_morris_game(8).to_bimatrix()
+        with pytest.raises(BudgetExceededError, match="10518299 support pairs"):
+            search_equal_supports(game)
+        with pytest.raises(BudgetExceededError, match="10518299 support pairs"):
+            enumerate_equilibria(game)
 
 
 class TestStatsCsv:
