@@ -22,6 +22,11 @@ so neither the coordinates nor the order of the yielded points is fixed),
 and the completely labeled points of unit-vector games with the equilibria
 built from them.  They were recorded on the explicit-inverse canonical form
 and the general-form vertex enumerator.
+
+The ``support_equal_search`` digest pins the equal-size support search,
+unseeded and seeded: the profile and guess count, or the exception type and
+message.  It was recorded on the implementation that built every support
+pair as a pair of frozensets before the first guess.
 """
 
 import hashlib
@@ -51,6 +56,7 @@ from galelemke import (
     morris_polytope,
     random_game,
     randomized_support_search,
+    search_equal_supports,
     to_canonical_form,
     triple_morris_game,
     triple_morris_polytope,
@@ -142,6 +148,14 @@ def _oracle_games():
     )
 
 
+def _equal_search_record(game, seed):
+    try:
+        profile, guesses = search_equal_supports(game, seed)
+    except GaleLemkeError as exc:
+        return ("error", type(exc).__name__, str(exc))
+    return ("ok", profile.x, profile.y, guesses)
+
+
 def _gale_path_record(poly, label, step_cap=None):
     try:
         path = combinatorial_lemke(poly, label, step_cap)
@@ -204,6 +218,7 @@ GOLDEN = {
     "lh_random": "949963e9c485228d4e29acf55f96b7ddbcb5214e92146d27070b9f4c559b29ea",
     "unit_vector_paths": "8f1b7c4a5b51022ea01e246431dc12d164311adca67887d42c1dbab245da74c2",
     "support_search": "bb3c5f316e20272f6a525568f278d3f869eaa8995e8bfe9930815401db47b2c3",
+    "support_equal_search": "85fd083543cfb26c35e1cc4c1a535c14ebc0c6689b9c01ebd987f8208a6ae3da",
     "support_enumeration": "e39bedad95af733f62ae04a64bb86c40e32c8e2f06e2a75e49c3a74a4519e217",
     "vertex_enumeration": "98929ce0b10628de8986a56859bb9318aa6f3f645543be9e65695a40ac1c8d22",
     "gale_morris_paths": "b7184cd6f2c0ce2d9d7b2d298c3062a966a55ff08e9a20cabe3fd70c4aec8752",
@@ -245,6 +260,10 @@ def _outputs(name):
                     profile, stats = randomized_support_search(game, universe, seed)
                     out.append((m, universe.name, seed, profile.x, profile.y, stats.guesses))
         return out
+    if name == "support_equal_search":
+        games = _oracle_games() + [random_game(m, n, 0) for m, n in ((4, 4), (4, 5), (5, 5))]
+        games.append(triple_morris_game(8).to_bimatrix())  # over the pair budget
+        return [[_equal_search_record(g, seed) for seed in (None, *range(6))] for g in games]
     if name == "support_enumeration":
         return [[(p.x, p.y) for p in enumerate_equilibria(g)] for g in _oracle_games()]
     if name == "vertex_enumeration":
