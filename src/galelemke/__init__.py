@@ -77,7 +77,6 @@ from .support import (
     AllColumnSubsets,
     OnePerLabelClass,
     SearchStats,
-    SupportPair,
     count_equilibrium_supports,
     enumerate_equilibria,
     expected_guesses,

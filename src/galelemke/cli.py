@@ -343,6 +343,10 @@ def _permutation_bench(args, writer) -> None:
 
 
 def cmd_bench(args) -> int:
+    if args.family == "permutation" and args.n is None:
+        raise ValueError("--n is required for this family")
+    if args.seeds < 1:
+        raise ValueError("--seeds must be at least 1")
     out_path = args.out
     handle = open(out_path, "a", encoding="utf-8", newline="")
     writer = csv.writer(handle)

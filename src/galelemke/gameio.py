@@ -64,6 +64,13 @@ class _Reader:
         if line.strip():
             raise GameFormatError("expected a blank line between A and B", self.line_no)
 
+    def end(self):
+        """Only blank lines may follow the last row."""
+        for line in self.lines[self.index:]:
+            self.index += 1
+            if line.strip():
+                raise GameFormatError("unexpected content after the last row of B", self.line_no)
+
 
 def _read_header(reader: _Reader) -> tuple[int, int]:
     toks = reader.tokens('the header "m n"', 2)
@@ -88,6 +95,7 @@ def read_bgame(text: str) -> BimatrixGame:
     a = _read_matrix(reader, m, n, "A")
     reader.blank_line()
     b = _read_matrix(reader, m, n, "B")
+    reader.end()
     return BimatrixGame.from_rows(a, b)
 
 
@@ -110,6 +118,7 @@ def read_uvg(text: str) -> UnitVectorGame:
             raise GameFormatError(f"label {lab} out of range 1..{m}", reader.line_no, c)
         ell.append(lab)
     b = _read_matrix(reader, m, n, "B")
+    reader.end()
     return UnitVectorGame(m, tuple(ell), matrix_from(b))
 
 

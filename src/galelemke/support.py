@@ -8,34 +8,19 @@ infeasible systems are normal negative outcomes.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import random
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from .errors import BudgetExceededError, InvariantError, NoEquilibriumError
 from .game import ZERO, BimatrixGame, MixedProfile, UnitVectorGame, verify_equilibrium
 from .linalg import bareiss_solve
 
 MAX_SUPPORT_PAIRS = 1 << 22
-
-
-@dataclass(frozen=True)
-class SupportPair:
-    """Candidate supports, 1-based: s1 over rows, s2 over columns."""
-
-    s1: frozenset[int]
-    s2: frozenset[int]
-
-    def __post_init__(self):
-        if not self.s1 or not self.s2:
-            raise ValueError("supports must be nonempty")
-
-    @classmethod
-    def of(cls, s1, s2) -> "SupportPair":
-        return cls(frozenset(int(v) for v in s1), frozenset(int(v) for v in s2))
 
 
 def _indifference_solution(scaled, own, other):
@@ -60,8 +45,9 @@ def _beaten(scaled, own, other, numerators) -> bool:
     payoff against the weights (all compared over their common
     denominator)."""
     payoff = numerators[-1]
+    inside = set(own)
     for i, (scale, entries) in enumerate(scaled, start=1):
-        if i not in own:
+        if i not in inside:
             if sum(entries[j - 1] * w for j, w in zip(other, numerators)) > scale * payoff:
                 return True
     return False
@@ -74,23 +60,25 @@ def _mixed(size: int, support, numerators, denominator) -> tuple[Fraction, ...]:
     return tuple(weights)
 
 
-def solve_support(game: BimatrixGame, pair: SupportPair) -> MixedProfile | None:
-    """The equilibrium supported exactly on the pair, if one exists.
+def solve_support(game: BimatrixGame, s1, s2) -> MixedProfile | None:
+    """The equilibrium supported exactly on rows ``s1`` and columns ``s2``
+    (1-based indices, any order, repeats ignored), if one exists.
 
-    Requires equal support sizes.  Returns None when the linear systems are
-    singular, a weight leaves the support (zero or negative), or a strategy
-    outside a support beats the support payoff.  Works on the game's
-    integer (normalized) payoffs: shifting a player's payoffs by a constant
-    moves the support payoff by the same constant and leaves the weights,
-    the singular cases and every best-response comparison as they are.
-    Fractions are built only for an equilibrium found.
+    Requires nonempty supports of equal size inside 1..m and 1..n.  Returns
+    None when the linear systems are singular, a weight leaves the support
+    (zero or negative), or a strategy outside a support beats the support
+    payoff.  Works on the game's integer (normalized) payoffs: shifting a
+    player's payoffs by a constant moves the support payoff by the same
+    constant and leaves the weights, the singular cases and every
+    best-response comparison as they are.  Fractions are built only for an
+    equilibrium found.
     """
     m, n = game.m, game.n
-    s1 = sorted(pair.s1)
-    s2 = sorted(pair.s2)
-    if len(s1) != len(s2):
-        raise ValueError("support sizes must be equal")
-    if s1[-1] > m or s2[-1] > n:
+    s1 = sorted(set(s1))
+    s2 = sorted(set(s2))
+    if not s1 or len(s1) != len(s2):
+        raise ValueError("supports must be nonempty and of equal size")
+    if s1[0] < 1 or s2[0] < 1 or s1[-1] > m or s2[-1] > n:
         raise ValueError("support indices out of range")
     size = len(s1)
     a_rows, b_cols = game.integer_payoffs
@@ -110,37 +98,73 @@ def solve_support(game: BimatrixGame, pair: SupportPair) -> MixedProfile | None:
     if any(w <= 0 for w in x_num[:size]):
         return None
     # best-response checks outside the supports
-    if _beaten(a_rows, pair.s1, s2, y_num) or _beaten(b_cols, pair.s2, s1, x_num):
+    if _beaten(a_rows, s1, s2, y_num) or _beaten(b_cols, s2, s1, x_num):
         return None
     return MixedProfile(_mixed(m, s1, x_num, x_den), _mixed(n, s2, y_num, y_den))
 
 
-def _all_equal_supports(m: int, n: int):
-    """Every equal-size support pair of an m x n game, size-ascending.
+def _hits(game: BimatrixGame, pairs):
+    """``(guess number, profile)`` for each support pair of ``pairs`` that
+    carries an equilibrium; guesses count from 1 over all pairs tried."""
+    for guess, (s1, s2) in enumerate(pairs, start=1):
+        profile = solve_support(game, s1, s2)
+        if profile is not None:
+            yield guess, profile
+
+
+def _unrank(n: int, k: int, index: int) -> tuple[int, ...]:
+    """The index'th k-subset of 1..n in lexicographic order, ascending."""
+    chosen = []
+    value = 1
+    while k:
+        skip = comb(n - value, k - 1)
+        if index < skip:
+            chosen.append(value)
+            k -= 1
+        else:
+            index -= skip
+        value += 1
+    return tuple(chosen)
+
+
+def _equal_pairs(m: int, n: int, seed: int | None = None):
+    """Stream every equal-size support pair of an m x n game: size-ascending
+    and lexicographic, or in the order of a seeded shuffle of that list.
 
     Raises BudgetExceededError, before building any pair, when there are
-    more than MAX_SUPPORT_PAIRS of them.
+    more than MAX_SUPPORT_PAIRS of them.  A shuffled pair is unranked from
+    its position when it is reached; only the permutation is stored.
     """
     sizes = range(1, min(m, n) + 1)
-    total = sum(comb(m, k) * comb(n, k) for k in sizes)
+    counts = [comb(m, k) * comb(n, k) for k in sizes]
+    total = sum(counts)
     if total > MAX_SUPPORT_PAIRS:
         raise BudgetExceededError(f"{total} support pairs exceed the budget {MAX_SUPPORT_PAIRS}")
-    return (
-        (frozenset(s1), frozenset(s2))
-        for size in sizes
-        for s1 in itertools.combinations(range(1, m + 1), size)
-        for s2 in itertools.combinations(range(1, n + 1), size)
-    )
+    if seed is None:
+        return (
+            (s1, s2)
+            for k in sizes
+            for s1 in itertools.combinations(range(1, m + 1), k)
+            for s2 in itertools.combinations(range(1, n + 1), k)
+        )
+    # shuffle draws depend only on the length: the same permutation as
+    # shuffling the list of pairs itself
+    order = array("q", range(total))
+    random.Random(seed).shuffle(order)
+    starts = list(itertools.accumulate(counts, initial=0))
+
+    def pair(rank: int):
+        k = bisect_right(starts, rank)
+        i1, i2 = divmod(rank - starts[k - 1], comb(n, k))
+        return _unrank(m, k, i1), _unrank(n, k, i2)
+
+    return map(pair, order)
 
 
 def enumerate_equilibria(game: BimatrixGame) -> list[MixedProfile]:
     """All equilibria of a nondegenerate game, by trying every equal-size
     support pair; deduplicated and sorted lexicographically."""
-    found = set()
-    for s1, s2 in _all_equal_supports(game.m, game.n):
-        profile = solve_support(game, SupportPair(s1, s2))
-        if profile is not None:
-            found.add(profile)
+    found = {profile for _, profile in _hits(game, _equal_pairs(game.m, game.n))}
     return sorted(found, key=lambda p: (p.x, p.y))
 
 
@@ -148,13 +172,8 @@ def search_equal_supports(game: BimatrixGame, seed: int | None = None) -> tuple[
     """First equilibrium over all equal-size support pairs and the number of
     guesses spent; size-ascending order, shuffled when a seed is given.
     Refuses more than MAX_SUPPORT_PAIRS pairs, like enumerate_equilibria."""
-    pairs = [SupportPair(s1, s2) for s1, s2 in _all_equal_supports(game.m, game.n)]
-    if seed is not None:
-        random.Random(seed).shuffle(pairs)
-    for guesses, pair in enumerate(pairs, start=1):
-        profile = solve_support(game, pair)
-        if profile is not None:
-            return profile, guesses
+    for guesses, profile in _hits(game, _equal_pairs(game.m, game.n, seed)):
+        return profile, guesses
     raise NoEquilibriumError("no equilibrium on any equal-size support pair")
 
 
@@ -179,23 +198,11 @@ class AllColumnSubsets:
     def __len__(self) -> int:
         return comb(self.n, self.m)
 
-    def support(self, index: int) -> frozenset[int]:
+    def support(self, index: int) -> tuple[int, ...]:
         """Lexicographic unranking of the index'th m-subset of 1..n."""
         if not 0 <= index < len(self):
             raise IndexError(index)
-        chosen = []
-        next_value = 1
-        remaining = self.m
-        while remaining:
-            available = self.n - next_value
-            skip = comb(available, remaining - 1)
-            if index < skip:
-                chosen.append(next_value)
-                remaining -= 1
-            else:
-                index -= skip
-            next_value += 1
-        return frozenset(chosen)
+        return _unrank(self.n, self.m, index)
 
 
 class OnePerLabelClass:
@@ -212,19 +219,16 @@ class OnePerLabelClass:
         self.classes = [classes[i] for i in range(1, u.m + 1)]
 
     def __len__(self) -> int:
-        size = 1
-        for cols in self.classes:
-            size *= len(cols)
-        return size
+        return prod(len(cols) for cols in self.classes)
 
-    def support(self, index: int) -> frozenset[int]:
+    def support(self, index: int) -> tuple[int, ...]:
         if not 0 <= index < len(self):
             raise IndexError(index)
         chosen = []
         for cols in reversed(self.classes):
             index, pos = divmod(index, len(cols))
             chosen.append(cols[pos])
-        return frozenset(chosen)
+        return tuple(sorted(chosen))
 
 
 @dataclass(frozen=True)
@@ -233,7 +237,6 @@ class SearchStats:
 
     guesses: int
     universe_size: int
-    equilibrium_support_count: int | None = None
 
 
 def _lazy_shuffle(size: int, rng: random.Random):
@@ -247,49 +250,34 @@ def _lazy_shuffle(size: int, rng: random.Random):
         yield vj
 
 
-def _try_full_row_support(game: BimatrixGame, columns: frozenset[int]) -> MixedProfile | None:
-    return solve_support(
-        game, SupportPair(frozenset(range(1, game.m + 1)), columns)
-    )
+def _full_row_pairs(game: BimatrixGame, universe, indices):
+    """The universe's supports at ``indices``, each against all rows."""
+    rows = tuple(range(1, game.m + 1))
+    return ((rows, universe.support(index)) for index in indices)
 
 
 def count_equilibrium_supports(game: BimatrixGame, universe) -> int:
     """Scan the whole universe once and count the supports that carry an
     equilibrium (with the row player on full support)."""
-    return sum(
-        1
-        for index in range(len(universe))
-        if _try_full_row_support(game, universe.support(index)) is not None
-    )
+    return sum(1 for _ in _hits(game, _full_row_pairs(game, universe, range(len(universe)))))
 
 
 def randomized_support_search(
-    game: BimatrixGame,
-    universe,
-    seed: int,
-    count_supports: bool = False,
+    game: BimatrixGame, universe, seed: int
 ) -> tuple[MixedProfile, SearchStats]:
     """Test the universe's supports in seeded uniform random order, pairing
     each against the full row support, until an equilibrium appears.
 
-    Raises NoEquilibriumError when the universe holds none.  Pass
-    ``count_supports=True`` to also scan for the total number of
-    equilibrium supports (one full pass; used when comparing the guess
-    count against its exact expectation).
+    Raises NoEquilibriumError when the universe holds none.
     """
     size = len(universe)
     if size == 0:
         raise ValueError("empty universe")
-    equilibria = count_equilibrium_supports(game, universe) if count_supports else None
-    rng = random.Random(seed)
-    guesses = 0
-    for index in _lazy_shuffle(size, rng):
-        guesses += 1
-        profile = _try_full_row_support(game, universe.support(index))
-        if profile is not None:
-            if not verify_equilibrium(game, profile):
-                raise InvariantError("support solution fails the label cover")
-            return profile, SearchStats(guesses, size, equilibria)
+    order = _lazy_shuffle(size, random.Random(seed))
+    for guesses, profile in _hits(game, _full_row_pairs(game, universe, order)):
+        if not verify_equilibrium(game, profile):
+            raise InvariantError("support solution fails the label cover")
+        return profile, SearchStats(guesses, size)
     raise NoEquilibriumError(
         f"no equilibrium among the {size} supports of universe {universe.name!r}"
     )
@@ -303,18 +291,3 @@ def expected_guesses(universe_size: int, equilibrium_count: int) -> Fraction:
     if equilibrium_count > universe_size:
         raise ValueError("more equilibria than universe elements")
     return Fraction(universe_size - equilibrium_count, equilibrium_count + 1) + 1
-
-
-def stats_to_csv(rows, out) -> None:
-    """Dump per-seed search statistics: seed, guesses, universe, equilibria_found."""
-    writer = csv.writer(out)
-    writer.writerow(["seed", "guesses", "universe", "equilibria_found"])
-    for seed, stats in rows:
-        writer.writerow(
-            [
-                seed,
-                stats.guesses,
-                stats.universe_size,
-                "" if stats.equilibrium_support_count is None else stats.equilibrium_support_count,
-            ]
-        )

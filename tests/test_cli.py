@@ -16,6 +16,7 @@ from galelemke.gameio import (
     load_game,
     parse_profile,
     read_bgame,
+    read_uvg,
     write_bgame,
     write_uvg,
 )
@@ -56,6 +57,21 @@ class TestFormats:
             read_bgame("3 3\n1 0 0\n0 x 0\n0 0 1\n\n0 2 4\n3 2 0\n0 2 0\n")
         assert info.value.line == 3
         assert info.value.column == 3
+
+    def test_bgame_trailing_content_rejected(self):
+        with pytest.raises(GameFormatError) as info:
+            read_bgame(GAME22_TEXT + "\n1 2 3\n")
+        assert info.value.line == 10
+
+    def test_uvg_trailing_content_rejected(self, tmp_path, capsys):
+        path = tmp_path / "g.uvg"
+        path.write_text("2 2\n1 2\n1 0\n0 1\nextra row\n")
+        assert main(["solve", str(path)]) == 2
+        assert "line 5" in capsys.readouterr().err
+
+    def test_trailing_blank_lines_accepted(self, game22):
+        assert read_bgame(GAME22_TEXT + "\n  \n\n") == game22
+        assert read_uvg("2 2\n1 2\n1 0\n0 1\n\n") == read_uvg("2 2\n1 2\n1 0\n0 1\n")
 
     def test_profile_round_trip(self, game22_equilibrium):
         text = format_profile(game22_equilibrium)
@@ -179,6 +195,18 @@ class TestBench:
         out = tmp_path / "bench.csv"
         assert main(["bench", "morris", "--m", "6..4", "--out", str(out)]) == 2
         assert "empty" in capsys.readouterr().err
+
+    def test_permutation_without_n_rejected(self, tmp_path, capsys):
+        out = tmp_path / "perm.csv"
+        assert main(["bench", "permutation", "--out", str(out)]) == 2
+        assert "--n is required for this family" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_seeds_rejected(self, tmp_path, capsys):
+        out = tmp_path / "perm.csv"
+        assert main(["bench", "permutation", "--n", "4", "--seeds", "0", "--out", str(out)]) == 2
+        assert "--seeds" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_morris_growth_summary(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"

@@ -57,7 +57,7 @@ def test_negative_step_cap_rejected():
         lemke_path_length(triple_morris_polytope(4), 1, step_cap=-1)
 
 
-def _not_an_equilibrium(game, pair):
+def _not_an_equilibrium(game, s1, s2):
     """Both players on their first pure strategy: not an equilibrium of the
     triple Morris game, whose equilibria give the row player full support."""
     return MixedProfile.of([1] + [0] * (game.m - 1), [1] + [0] * (game.n - 1))

@@ -1,7 +1,7 @@
 """Support guessing: single pairs, full enumeration, randomized search."""
 
-import io
 import statistics
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -11,10 +11,11 @@ from galelemke import (
     AllColumnSubsets,
     BimatrixGame,
     OnePerLabelClass,
-    SupportPair,
+    PermutationGameSpec,
     count_equilibrium_supports,
     enumerate_equilibria,
     expected_guesses,
+    permutation_game,
     random_game,
     randomized_support_search,
     solve_support,
@@ -22,28 +23,38 @@ from galelemke import (
     verify_equilibrium,
 )
 from galelemke.errors import BudgetExceededError, NoEquilibriumError
-from galelemke.support import SearchStats, search_equal_supports, stats_to_csv
+from galelemke.support import search_equal_supports
 
 from conftest import C_THREE_EQ
 
 
 class TestSolveSupport:
     def test_worked_example_support(self, game22, game22_equilibrium):
-        profile = solve_support(game22, SupportPair.of({1, 2}, {1, 2}))
+        profile = solve_support(game22, {1, 2}, {1, 2})
         assert profile == game22_equilibrium
 
     def test_dominated_pure_cell(self, game22):
-        assert solve_support(game22, SupportPair.of({3}, {3})) is None
+        assert solve_support(game22, {3}, {3}) is None
 
     def test_pure_cells(self):
         game = BimatrixGame.from_rows([[3, 0], [0, 1]], [[2, 0], [0, 1]])
-        assert solve_support(game, SupportPair.of({1}, {1})) is not None
-        assert solve_support(game, SupportPair.of({2}, {2})) is not None
-        assert solve_support(game, SupportPair.of({1}, {2})) is None
+        assert solve_support(game, {1}, {1}) is not None
+        assert solve_support(game, {2}, {2}) is not None
+        assert solve_support(game, {1}, {2}) is None
 
     def test_unequal_sizes_rejected(self, game22):
         with pytest.raises(ValueError):
-            solve_support(game22, SupportPair.of({1, 2}, {1}))
+            solve_support(game22, {1, 2}, {1})
+
+    def test_index_zero_rejected(self):
+        # indices are 1-based: 0 must not wrap round to the last strategy
+        game = BimatrixGame.from_rows([[3, 0], [0, 1]], [[2, 0], [0, 1]])
+        with pytest.raises(ValueError, match="out of range"):
+            solve_support(game, {0}, {0})
+
+    def test_empty_supports_rejected(self, game22):
+        with pytest.raises(ValueError, match="nonempty"):
+            solve_support(game22, (), ())
 
     def test_returned_profiles_verify(self):
         for seed in range(30):
@@ -129,10 +140,10 @@ class TestRandomizedSearch:
     def test_stats_on_triple_morris(self):
         game = triple_morris_game(2).to_bimatrix()
         universe = AllColumnSubsets(game)
-        profile, stats = randomized_support_search(game, universe, seed=0, count_supports=True)
+        profile, stats = randomized_support_search(game, universe, seed=0)
         assert verify_equilibrium(game, profile)
         assert stats.universe_size == 15
-        assert stats.equilibrium_support_count == 3
+        assert count_equilibrium_supports(game, universe) == 3
         assert 1 <= stats.guesses <= 13
 
     def test_single_support_universe(self):
@@ -151,10 +162,10 @@ class TestRandomizedSearch:
         uv = triple_morris_game(2)
         game = uv.to_bimatrix()
         universe = OnePerLabelClass(uv)
-        profile, stats = randomized_support_search(game, universe, seed=2, count_supports=True)
+        profile, stats = randomized_support_search(game, universe, seed=2)
         assert verify_equilibrium(game, profile)
         assert stats.universe_size == 9
-        assert stats.equilibrium_support_count == 3
+        assert count_equilibrium_supports(game, universe) == 3
 
     def test_deterministic_given_seed(self):
         game = triple_morris_game(2).to_bimatrix()
@@ -202,6 +213,19 @@ class TestEqualSupportSearch:
         profile, _ = search_equal_supports(game22, seed=123)
         assert profile == game22_equilibrium
 
+    def test_seeded_search_streams_its_pairs(self):
+        # 48,619 equal-size pairs: only their shuffled order is stored, and
+        # each pair is built when it is tried (about 1 KB each as a list)
+        game = permutation_game(PermutationGameSpec.of(range(1, 10)))
+        tracemalloc.start()
+        try:
+            _, guesses = search_equal_supports(game, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert guesses == 61
+        assert peak < 5_000_000
+
     def test_pair_budget_checked_before_any_pair(self):
         # C(32, 8) - 1 equal-size pairs, well past MAX_SUPPORT_PAIRS
         game = triple_morris_game(8).to_bimatrix()
@@ -212,16 +236,6 @@ class TestEqualSupportSearch:
 
 
 class TestStatsCsv:
-    def test_round_trip(self):
-        buffer = io.StringIO()
-        stats_to_csv(
-            [(0, SearchStats(4, 15, 3)), (1, SearchStats(2, 15, None))], buffer
-        )
-        lines = buffer.getvalue().strip().splitlines()
-        assert lines[0] == "seed,guesses,universe,equilibria_found"
-        assert lines[1] == "0,4,15,3"
-        assert lines[2] == "1,2,15,"
-
     def test_count_helper(self):
         game = triple_morris_game(2).to_bimatrix()
         assert count_equilibrium_supports(game, AllColumnSubsets(game)) == 3
