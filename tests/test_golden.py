@@ -27,11 +27,22 @@ The ``support_equal_search`` digest pins the equal-size support search,
 unseeded and seeded: the profile and guess count, or the exception type and
 message.  It was recorded on the implementation that built every support
 pair as a pair of frozensets before the first guess.
+
+The ``cli_bench`` digest pins ``galelemke bench`` end to end: for each
+invocation, the exit code, the CSV rows without the ``wall_time`` column
+and the printed lines without the final output path.  It was recorded on
+the CLI that ran the permutation family in its own loops and read the
+step cap from an environment variable as well as from ``--step-cap``.
 """
 
+import csv
 import hashlib
+import io
 import random
+import tempfile
+from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +72,7 @@ from galelemke import (
     triple_morris_game,
     triple_morris_polytope,
 )
+from galelemke.cli import main
 from galelemke.errors import GaleLemkeError
 from galelemke.game import (
     equilibrium_from_labeled_point,
@@ -209,6 +221,30 @@ def _cyclic_geometries():
     return geoms
 
 
+CLI_BENCH_RUNS = [
+    ["morris", "--m", "4..10", "--labels", "1"],
+    ["morris", "--m", "4..8", "--labels", "all"],
+    ["morris", "--m", "4..8", "--labels", "half"],
+    ["morris", "--m", "4..8", "--labels", "1", "--step-cap", "20"],
+    ["triple-morris", "--m", "2..4", "--solver", "lh", "--labels", "1"],
+    ["triple-morris", "--m", "2..2", "--solver", "support", "--seeds", "10"],
+    ["permutation", "--n", "4", "--seeds", "5"],
+    ["permutation", "--n", "4", "--exhaustive"],
+]
+
+
+def _cli_bench_record(args):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "bench.csv"
+        printed = io.StringIO()
+        with redirect_stdout(printed):
+            code = main(["bench", *args, "--out", str(out)])
+        rows = list(csv.reader(out.open(encoding="utf-8", newline="")))
+    drop = rows[0].index("wall_time")
+    lines = printed.getvalue().splitlines()
+    return (args, code, [row[:drop] + row[drop + 1 :] for row in rows], lines[:-1])
+
+
 GOLDEN = {
     "lh_triple_morris": "b67fcbed48823629df5c3c39035560b13acc085cb89791e2a54cdb6adfc2558b",
     "lh_degenerate_lex": "5f9092e1d07aeaaa61f15c0f01d3493403b2e32c71b765e1a407a14b97589df9",
@@ -229,6 +265,7 @@ GOLDEN = {
     "cyclic_canonical_b": "6ab91fd92268f30c61eef14739db6246ea1fed3d72e18b19fd00423e5166f897",
     "cyclic_incidences": "71cb66007f12b1a06bb9249c8c54327e2480d72b1626bf02813c93cdd079ddc0",
     "unit_vector_points": "836f796ba3ec3bb75b56559b97f210f5d9a93eac330b3135b953b8d83d039ece",
+    "cli_bench": "db82afdaf61767b1d8d51ab1b28dabdfbe618b9ff001dedec7196212ab2b822b",
 }
 
 
@@ -311,6 +348,8 @@ def _outputs(name):
                 eq = equilibrium_from_labeled_point(u, point)
                 out.append((u.m, u.ell, point, facets, eq.x, eq.y))
         return out
+    if name == "cli_bench":
+        return [_cli_bench_record(args) for args in CLI_BENCH_RUNS]
     raise KeyError(name)
 
 
