@@ -1,14 +1,12 @@
 """Command-line front end: generate instances, solve, verify, benchmark.
 
 Exit codes: 0 ok, 2 parse error, 3 solver failure, 4 budget exceeded.
-The environment variable GALELEMKE_STEP_CAP overrides the default pivot cap.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -51,15 +49,6 @@ EXIT_SOLVER = 3
 EXIT_BUDGET = 4
 
 
-def _step_cap(args) -> int:
-    if getattr(args, "step_cap", None) is not None:
-        return args.step_cap
-    env = os.environ.get("GALELEMKE_STEP_CAP")
-    if env is not None:
-        return int(env)
-    return DEFAULT_STEP_CAP
-
-
 def _parse_m_range(text: str) -> list[int]:
     """"4..16" -> even values 4, 6, ..., 16; a single value stands alone."""
     if ".." in text:
@@ -86,30 +75,25 @@ def cmd_gen(args) -> int:
         build = morris_game if family == "morris" else triple_morris_game
         game: UnitVectorGame = build(args.m)
         if args.shuffle_columns:
-            game = shuffle_columns(game, args.seed or 0)
+            game = shuffle_columns(game, args.seed)
         print(f"labels {gameio.format_label_string(game.ell)}")
         out = args.out or f"{family}-m{args.m}.uvg"
     elif family == "permutation":
-        if args.n is None:
-            raise ValueError("--n is required for this family")
         if args.pi:
-            spec = PermutationGameSpec.of(int(v) for v in args.pi.split())
+            spec = PermutationGameSpec.of(args.pi.split())
+            if args.n not in (None, spec.n):
+                raise ValueError(f"--n {args.n} disagrees with --pi of length {spec.n}")
+        elif args.n is None:
+            raise ValueError("--n is required for this family")
         else:
-            spec = random_permutation(args.n, args.seed or 0)
+            spec = random_permutation(args.n, args.seed)
         game = permutation_game(spec)
-        out = args.out or f"permutation-n{args.n}.bgame"
-    elif family == "random":
+        out = args.out or f"permutation-n{spec.n}.bgame"
+    else:
         if args.m is None or args.n is None:
             raise ValueError("--m and --n are required for this family")
-        game = random_game(
-            args.m,
-            args.n,
-            args.seed or 0,
-            filter_degenerate=not args.no_filter,
-        )
-        out = args.out or f"random-{args.m}x{args.n}-s{args.seed or 0}.bgame"
-    else:
-        raise ValueError(f"unknown family {family!r}")
+        game = random_game(args.m, args.n, args.seed, filter_degenerate=not args.no_filter)
+        out = args.out or f"random-{args.m}x{args.n}-s{args.seed}.bgame"
     gameio.save_game(out, game)
     print(out)
     return EXIT_OK
@@ -119,11 +103,17 @@ def cmd_gen(args) -> int:
 # solve
 
 
+def _load_bimatrix(path: str):
+    """The bimatrix game in a ``.bgame`` file, or the one a ``.uvg`` file's
+    unit-vector game stands for."""
+    loaded = gameio.load_game(path)
+    return loaded.to_bimatrix() if isinstance(loaded, UnitVectorGame) else loaded
+
+
 def cmd_solve(args) -> int:
-    loaded = gameio.load_game(args.game)
-    game = loaded.to_bimatrix() if isinstance(loaded, UnitVectorGame) else loaded
+    game = _load_bimatrix(args.game)
     if args.method == "lh":
-        result = lh_solve(game, args.missing_label, step_cap=_step_cap(args))
+        result = lh_solve(game, args.missing_label, step_cap=args.step_cap)
         print(gameio.format_profile(result.equilibrium))
         print(f"path_length {result.path_length}")
         if args.path_csv:
@@ -141,8 +131,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    loaded = gameio.load_game(args.game)
-    game = loaded.to_bimatrix() if isinstance(loaded, UnitVectorGame) else loaded
+    game = _load_bimatrix(args.game)
     text = sys.stdin.readline() if args.profile == "-" else args.profile
     profile = gameio.parse_profile(text, game.m, game.n)
     x_labels, y_labels = labels_of_profile(game, profile)
@@ -202,11 +191,7 @@ def _csv_cell(value):
 def _bench_labels(m: int, choice: str) -> list[int]:
     if choice == "all":
         return list(range(1, m + 1))
-    if choice == "1":
-        return [1]
-    if choice == "half":
-        return [m // 2]
-    raise ValueError(f"unknown label choice {choice!r}")
+    return [1] if choice == "1" else [m // 2]
 
 
 def _path_task(solver: str, family: str, m: int, label: int, cap: int):
@@ -240,12 +225,9 @@ def _path_task(solver: str, family: str, m: int, label: int, cap: int):
 
 
 def _support_task(family: str, m: int, seed: int):
-    build = morris_game if family == "morris" else triple_morris_game
-    uv = build(m)
-    game = uv.to_bimatrix()
-    universe = AllColumnSubsets(game)
+    game = (morris_game if family == "morris" else triple_morris_game)(m).to_bimatrix()
     start = time.perf_counter()
-    _, stats = randomized_support_search(game, universe, seed)
+    _, stats = randomized_support_search(game, AllColumnSubsets(game), seed)
     return BenchRecord(
         instance=f"{family}-m{m}",
         m=game.m,
@@ -257,28 +239,69 @@ def _support_task(family: str, m: int, seed: int):
     )
 
 
-def _morris_bench(args, writer) -> list[BenchRecord]:
-    cap = _step_cap(args)
+def _permutation_task(n: int, seed: int):
+    game = permutation_game(random_permutation(n, seed))
+    start = time.perf_counter()
+    _, guesses = search_equal_supports(game, seed=seed)
+    return BenchRecord(
+        instance=f"permutation-n{n}",
+        m=n,
+        n=n,
+        solver="support",
+        seed=seed,
+        guesses=guesses,
+        wall_time=time.perf_counter() - start,
+    )
+
+
+def _cycle_task(n: int, rank: int, pi: tuple[int, ...]):
+    """Count the equilibria of one permutation game, 2^cycles - 1."""
+    spec = PermutationGameSpec(n, pi)
+    start = time.perf_counter()
+    equilibria = (1 << len(spec.cycles())) - 1
+    return BenchRecord(
+        instance=f"permutation-n{n}",
+        m=n,
+        n=n,
+        solver="support",
+        seed=rank,
+        equilibria=equilibria,
+        wall_time=time.perf_counter() - start,
+    )
+
+
+def _bench_tasks(args):
+    """Check every bench argument and return the ``(function, arguments)``
+    tasks of the run, in CSV order.  Nothing is opened or run before the
+    checks pass; the exhaustive permutation tasks are a lazy stream of n!."""
+    if args.family == "permutation" and args.n is None:
+        raise ValueError("--n is required for this family")
+    if args.seeds < 1:
+        raise ValueError("--seeds must be at least 1")
+    if args.step_cap < 0:
+        raise ValueError(f"step cap must be nonnegative, got {args.step_cap}")
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
+    if args.family == "permutation":
+        n = args.n
+        if n < 1:
+            raise ValueError("n must be at least 1")
+        if args.exhaustive:
+            return ((_cycle_task, (n, rank, pi)) for rank, pi in enumerate(permutations(range(1, n + 1))))
+        return [(_permutation_task, (n, seed)) for seed in range(args.seeds)]
     if not args.m_range:
         raise ValueError("--m is required for this family")
-    ms = _parse_m_range(args.m_range)
     tasks = []
-    for m in ms:
+    for m in _parse_m_range(args.m_range):
         if args.solver == "support":
             tasks += [(_support_task, (args.family, m, seed)) for seed in range(args.seeds)]
         else:
             solver = "lh" if args.solver == "lh" else "combinatorial-lemke"
             tasks += [
-                (_path_task, (solver, args.family, m, label, cap))
+                (_path_task, (solver, args.family, m, label, args.step_cap))
                 for label in _bench_labels(m, args.labels)
             ]
-    records = []
-    with ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else nullcontext() as pool:
-        # both maps yield in submission order, which keeps the CSV deterministic
-        for record in (pool.map if pool else map)(_run_task, tasks):
-            records.append(record)
-            writer(record)
-    return records
+    return tasks
 
 
 def _run_task(task):
@@ -286,90 +309,35 @@ def _run_task(task):
     return fn(*fnargs)
 
 
-def _growth_summary(records: list[BenchRecord]) -> list[str]:
-    by_m = {
-        r.m: r.path_length
-        for r in records
-        if r.missing_label == 1 and not r.truncated and r.path_length
-    }
-    lines = []
-    for m in sorted(by_m):
-        prev = by_m.get(m - 2)
-        if prev:
-            ratio = Fraction(by_m[m], prev)
-            lines.append(f"growth m={m}: {by_m[m]}/{prev} = {float(ratio):.4f}")
-    return lines
-
-
-def _permutation_bench(args, writer) -> None:
-    n = args.n
-    if args.exhaustive:
-        total = Fraction(0)
-        count = 0
-        for rank, pi in enumerate(permutations(range(1, n + 1))):
-            spec = PermutationGameSpec(n, pi)
-            start = time.perf_counter()
-            eq_count = (1 << len(spec.cycles())) - 1
-            record = BenchRecord(
-                instance=f"permutation-n{n}",
-                m=n,
-                n=n,
-                solver="support",
-                seed=rank,
-                equilibria=eq_count,
-                wall_time=time.perf_counter() - start,
-            )
-            writer(record)
-            total += eq_count
-            count += 1
-        mean = total / count
-        print(f"mean_equilibria {mean} ({float(mean):.4f}) over {count} games")
-    else:
-        for seed in range(args.seeds):
-            spec = random_permutation(n, seed)
-            game = permutation_game(spec)
-            start = time.perf_counter()
-            _, guesses = search_equal_supports(game, seed=seed)
-            record = BenchRecord(
-                instance=f"permutation-n{n}",
-                m=n,
-                n=n,
-                solver="support",
-                seed=seed,
-                guesses=guesses,
-                wall_time=time.perf_counter() - start,
-            )
-            writer(record)
-
-
 def cmd_bench(args) -> int:
-    if args.family == "permutation" and args.n is None:
-        raise ValueError("--n is required for this family")
-    if args.seeds < 1:
-        raise ValueError("--seeds must be at least 1")
-    out_path = args.out
-    handle = open(out_path, "a", encoding="utf-8", newline="")
-    writer = csv.writer(handle)
-    if handle.tell() == 0:
-        writer.writerow(BENCH_HEADER)
-        handle.flush()
-
-    def emit(record: BenchRecord) -> None:
-        writer.writerow(record.row())
-        handle.flush()
-
-    try:
-        if args.family in ("morris", "triple-morris"):
-            records = _morris_bench(args, emit)
-            for line in _growth_summary(records):
-                print(line)
-        elif args.family == "permutation":
-            _permutation_bench(args, emit)
-        else:
-            raise ValueError(f"unknown bench family {args.family!r}")
-    finally:
-        handle.close()
-    print(out_path)
+    tasks = _bench_tasks(args)
+    label_one = {}  # m -> uncapped label-1 path length, for the growth lines
+    equilibria = games = 0
+    with (
+        open(args.out, "a", encoding="utf-8", newline="") as handle,
+        ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else nullcontext() as pool,
+    ):
+        writer = csv.writer(handle)
+        if handle.tell() == 0:
+            writer.writerow(BENCH_HEADER)
+            handle.flush()
+        # both maps yield in submission order, which keeps the CSV deterministic
+        for record in (pool.map if pool else map)(_run_task, tasks):
+            writer.writerow(record.row())
+            handle.flush()
+            if record.missing_label == 1 and not record.truncated and record.path_length:
+                label_one[record.m] = record.path_length
+            if record.equilibria is not None:
+                equilibria += record.equilibria
+                games += 1
+    for m in sorted(label_one):
+        prev = label_one.get(m - 2)
+        if prev:
+            print(f"growth m={m}: {label_one[m]}/{prev} = {label_one[m] / prev:.4f}")
+    if games:
+        mean = Fraction(equilibria, games)
+        print(f"mean_equilibria {mean} ({float(mean):.4f}) over {games} games")
+    print(args.out)
     return EXIT_OK
 
 
@@ -388,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("family", choices=["morris", "triple-morris", "permutation", "random"])
     gen.add_argument("--m", type=int)
     gen.add_argument("--n", type=int)
-    gen.add_argument("--seed", type=int)
+    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--pi", help="explicit permutation, space-separated")
     gen.add_argument("--out")
     gen.add_argument("--shuffle-columns", action="store_true")
@@ -400,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--method", choices=["lh", "support"], default="lh")
     solve.add_argument("--missing-label", type=int, default=1)
     solve.add_argument("--seed", type=int)
-    solve.add_argument("--step-cap", type=int)
+    solve.add_argument("--step-cap", type=int, default=DEFAULT_STEP_CAP)
     solve.add_argument("--path-csv", help="dump the pivot path as CSV")
     solve.set_defaults(func=cmd_solve)
 
@@ -420,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seeds", type=int, default=100)
     bench.add_argument("--exhaustive", action="store_true")
     bench.add_argument("--jobs", type=int, default=1)
-    bench.add_argument("--step-cap", type=int)
+    bench.add_argument("--step-cap", type=int, default=DEFAULT_STEP_CAP)
     bench.add_argument("--out", required=True)
     bench.set_defaults(func=cmd_bench)
 

@@ -116,6 +116,18 @@ class TestGen:
         game = load_game(str(out))
         assert game.m == 3 and game.n == 3
 
+    def test_permutation_size_from_pi(self, tmp_path):
+        out = tmp_path / "pi.bgame"
+        assert main(["gen", "permutation", "--pi", "2 3 1", "--out", str(out)]) == 0
+        game = load_game(str(out))
+        assert game.m == 3 and game.n == 3
+
+    def test_permutation_n_must_match_pi(self, tmp_path, capsys):
+        out = tmp_path / "pi.bgame"
+        assert main(["gen", "permutation", "--n", "3", "--pi", "2 1", "--out", str(out)]) == 2
+        assert "disagrees with --pi" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_shuffled_columns(self, tmp_path):
         plain = tmp_path / "p.uvg"
         mixed = tmp_path / "q.uvg"
@@ -195,6 +207,31 @@ class TestBench:
         out = tmp_path / "bench.csv"
         assert main(["bench", "morris", "--m", "6..4", "--out", str(out)]) == 2
         assert "empty" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["morris", "--m", "6..4"],
+            ["morris", "--m", "4", "--step-cap", "-1"],
+            ["morris"],
+            ["morris", "--m", "x"],
+            ["morris", "--m", "4", "--jobs", "0"],
+            ["permutation", "--n", "0"],
+            ["permutation", "--n", "0", "--exhaustive"],
+            ["permutation", "--n", "-3", "--exhaustive"],
+            ["permutation", "--n", "4", "--seeds", "0"],
+        ],
+    )
+    def test_rejected_run_leaves_out_alone(self, tmp_path, capsys, args):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", *args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+        main(["bench", "morris", "--m", "4", "--out", str(out)])
+        before = out.read_bytes()
+        assert main(["bench", *args, "--out", str(out)]) == 2
+        assert out.read_bytes() == before
 
     def test_permutation_without_n_rejected(self, tmp_path, capsys):
         out = tmp_path / "perm.csv"
@@ -271,10 +308,9 @@ class TestBench:
         # product-polytope walks alternate sides: twice the one-polytope length
         assert [r["path_length"] for r in rows] == ["4", "12"]
 
-    def test_step_cap_marks_truncated_and_skips_ratio(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("GALELEMKE_STEP_CAP", "20")
+    def test_step_cap_marks_truncated_and_skips_ratio(self, tmp_path, capsys):
         out = tmp_path / "capped.csv"
-        main(["bench", "morris", "--m", "4..8", "--labels", "1", "--out", str(out)])
+        main(["bench", "morris", "--m", "4..8", "--labels", "1", "--step-cap", "20", "--out", str(out)])
         printed = capsys.readouterr().out
         rows = list(csv.DictReader(out.open()))
         assert [r["truncated"] for r in rows] == ["false", "false", "true"]
@@ -303,6 +339,14 @@ class TestEntryPoint:
         parallel = tmp_path / "parallel.csv"
         main(["bench", "morris", "--m", "4..8", "--labels", "all", "--out", str(serial)])
         main(["bench", "morris", "--m", "4..8", "--labels", "all", "--jobs", "2", "--out", str(parallel)])
+        strip = lambda p: [r[:9] + r[10:] for r in csv.reader(p.open())]
+        assert strip(serial) == strip(parallel)
+
+    def test_parallel_permutation_bench_matches_serial(self, tmp_path):
+        serial = tmp_path / "serial.csv"
+        parallel = tmp_path / "parallel.csv"
+        main(["bench", "permutation", "--n", "4", "--seeds", "5", "--out", str(serial)])
+        main(["bench", "permutation", "--n", "4", "--seeds", "5", "--jobs", "2", "--out", str(parallel)])
         strip = lambda p: [r[:9] + r[10:] for r in csv.reader(p.open())]
         assert strip(serial) == strip(parallel)
 

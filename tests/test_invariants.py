@@ -133,3 +133,18 @@ def test_no_assert_in_package_sources():
                 if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                     offenders.append(f"{source.name}:{node.lineno} raise AssertionError")
     assert offenders == []
+
+
+def test_no_environment_reads_in_package_sources():
+    # every setting is an argument or a flag, never a hidden knob
+    knobs = {"environ", "environb", "getenv"}
+    offenders = []
+    for source in sorted(Path(galelemke.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in knobs:
+                if isinstance(node.value, ast.Name) and node.value.id == "os":
+                    offenders.append(f"{source.name}:{node.lineno} os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = knobs & {alias.name for alias in node.names}
+                offenders += [f"{source.name}:{node.lineno} from os import {n}" for n in sorted(names)]
+    assert offenders == []
