@@ -28,6 +28,13 @@ unseeded and seeded: the profile and guess count, or the exception type and
 message.  It was recorded on the implementation that built every support
 pair as a pair of frozensets before the first guess.
 
+The ``support_pairs`` digest pins ``solve_support`` on every equal-size
+support pair of seeded degenerate games with payoffs in 0..2, where a row
+that is zero on the opponent's support is common, and the equilibrium
+support counts of triple Morris games under both column universes.  It
+was recorded on the implementation that sent every guess through a full
+Bareiss solve.
+
 The ``cli_bench`` digest pins ``galelemke bench`` end to end: for each
 invocation, the exit code, the CSV rows without the ``wall_time`` column
 and the printed lines without the final output path.  It was recorded on
@@ -38,6 +45,7 @@ step cap from an environment variable as well as from ``--step-cap``.
 import csv
 import hashlib
 import io
+import itertools
 import random
 import tempfile
 from contextlib import redirect_stdout
@@ -67,7 +75,9 @@ from galelemke import (
     morris_polytope,
     random_game,
     randomized_support_search,
+    count_equilibrium_supports,
     search_equal_supports,
+    solve_support,
     to_canonical_form,
     triple_morris_game,
     triple_morris_polytope,
@@ -168,6 +178,24 @@ def _equal_search_record(game, seed):
     return ("ok", profile.x, profile.y, guesses)
 
 
+def _support_pair_games():
+    return [
+        random_game(m, n, seed, payoff_range=(0, 2), filter_degenerate=False)
+        for m, n in ((3, 3), (3, 4), (4, 4))
+        for seed in range(10)
+    ]
+
+
+def _support_pair_records(game):
+    out = []
+    for k in range(1, min(game.m, game.n) + 1):
+        for s1 in itertools.combinations(range(1, game.m + 1), k):
+            for s2 in itertools.combinations(range(1, game.n + 1), k):
+                profile = solve_support(game, s1, s2)
+                out.append((s1, s2, None if profile is None else (profile.x, profile.y)))
+    return out
+
+
 def _gale_path_record(poly, label, step_cap=None):
     try:
         path = combinatorial_lemke(poly, label, step_cap)
@@ -255,6 +283,7 @@ GOLDEN = {
     "unit_vector_paths": "8f1b7c4a5b51022ea01e246431dc12d164311adca67887d42c1dbab245da74c2",
     "support_search": "bb3c5f316e20272f6a525568f278d3f869eaa8995e8bfe9930815401db47b2c3",
     "support_equal_search": "85fd083543cfb26c35e1cc4c1a535c14ebc0c6689b9c01ebd987f8208a6ae3da",
+    "support_pairs": "d64c3bc271f904648ed23f6e39489ef1444fcb43cff35bc1fc211f4f71e1d500",
     "support_enumeration": "e39bedad95af733f62ae04a64bb86c40e32c8e2f06e2a75e49c3a74a4519e217",
     "vertex_enumeration": "98929ce0b10628de8986a56859bb9318aa6f3f645543be9e65695a40ac1c8d22",
     "gale_morris_paths": "b7184cd6f2c0ce2d9d7b2d298c3062a966a55ff08e9a20cabe3fd70c4aec8752",
@@ -301,6 +330,14 @@ def _outputs(name):
         games = _oracle_games() + [random_game(m, n, 0) for m, n in ((4, 4), (4, 5), (5, 5))]
         games.append(triple_morris_game(8).to_bimatrix())  # over the pair budget
         return [[_equal_search_record(g, seed) for seed in (None, *range(6))] for g in games]
+    if name == "support_pairs":
+        out = [_support_pair_records(g) for g in _support_pair_games()]
+        for m in (4, 6):
+            u = triple_morris_game(m)
+            game = u.to_bimatrix()
+            for universe in (AllColumnSubsets(game), OnePerLabelClass(u)):
+                out.append((m, universe.name, count_equilibrium_supports(game, universe)))
+        return out
     if name == "support_enumeration":
         return [[(p.x, p.y) for p in enumerate_equilibria(g)] for g in _oracle_games()]
     if name == "vertex_enumeration":
