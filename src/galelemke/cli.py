@@ -311,6 +311,8 @@ def _run_task(task):
 
 def cmd_bench(args) -> int:
     tasks = _bench_tasks(args)
+    # n! exhaustive tasks of microseconds each go to the workers in chunks
+    chunksize = 256 if args.family == "permutation" and args.exhaustive else 1
     label_one = {}  # m -> uncapped label-1 path length, for the growth lines
     equilibria = games = 0
     with (
@@ -322,7 +324,8 @@ def cmd_bench(args) -> int:
             writer.writerow(BENCH_HEADER)
             handle.flush()
         # both maps yield in submission order, which keeps the CSV deterministic
-        for record in (pool.map if pool else map)(_run_task, tasks):
+        records = pool.map(_run_task, tasks, chunksize=chunksize) if pool else map(_run_task, tasks)
+        for record in records:
             writer.writerow(record.row())
             handle.flush()
             if record.missing_label == 1 and not record.truncated and record.path_length:

@@ -3,11 +3,12 @@
 The walk starts at the origin pair, drops the chosen missing label, and
 alternates pivots between the two systems until that label is picked up
 again, at which point the basic solution is an equilibrium.  All pivoting is
-exact and runs on integers: each system keeps one common denominator (the
-determinant of its basis) and every pivot is a fraction-free Bareiss step,
-as in the integer pivoting of lrsnash (Avis, Rosenberg, Savani and von
-Stengel 2010).  The lexicographic ratio test keeps the right-hand side
-nonnegative and rules out cycling even on degenerate inputs.
+exact and runs on integers: each system is a dictionary of its cobasic
+columns with one common denominator (the determinant of its basis), and
+every pivot is a fraction-free Bareiss step, as in the integer pivoting of
+lrsnash (Avis, Rosenberg, Savani and von Stengel 2010).  The lexicographic
+ratio test keeps the right-hand side nonnegative and rules out cycling even
+on degenerate inputs.
 """
 
 from __future__ import annotations
@@ -15,45 +16,35 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    CyclingError,
-    DegenerateGameError,
-    InvariantError,
-    UnboundedPolytopeError,
-)
-from .game import (
-    BimatrixGame,
-    LabelSet,
-    MixedProfile,
-    UnitVectorGame,
-    simplex_scaled,
-)
+from .errors import CyclingError, DegenerateGameError, InvariantError, UnboundedPolytopeError
+from .game import ZERO, BimatrixGame, LabelSet, MixedProfile, UnitVectorGame, simplex_scaled
 from .paths import PivotPath, PivotStep, capped
 
 DEFAULT_STEP_CAP = 10_000_000
 
-ZERO = Fraction(0)
-
 
 class _Tableau:
-    """One system in row dictionary form over the integers.
+    """One system as a compact integer dictionary, as in lrs (Avis 2000).
 
-    Every row holds the coefficients of all variables plus the right-hand
-    side, all multiplied by the common denominator ``det`` (the determinant
-    of the current basis, kept positive); ``basis[r]`` is the basic variable
-    of row r, and its column holds ``det`` in row r and 0 elsewhere.
-    Variable ids are 0-based and id v carries label v+1.
+    Row r holds the coefficients of the cobasic (nonbasic) variables plus
+    the right-hand side, all multiplied by the common denominator ``det``
+    (the determinant of the current basis, kept positive).  ``basis[r]`` is
+    the basic variable of row r and ``cobasis[c]`` the variable of column
+    c.  A basic variable's column is implicit: ``det`` in its own row and
+    0 elsewhere.  Variable ids are 0-based and id v carries label v+1.  The
+    lexicographic rule reads the columns of the starting basis.
     """
 
-    def __init__(self, rows: list[list[int]], basis: list[int], lex_cols: tuple[int, ...]):
+    def __init__(self, rows: list[list[int]], basis: list[int], cobasis: list[int]):
         self.rows = rows
         self.basis = basis
-        self.lex_cols = lex_cols
+        self.cobasis = cobasis
+        self.lex_cols = tuple(basis)
         self.det = 1
         self.saw_tie = False
 
     def is_basic(self, var: int) -> bool:
-        return var in self.basis
+        return var not in self.cobasis
 
     def choose_leaving(self, entering: int, lexicographic: bool) -> int:
         """Row index of the leaving variable by the (lexico-)minimum ratio.
@@ -62,12 +53,13 @@ class _Tableau:
         sign of row r's ratio minus row s's, and the common denominator
         cancels.
         """
+        col = self.cobasis.index(entering)
         tied: list[int] = []
         for r, row in enumerate(self.rows):
-            if row[entering] <= 0:
+            if row[col] <= 0:
                 continue
             if tied:
-                order = self._order(r, tied[0], entering, -1)
+                order = self._order(r, tied[0], col, -1)
                 if order > 0:
                     continue
                 if order == 0:
@@ -86,20 +78,25 @@ class _Tableau:
         best = tied[0]
         for r in tied[1:]:
             order = 0
-            for c in self.lex_cols:
-                order = self._order(r, best, entering, c)
+            for var in self.lex_cols:
+                if var in self.cobasis:
+                    order = self._order(r, best, col, self.cobasis.index(var))
+                else:
+                    # a basic column is det > 0 in its own row and 0 elsewhere
+                    home = self.basis.index(var)
+                    order = (r == home) * self.rows[best][col] - (best == home) * self.rows[r][col]
                 if order:
                     break
             if order < 0:
                 best = r
         return best
 
-    def _order(self, r: int, s: int, entering: int, col: int) -> int:
-        """An integer with the sign of ``rows[r][col]/rows[r][entering] -
-        rows[s][col]/rows[s][entering]``; both entering coefficients are
+    def _order(self, r: int, s: int, col: int, other: int) -> int:
+        """An integer with the sign of ``rows[r][other]/rows[r][col] -
+        rows[s][other]/rows[s][col]``; both ``col`` coefficients are
         positive."""
         row_r, row_s = self.rows[r], self.rows[s]
-        return row_r[col] * row_s[entering] - row_s[col] * row_r[entering]
+        return row_r[other] * row_s[col] - row_s[other] * row_r[col]
 
     def pivot(self, entering: int, row_index: int) -> int:
         """Bring ``entering`` into the basis on the given row; returns the
@@ -108,64 +105,59 @@ class _Tableau:
         Integer pivoting: the pivot row stays as it is, every other row
         becomes ``(v*p - f*w) // det`` (an exact division; a row with f == 0
         becomes ``v*p // det``, which is itself when p == det) and the pivot
-        entry p becomes the new common denominator.
+        entry p becomes the new common denominator.  The entering column
+        then holds the leaving variable: the old ``det`` in the pivot row
+        and ``-f`` in every other row.
         """
+        col = self.cobasis.index(entering)
         row = self.rows[row_index]
-        p = row[entering]
+        p = row[col]
         if p <= 0:
             raise ValueError("pivot coefficient must be positive")
         det = self.det
         for r, other in enumerate(self.rows):
             if r == row_index:
                 continue
-            f = other[entering]
+            f = other[col]
             if f == 0:
                 if p != det:
                     self.rows[r] = [v * p // det for v in other]
             else:
-                self.rows[r] = [(v * p - f * w) // det for v, w in zip(other, row)]
+                new = [(v * p - f * w) // det for v, w in zip(other, row)]
+                new[col] = -f
+                self.rows[r] = new
+        row[col] = det
         self.det = p
         leaving = self.basis[row_index]
         self.basis[row_index] = entering
+        self.cobasis[col] = leaving
         if any(r[-1] < 0 for r in self.rows):
             raise InvariantError("pivot broke right-hand side nonnegativity")
         return leaving
 
     def basic_value(self, var: int) -> Fraction:
-        for r, b in enumerate(self.basis):
-            if b == var:
-                return Fraction(self.rows[r][-1], self.det)
-        return ZERO
+        if var in self.cobasis:
+            return ZERO
+        return Fraction(self.rows[self.basis.index(var)][-1], self.det)
 
-    def nonbasic_labels(self, nvars: int) -> LabelSet:
-        basic = set(self.basis)
-        return frozenset(v + 1 for v in range(nvars) if v not in basic)
+    def nonbasic_labels(self) -> LabelSet:
+        return frozenset(v + 1 for v in self.cobasis)
 
 
 def _build_tableaux(game: BimatrixGame) -> tuple[_Tableau, _Tableau]:
-    """Initial integer tableaux of P (one row per column of B) and Q (one
-    row per row of A).  Each row is scaled to integers and its slack
-    variable by the inverse scale, so the slack keeps coefficient 1 and the
-    slack basis has determinant 1.  Positive row and column scales leave the
-    ratio test, its ties and the lexicographic order unchanged.
+    """Initial integer dictionaries of P (one row per column of B, cobasic
+    x) and Q (one row per row of A, cobasic y), slacks basic.  Each row is
+    scaled to integers and its slack by the inverse scale, so the slack
+    keeps coefficient 1 and the slack basis has determinant 1.  Positive
+    row and column scales leave the ratio test, its ties and the
+    lexicographic order unchanged.
     """
     a_rows, b_cols = game.integer_payoffs
-    m, n = game.m, game.n
-    nvars = m + n
-    p_rows = []
-    for j, (scale, col) in enumerate(b_cols):
-        row = list(col)
-        row += [1 if k == j else 0 for k in range(n)]
-        row.append(scale)
-        p_rows.append(row)
-    q_rows = []
-    for i, (scale, entries) in enumerate(a_rows):
-        row = [1 if k == i else 0 for k in range(m)]
-        row += entries
-        row.append(scale)
-        q_rows.append(row)
-    tab_p = _Tableau(p_rows, [m + j for j in range(n)], tuple(range(m, nvars)))
-    tab_q = _Tableau(q_rows, list(range(m)), tuple(range(m)))
+    m, nvars = game.m, game.m + game.n
+    p_rows = [[*col, scale] for scale, col in b_cols]
+    q_rows = [[*entries, scale] for scale, entries in a_rows]
+    tab_p = _Tableau(p_rows, list(range(m, nvars)), list(range(m)))
+    tab_q = _Tableau(q_rows, list(range(m)), list(range(m, nvars)))
     return tab_p, tab_q
 
 
@@ -196,8 +188,7 @@ def lh_steps(
     memory).
     """
     tab_p, tab_q = tableaux
-    m = len(tab_q.rows)
-    nvars = len(tab_p.rows[0]) - 1
+    m, nvars = len(tab_q.rows), len(tab_p.rows) + len(tab_q.rows)
     if not 1 <= missing_label <= nvars:
         raise ValueError(f"missing label {missing_label} out of range 1..{nvars}")
     side = "P" if missing_label <= m else "Q"
@@ -209,9 +200,7 @@ def lh_steps(
             raise InvariantError("entering variable is already basic")
         row = tab.choose_leaving(entering, lexicographic)
         if expect_nondegenerate and tab.saw_tie:
-            raise DegenerateGameError(
-                "ratio-test tie on a game expected to be nondegenerate"
-            )
+            raise DegenerateGameError("ratio-test tie on a game expected to be nondegenerate")
         dropped = entering + 1
         leaving = tab.pivot(entering, row)
         picked = leaving + 1
@@ -220,7 +209,7 @@ def lh_steps(
             if state in visited:
                 raise CyclingError("pivoting revisited a basis pair")
             visited.add(state)
-        vertex = (tab_p.nonbasic_labels(nvars), tab_q.nonbasic_labels(nvars))
+        vertex = (tab_p.nonbasic_labels(), tab_q.nonbasic_labels())
         yield PivotStep(dropped, picked, vertex, side)
         if picked == missing_label:
             return
@@ -255,9 +244,7 @@ def lh_solve(
 
 def lh_all_labels(game: BimatrixGame, **kwargs) -> list[tuple[int, LhResult]]:
     """One pivoting run per label; equilibria found may repeat."""
-    return [
-        (k, lh_solve(game, k, **kwargs)) for k in range(1, game.m + game.n + 1)
-    ]
+    return [(k, lh_solve(game, k, **kwargs)) for k in range(1, game.m + game.n + 1)]
 
 
 def project_path(result: LhResult) -> tuple[list[LabelSet], list[LabelSet]]:

@@ -350,6 +350,18 @@ class TestEntryPoint:
         strip = lambda p: [r[:9] + r[10:] for r in csv.reader(p.open())]
         assert strip(serial) == strip(parallel)
 
+    def test_parallel_exhaustive_bench_matches_serial(self, tmp_path, capsys):
+        # 720 permutations: several chunks of tasks per worker
+        serial = tmp_path / "serial.csv"
+        parallel = tmp_path / "parallel.csv"
+        main(["bench", "permutation", "--n", "6", "--exhaustive", "--out", str(serial)])
+        serial_lines = capsys.readouterr().out.splitlines()[:-1]
+        main(["bench", "permutation", "--n", "6", "--exhaustive", "--jobs", "2", "--out", str(parallel)])
+        assert capsys.readouterr().out.splitlines()[:-1] == serial_lines
+        strip = lambda p: [r[:9] + r[10:] for r in csv.reader(p.open())]
+        assert len(strip(serial)) == 721
+        assert strip(serial) == strip(parallel)
+
 
 def test_gale_text_convention():
     # figure convention for strings: ones as '1', zeros as dots

@@ -2,7 +2,7 @@
 typed errors on every call (also under ``python -O``)."""
 
 import ast
-from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -24,6 +24,7 @@ from galelemke.cli import main
 from galelemke.errors import GaleLemkeError, InvariantError, StepCapExceededError
 from galelemke.generators import random_game
 from galelemke.lemke_howson import _build_tableaux, _Tableau, lh_steps
+from galelemke.linalg import bareiss_solve
 
 ENTRY_POINTS = {
     "combinatorial_lemke": lambda cap: combinatorial_lemke(
@@ -82,22 +83,44 @@ def test_cli_maps_a_broken_invariant_to_solver_exit(monkeypatch, tmp_path, capsy
 
 def test_pivot_off_the_ratio_test_raises():
     # entering variable 0 has ratios 1 (row 0) and 1/2 (row 1); pivoting on
-    # row 0 drives the right-hand side of row 1 negative
-    rows = [[Fraction(1), Fraction(1), Fraction(0), Fraction(1)],
-            [Fraction(2), Fraction(0), Fraction(1), Fraction(1)]]
-    tableau = _Tableau(rows, [1, 2], (1, 2))
+    # row 0 drives the right-hand side of row 1 negative.  The full rows
+    # are [1, 1, 0 | 1] and [2, 0, 1 | 1]; the compact dictionary keeps
+    # the cobasic column 0 and the right-hand side
+    tableau = _Tableau([[1, 1], [2, 1]], [1, 2], [0])
     with pytest.raises(InvariantError):
         tableau.pivot(0, 0)
 
 
-def _check_common_denominator(tab, entering):
+def _full_tableau(tab):
+    """The full tableau a compact dictionary stands for: the column of
+    every variable, then the right-hand side."""
+    nvars = len(tab.basis) + len(tab.cobasis)
+    full = []
+    for var, row in zip(tab.basis, tab.rows):
+        entries = [tab.det if v == var else 0 for v in range(nvars)] + [row[-1]]
+        for c, v in enumerate(tab.cobasis):
+            entries[v] = row[c]
+        full.append(entries)
+    return full
+
+
+def _check_common_denominator(tab, entering, start):
     det = tab.det
     assert det > 0
+    full = _full_tableau(tab)
     # the pivot row is kept, so its entry in the entering column is the
     # last pivot, which is the new common denominator
-    assert tab.rows[tab.basis.index(entering)][entering] == det
+    assert full[tab.basis.index(entering)][entering] == det
     for r, var in enumerate(tab.basis):
-        assert [row[var] for row in tab.rows] == [det if k == r else 0 for k in range(len(tab.rows))]
+        assert [row[var] for row in full] == [det if k == r else 0 for k in range(len(full))]
+    # the whole tableau is det * inverse(basis) * start, where the basis
+    # matrix holds the start's columns of the basic variables, and det is
+    # the absolute determinant of that matrix
+    basis_matrix = [[row[var] for var in tab.basis] for row in start]
+    columns = list(zip(*full))
+    for b_row, start_row in zip(basis_matrix, start):
+        assert [sum(map(mul, b_row, col)) for col in columns] == [det * v for v in start_row]
+    assert bareiss_solve([row + [0] for row in basis_matrix])[1] == det
 
 
 @pytest.mark.parametrize(
@@ -114,10 +137,11 @@ def test_integer_pivoting_keeps_one_positive_denominator(game, lexicographic):
         tableaux = _build_tableaux(game)
         for tab in tableaux:
             assert tab.det == 1
+        starts = [_full_tableau(tab) for tab in tableaux]
         pivots = 0
         for step in lh_steps(tableaux, label, lexicographic):
-            tab = tableaux[0] if step.system == "P" else tableaux[1]
-            _check_common_denominator(tab, step.dropped - 1)
+            side = 0 if step.system == "P" else 1
+            _check_common_denominator(tableaux[side], step.dropped - 1, starts[side])
             pivots += 1
         assert pivots > 0
 

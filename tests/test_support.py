@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from galelemke import (
     AllColumnSubsets,
@@ -23,9 +25,24 @@ from galelemke import (
     verify_equilibrium,
 )
 from galelemke.errors import BudgetExceededError, NoEquilibriumError
-from galelemke.support import search_equal_supports
+from galelemke.linalg import bareiss_solve
+from galelemke.support import _indifference_solution, search_equal_supports
 
 from conftest import C_THREE_EQ
+
+
+@st.composite
+def indifference_systems(draw):
+    """Nonnegative integer payoffs (entries 0..3, positive scales) of up to
+    5 own strategies against up to 5 others, with equal-size supports."""
+    k = draw(st.integers(1, 5))
+    n_own = draw(st.integers(k, 5))
+    n_other = draw(st.integers(k, 5))
+    entries = st.lists(st.integers(0, 3), min_size=n_other, max_size=n_other).map(tuple)
+    scaled = draw(st.lists(st.tuples(st.integers(1, 3), entries), min_size=n_own, max_size=n_own))
+    own = sorted(draw(st.sets(st.integers(1, n_own), min_size=k, max_size=k)))
+    other = sorted(draw(st.sets(st.integers(1, n_other), min_size=k, max_size=k)))
+    return scaled, own, other
 
 
 class TestSolveSupport:
@@ -63,6 +80,27 @@ class TestSolveSupport:
                 assert verify_equilibrium(game, profile)
                 s1, s2 = profile.support()
                 assert len(s1) == len(s2)  # nondegenerate games balance supports
+
+    @settings(max_examples=400, deadline=None)
+    @given(indifference_systems())
+    @example(([(1, (0, 0)), (1, (1, 2))], [1, 2], [1, 2]))  # solvable, weights 2 and -1
+    @example(([(2, (0,)), (1, (0,))], [1], [1]))  # every row zero: not rejected
+    def test_zero_row_rejection_is_exact(self, system):
+        # a row zero on the opponent's support beside a nonzero one is
+        # rejected before elimination; the elimination itself must then
+        # find the system singular or a weight that is not positive
+        scaled, own, other = system
+        rows = [[scaled[i - 1][1][j - 1] for j in other] for i in own]
+        aug = [row + [-scaled[i - 1][0], 0] for row, i in zip(rows, own)]
+        aug.append([1] * len(other) + [0, 1])
+        solved = bareiss_solve(aug)
+        got = _indifference_solution(scaled, own, other)
+        if 0 < sum(not any(row) for row in rows) < len(rows):
+            assert got is None
+        if got is None:
+            assert solved is None or any(w <= 0 for w in solved[0][: len(other)])
+        else:
+            assert got == solved
 
 
 class TestEnumerateEquilibria:
