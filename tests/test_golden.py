@@ -35,6 +35,11 @@ support counts of triple Morris games under both column universes.  It
 was recorded on the implementation that sent every guess through a full
 Bareiss solve.
 
+The ``lh_steps_strict`` digest pins the pivot stream ``lh_steps`` yields on
+the degenerate games when a ratio-test tie is an error: the steps taken
+and the exception that ends the stream.  It was recorded on the solver
+that still let callers switch the lexicographic rule off.
+
 The ``cli_bench`` digest pins ``galelemke bench`` end to end: for each
 invocation, the exit code, the CSV rows without the ``wall_time`` column
 and the printed lines without the final output path.  It was recorded on
@@ -90,6 +95,7 @@ from galelemke.game import (
     q_vertices,
     unit_vector_completely_labeled_points,
 )
+from galelemke.lemke_howson import _build_tableaux, lh_steps
 
 from conftest import C_DEGENERATE, C_THREE_EQ
 
@@ -128,6 +134,18 @@ def _lh_record(game, label, **kwargs):
 
 def _all_labels(game, **kwargs):
     return [_lh_record(game, k, **kwargs) for k in range(1, game.m + game.n + 1)]
+
+
+def _strict_steps_record(game, label):
+    """The pivots ``lh_steps`` yields when a ratio-test tie is an error,
+    and the exception that ends the stream, if any."""
+    steps = []
+    try:
+        for s in lh_steps(_build_tableaux(game), label, expect_nondegenerate=True):
+            steps.append((s.dropped, s.picked, s.vertex, s.system))
+    except GaleLemkeError as exc:
+        return ("error", tuple(steps), type(exc).__name__, str(exc))
+    return ("ok", tuple(steps))
 
 
 def _degenerate_games():
@@ -278,6 +296,7 @@ GOLDEN = {
     "lh_degenerate_lex": "5f9092e1d07aeaaa61f15c0f01d3493403b2e32c71b765e1a407a14b97589df9",
     "lh_degenerate_nolex": "acd63d83fd070ee60ae5115e2eef297cc611db8aee2bd504310588655df8efbf",
     "lh_degenerate_strict": "3ebb28c6c7198828d59cd89867080b724db20decf6d99c6964627f4d3a27e769",
+    "lh_steps_strict": "6af9c6008a7db595ac12e542afb922fc3870681f35df0fa18a3a10a07f6c80eb",
     "lh_rational": "3da7dbdf23bc1fe0700bce2df1674c53793228173b5d5411f6540256608b0b1c",
     "lh_random": "949963e9c485228d4e29acf55f96b7ddbcb5214e92146d27070b9f4c559b29ea",
     "unit_vector_paths": "8f1b7c4a5b51022ea01e246431dc12d164311adca67887d42c1dbab245da74c2",
@@ -307,6 +326,11 @@ def _outputs(name):
         return [_all_labels(g, lexicographic=False) for g in _degenerate_games()]
     if name == "lh_degenerate_strict":
         return [_all_labels(g, expect_nondegenerate=True) for g in _degenerate_games()]
+    if name == "lh_steps_strict":
+        return [
+            [_strict_steps_record(g, k) for k in range(1, g.m + g.n + 1)]
+            for g in _degenerate_games()
+        ]
     if name == "lh_rational":
         return [_all_labels(g) for g in _rational_games()]
     if name == "lh_random":
