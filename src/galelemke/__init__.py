@@ -8,14 +8,12 @@ families whose paths and support searches grow exponentially.
 
 from .errors import (
     BudgetExceededError,
-    CyclingError,
     DegenerateGameError,
     GaleLemkeError,
     GameFormatError,
     InvariantError,
     NoEquilibriumError,
     StepCapExceededError,
-    UnboundedPolytopeError,
 )
 from .game import (
     BimatrixGame,

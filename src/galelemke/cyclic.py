@@ -14,13 +14,12 @@ from fractions import Fraction
 from math import comb
 
 from .errors import BudgetExceededError
-from .game import Matrix, as_fraction, transpose
+from .game import ONE, ZERO, Matrix, as_fraction, transpose
 from .gale import GaleString
 from .linalg import dot, scaled_to_integers, solve_square
 from .polytope import vertices_nonneg_form
 
-ONE = Fraction(1)
-ZERO = Fraction(0)
+MAX_FACET_SUBSETS = 200_000
 
 
 @dataclass(frozen=True)
@@ -64,16 +63,16 @@ def cyclic_geometry(m: int, f: int, t=None) -> CyclicPolytopeGeometry:
     return CyclicPolytopeGeometry(m, params, rows)
 
 
-def geometry_vertex_strings(geom: CyclicPolytopeGeometry, budget: int = 200_000):
+def geometry_vertex_strings(geom: CyclicPolytopeGeometry):
     """Brute-force vertex enumeration, yielding (point, incidence string).
 
     Runs the vertex enumerator on ``to_canonical_form(geom)``, so each point
     is in canonical coordinates (``CanonicalForm.incidence_of`` maps it back
     to its string): tight coordinate i is facet i, tight row j facet m+j.
     Oracle-grade: it solves all C(f, m) square subsystems of facets; use
-    small sizes only.
+    small sizes only: more than MAX_FACET_SUBSETS subsets are refused.
     """
-    if comb(geom.f, geom.m) > budget:
+    if comb(geom.f, geom.m) > MAX_FACET_SUBSETS:
         raise BudgetExceededError(
             f"vertex enumeration over C({geom.f},{geom.m}) subsets exceeds budget"
         )

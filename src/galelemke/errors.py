@@ -21,16 +21,6 @@ class DegenerateGameError(GaleLemkeError):
     """Raised when an operation that requires nondegeneracy hits a tie."""
 
 
-class CyclingError(GaleLemkeError):
-    """A pivoting run revisited a basis; possible only with the
-    lexicographic rule disabled on a degenerate game."""
-
-
-class UnboundedPolytopeError(GaleLemkeError):
-    """A pivot step found an unbounded edge; the input system is not a
-    polytope (the game was not normalized)."""
-
-
 class StepCapExceededError(GaleLemkeError):
     """A pivoting run hit its step cap before terminating."""
 
@@ -45,7 +35,7 @@ class InvariantError(GaleLemkeError):
 
 
 class BudgetExceededError(GaleLemkeError):
-    """An enumeration was refused because it exceeds the configured budget."""
+    """An enumeration was refused because it exceeds its module's budget."""
 
 
 class NoEquilibriumError(GaleLemkeError):

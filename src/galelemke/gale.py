@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from .errors import BudgetExceededError, DegenerateGameError, InvariantError
 from .paths import PivotPath, PivotStep, capped
 
+MAX_ENUMERATED = 1_000_000
+
 
 @dataclass(frozen=True)
 class GaleString:
@@ -116,9 +118,10 @@ def is_gale_even(text: str, m: int) -> bool:
     return _cyclic_runs_even(raw, f)
 
 
-def enumerate_gale_vertices(m: int, f: int, budget: int = 1_000_000) -> list[GaleString]:
+def enumerate_gale_vertices(m: int, f: int) -> list[GaleString]:
     """All valid vertex bitstrings of length f with m ones, in lexicographic
-    order of their text form.  Requires even m and f > m."""
+    order of their text form.  Requires even m and f > m; refuses more than
+    MAX_ENUMERATED of them."""
     if m % 2 != 0 or m < 2:
         raise ValueError("m must be even and at least 2")
     if f <= m:
@@ -132,9 +135,9 @@ def enumerate_gale_vertices(m: int, f: int, budget: int = 1_000_000) -> list[Gal
             return
         if idx == f:
             if ones_left == 0 and (lead + run) % 2 == 0:
-                if len(out) >= budget:
+                if len(out) >= MAX_ENUMERATED:
                     raise BudgetExceededError(
-                        f"more than {budget} vertex strings for ({m}, {f})"
+                        f"more than {MAX_ENUMERATED} vertex strings for ({m}, {f})"
                     )
                 out.append(_gale_string(f, bits))
             return
@@ -227,16 +230,11 @@ class LabeledGalePolytope:
         return self.labels_of(s) == frozenset(range(1, self.m + 1))
 
 
-def completely_labeled_strings(
-    poly: LabeledGalePolytope, budget: int = 1_000_000
-) -> list[GaleString]:
-    """All vertex strings whose tight positions carry every label 1..m."""
+def completely_labeled_strings(poly: LabeledGalePolytope) -> list[GaleString]:
+    """All vertex strings whose tight positions carry every label 1..m;
+    refuses more than MAX_ENUMERATED vertex strings."""
     full = frozenset(range(1, poly.m + 1))
-    return [
-        s
-        for s in enumerate_gale_vertices(poly.m, poly.f, budget)
-        if poly.labels_of(s) == full
-    ]
+    return [s for s in enumerate_gale_vertices(poly.m, poly.f) if poly.labels_of(s) == full]
 
 
 def _lemke_pivots(poly: LabeledGalePolytope, missing_label: int):
@@ -332,10 +330,11 @@ class EulerGraph:
         return deg
 
 
-def euler_matchings(poly: LabeledGalePolytope, budget: int = 1_000_000) -> list[frozenset[int]]:
+def euler_matchings(poly: LabeledGalePolytope) -> list[frozenset[int]]:
     """All loop-free perfect matchings of the tour multigraph, as frozensets
     of 1-based edge positions; edge t joins the labels of positions t and
-    t+1 (cyclically).  In bijection with the completely labeled strings."""
+    t+1 (cyclically).  In bijection with the completely labeled strings.
+    Refuses more than MAX_ENUMERATED of them."""
     graph = EulerGraph.from_labeling(poly)
     incident: dict[int, list[int]] = {node: [] for node in range(1, graph.node_count + 1)}
     for t, (u, v) in enumerate(graph.edges):
@@ -351,8 +350,8 @@ def euler_matchings(poly: LabeledGalePolytope, budget: int = 1_000_000) -> list[
         while node <= graph.node_count and covered[node]:
             node += 1
         if node > graph.node_count:
-            if len(matchings) >= budget:
-                raise BudgetExceededError(f"more than {budget} matchings")
+            if len(matchings) >= MAX_ENUMERATED:
+                raise BudgetExceededError(f"more than {MAX_ENUMERATED} matchings")
             matchings.append(frozenset(t + 1 for t in chosen))
             return
         covered[node] = True

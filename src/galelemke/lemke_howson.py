@@ -6,9 +6,9 @@ again, at which point the basic solution is an equilibrium.  All pivoting is
 exact and runs on integers: each system is a dictionary of its cobasic
 columns with one common denominator (the determinant of its basis), and
 every pivot is a fraction-free Bareiss step, as in the integer pivoting of
-lrsnash (Avis, Rosenberg, Savani and von Stengel 2010).  The lexicographic
-ratio test keeps the right-hand side nonnegative and rules out cycling even
-on degenerate inputs.
+lrsnash (Avis, Rosenberg, Savani and von Stengel 2010).  Ratio-test ties
+are always broken lexicographically, which keeps the right-hand side
+nonnegative and rules out cycling even on degenerate inputs.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CyclingError, DegenerateGameError, InvariantError, UnboundedPolytopeError
+from .errors import DegenerateGameError, InvariantError
 from .game import ZERO, BimatrixGame, LabelSet, MixedProfile, UnitVectorGame, simplex_scaled
 from .paths import PivotPath, PivotStep, capped
 
@@ -46,12 +46,14 @@ class _Tableau:
     def is_basic(self, var: int) -> bool:
         return var not in self.cobasis
 
-    def choose_leaving(self, entering: int, lexicographic: bool) -> int:
-        """Row index of the leaving variable by the (lexico-)minimum ratio.
+    def choose_leaving(self, entering: int) -> int:
+        """Row index of the leaving variable by the lexico-minimum ratio.
 
         Ratios are compared by cross-multiplication: ``_order`` gives the
         sign of row r's ratio minus row s's, and the common denominator
-        cancels.
+        cancels.  ``BimatrixGame.normalized`` gives every column of A and
+        every row of B a positive entry, so P and Q are bounded and every
+        entering column has a positive entry.
         """
         col = self.cobasis.index(entering)
         tied: list[int] = []
@@ -67,14 +69,10 @@ class _Tableau:
                     continue
             tied = [r]
         if not tied:
-            raise UnboundedPolytopeError(
-                "entering column has no positive coefficient; polytope is unbounded"
-            )
+            raise InvariantError("entering column has no positive coefficient")
         if len(tied) == 1:
             return tied[0]
         self.saw_tie = True
-        if not lexicographic:
-            return tied[0]
         best = tied[0]
         for r in tied[1:]:
             order = 0
@@ -176,16 +174,12 @@ class LhResult:
 def lh_steps(
     tableaux: tuple[_Tableau, _Tableau],
     missing_label: int,
-    lexicographic: bool = True,
-    expect_nondegenerate: bool = False,
+    expect_nondegenerate: bool,
 ):
     """Low-level pivot stream on the tableaux of ``_build_tableaux``; yields
     PivotStep records, pivots the tableaux in place and stops at the
-    equilibrium.
-
-    Cycling is only possible with the lexicographic rule disabled, so basis
-    tracking is on exactly then (it holds every visited basis pair in
-    memory).
+    equilibrium.  With ``expect_nondegenerate`` a ratio-test tie raises
+    DegenerateGameError.
     """
     tab_p, tab_q = tableaux
     m, nvars = len(tab_q.rows), len(tab_p.rows) + len(tab_q.rows)
@@ -193,22 +187,16 @@ def lh_steps(
         raise ValueError(f"missing label {missing_label} out of range 1..{nvars}")
     side = "P" if missing_label <= m else "Q"
     entering = missing_label - 1
-    visited = None if lexicographic else {(frozenset(tab_p.basis), frozenset(tab_q.basis))}
     while True:
         tab = tab_p if side == "P" else tab_q
         if tab.is_basic(entering):
             raise InvariantError("entering variable is already basic")
-        row = tab.choose_leaving(entering, lexicographic)
+        row = tab.choose_leaving(entering)
         if expect_nondegenerate and tab.saw_tie:
             raise DegenerateGameError("ratio-test tie on a game expected to be nondegenerate")
         dropped = entering + 1
         leaving = tab.pivot(entering, row)
         picked = leaving + 1
-        if visited is not None:
-            state = (frozenset(tab_p.basis), frozenset(tab_q.basis))
-            if state in visited:
-                raise CyclingError("pivoting revisited a basis pair")
-            visited.add(state)
         vertex = (tab_p.nonbasic_labels(), tab_q.nonbasic_labels())
         yield PivotStep(dropped, picked, vertex, side)
         if picked == missing_label:
@@ -221,8 +209,6 @@ def lh_solve(
     game: BimatrixGame,
     missing_label: int,
     step_cap: int | None = DEFAULT_STEP_CAP,
-    lexicographic: bool = True,
-    expect_nondegenerate: bool = False,
 ) -> LhResult:
     """Run the pivoting walk for one missing label and return the
     equilibrium it terminates at, with the full path record.
@@ -234,7 +220,7 @@ def lh_solve(
     m, n = game.m, game.n
     start = (frozenset(range(1, m + 1)), frozenset(range(m + 1, m + n + 1)))
     tab_p, tab_q = tableaux = _build_tableaux(game)
-    stream = lh_steps(tableaux, missing_label, lexicographic, expect_nondegenerate)
+    stream = lh_steps(tableaux, missing_label, expect_nondegenerate=False)
     steps = tuple(capped(stream, step_cap))
     x_poly = [tab_p.basic_value(i) for i in range(m)]
     y_poly = [tab_q.basic_value(m + j) for j in range(n)]

@@ -38,11 +38,13 @@ class TestGeometry:
             combinatorial = set(enumerate_gale_vertices(m, f))
             assert geometric == combinatorial
 
-    def test_budget_counts_every_facet_subset(self):
+    def test_budget_counts_every_facet_subset(self, monkeypatch):
         geom = cyclic_geometry(4, 9)
+        monkeypatch.setattr("galelemke.cyclic.MAX_FACET_SUBSETS", comb(9, 4) - 1)
         with pytest.raises(BudgetExceededError):
-            next(geometry_vertex_strings(geom, budget=comb(9, 4) - 1))
-        vertices = list(geometry_vertex_strings(geom, budget=comb(9, 4)))
+            next(geometry_vertex_strings(geom))
+        monkeypatch.setattr("galelemke.cyclic.MAX_FACET_SUBSETS", comb(9, 4))
+        vertices = list(geometry_vertex_strings(geom))
         assert len(vertices) == len(list(enumerate_gale_vertices(4, 9)))
 
     def test_custom_parameters(self):

@@ -22,7 +22,7 @@ from galelemke import (
     morris_polytope,
     triple_morris_polytope,
 )
-from galelemke.errors import StepCapExceededError
+from galelemke.errors import BudgetExceededError, StepCapExceededError
 from galelemke.gale import _pivot_bits
 
 
@@ -89,11 +89,13 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             GaleString.from_text("1110")
 
-    def test_enumeration_budget(self):
-        from galelemke.errors import BudgetExceededError
-
+    def test_enumeration_budget(self, monkeypatch):
+        # (2, 6) has 6 vertex strings
+        monkeypatch.setattr("galelemke.gale.MAX_ENUMERATED", 5)
         with pytest.raises(BudgetExceededError):
-            enumerate_gale_vertices(2, 6, budget=3)
+            enumerate_gale_vertices(2, 6)
+        monkeypatch.setattr("galelemke.gale.MAX_ENUMERATED", 6)
+        assert len(enumerate_gale_vertices(2, 6)) == 6
 
 
 class TestPivot:
@@ -291,6 +293,15 @@ class TestCompletelyLabeledStrings:
         poly = LabeledGalePolytope.of(2, "11")
         assert {str(s) for s in completely_labeled_strings(poly)} == {"11..", ".11."}
 
+    def test_budget_counts_every_vertex_string(self, monkeypatch):
+        # triple Morris m = 4 has 104 vertex strings, 10 completely labeled
+        poly = triple_morris_polytope(4)
+        monkeypatch.setattr("galelemke.gale.MAX_ENUMERATED", 103)
+        with pytest.raises(BudgetExceededError):
+            completely_labeled_strings(poly)
+        monkeypatch.setattr("galelemke.gale.MAX_ENUMERATED", 104)
+        assert len(completely_labeled_strings(poly)) == 10
+
     def test_count_always_even(self):
         rng = random.Random(99)
         for _ in range(25):
@@ -326,6 +337,14 @@ class TestEulerMatchings:
         strings = completely_labeled_strings(poly)
         assert len(matchings) == len(strings) == 4
         assert {matching_string(poly, match) for match in matchings} == set(strings)
+
+    def test_matching_budget(self, monkeypatch):
+        poly = triple_morris_polytope(4)
+        monkeypatch.setattr("galelemke.gale.MAX_ENUMERATED", 9)
+        with pytest.raises(BudgetExceededError):
+            euler_matchings(poly)
+        monkeypatch.setattr("galelemke.gale.MAX_ENUMERATED", 10)
+        assert len(euler_matchings(poly)) == 10
 
     def test_random_labelings_bijection(self):
         rng = random.Random(4242)

@@ -123,17 +123,17 @@ def _path_record(path):
     )
 
 
-def _lh_record(game, label, **kwargs):
+def _lh_record(game, label):
     try:
-        result = lh_solve(game, label, **kwargs)
+        result = lh_solve(game, label)
     except GaleLemkeError as exc:
         return ("error", type(exc).__name__, str(exc))
     eq = result.equilibrium
     return ("ok", _path_record(result.path), eq.x, eq.y)
 
 
-def _all_labels(game, **kwargs):
-    return [_lh_record(game, k, **kwargs) for k in range(1, game.m + game.n + 1)]
+def _all_labels(game):
+    return [_lh_record(game, k) for k in range(1, game.m + game.n + 1)]
 
 
 def _strict_steps_record(game, label):
@@ -154,7 +154,8 @@ def _degenerate_games():
         random_game(4, 4, seed, payoff_range=(0, 2), filter_degenerate=False)
         for seed in range(12)
     ]
-    # these cycle when the lexicographic rule is off
+    # these cycle when ties go to the first tied row instead of the
+    # lexicographic minimum
     games += [
         random_game(m, m, seed, payoff_range=(0, 2), filter_degenerate=False)
         for m, seed in ((3, 372), (4, 148), (4, 223), (5, 19), (5, 24))
@@ -294,8 +295,6 @@ def _cli_bench_record(args):
 GOLDEN = {
     "lh_triple_morris": "b67fcbed48823629df5c3c39035560b13acc085cb89791e2a54cdb6adfc2558b",
     "lh_degenerate_lex": "5f9092e1d07aeaaa61f15c0f01d3493403b2e32c71b765e1a407a14b97589df9",
-    "lh_degenerate_nolex": "acd63d83fd070ee60ae5115e2eef297cc611db8aee2bd504310588655df8efbf",
-    "lh_degenerate_strict": "3ebb28c6c7198828d59cd89867080b724db20decf6d99c6964627f4d3a27e769",
     "lh_steps_strict": "6af9c6008a7db595ac12e542afb922fc3870681f35df0fa18a3a10a07f6c80eb",
     "lh_rational": "3da7dbdf23bc1fe0700bce2df1674c53793228173b5d5411f6540256608b0b1c",
     "lh_random": "949963e9c485228d4e29acf55f96b7ddbcb5214e92146d27070b9f4c559b29ea",
@@ -322,10 +321,6 @@ def _outputs(name):
         return [_all_labels(triple_morris_game(m).to_bimatrix()) for m in (4, 6, 8)]
     if name == "lh_degenerate_lex":
         return [_all_labels(g) for g in _degenerate_games()]
-    if name == "lh_degenerate_nolex":
-        return [_all_labels(g, lexicographic=False) for g in _degenerate_games()]
-    if name == "lh_degenerate_strict":
-        return [_all_labels(g, expect_nondegenerate=True) for g in _degenerate_games()]
     if name == "lh_steps_strict":
         return [
             [_strict_steps_record(g, k) for k in range(1, g.m + g.n + 1)]

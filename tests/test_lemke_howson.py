@@ -21,7 +21,7 @@ from galelemke import (
     triple_morris_polytope,
     verify_equilibrium,
 )
-from galelemke.errors import CyclingError, DegenerateGameError, StepCapExceededError
+from galelemke.errors import DegenerateGameError, StepCapExceededError
 from galelemke.generators import PermutationGameSpec, permutation_game
 
 from conftest import C_DEGENERATE
@@ -198,25 +198,13 @@ class TestInvariantsAndErrors:
             assert verify_equilibrium(game, result.equilibrium)
 
     def test_degenerate_game_flagged_when_strictness_requested(self):
-        game = imitation_game(C_DEGENERATE)
-        flagged = False
+        # the unit-vector game (I, C^T) is imitation_game(C); its walks
+        # expect a nondegenerate game, so every ratio-test tie is an error
+        u = UnitVectorGame.of(3, (1, 2, 3), [list(col) for col in zip(*C_DEGENERATE)])
+        assert u.to_bimatrix() == imitation_game(C_DEGENERATE)
         for k in range(1, 7):
-            try:
-                lh_solve(game, k, expect_nondegenerate=True)
-            except DegenerateGameError:
-                flagged = True
-        assert flagged
-
-    def test_no_infinite_loop_without_lexicographic_rule(self):
-        # with the tie-breaking rule off, a degenerate game either still
-        # terminates at an equilibrium or fails fast with a cycling error
-        game = imitation_game(C_DEGENERATE)
-        for k in range(1, 7):
-            try:
-                result = lh_solve(game, k, lexicographic=False)
-            except CyclingError:
-                continue
-            assert verify_equilibrium(game, result.equilibrium)
+            with pytest.raises(DegenerateGameError):
+                lemke_path_on_unit_vector_game(u, k)
 
     def test_almost_complementarity_along_path(self, game22):
         result = lh_solve(game22, 1)
