@@ -64,13 +64,13 @@ def cyclic_geometry(m: int, f: int, t=None) -> CyclicPolytopeGeometry:
 
 
 def geometry_vertex_strings(geom: CyclicPolytopeGeometry):
-    """Brute-force vertex enumeration, yielding (point, incidence string).
+    """Exact vertex enumeration, yielding (point, incidence string).
 
     Runs the vertex enumerator on ``to_canonical_form(geom)``, so each point
     is in canonical coordinates (``CanonicalForm.incidence_of`` maps it back
     to its string): tight coordinate i is facet i, tight row j facet m+j.
-    Oracle-grade: it solves all C(f, m) square subsystems of facets; use
-    small sizes only: more than MAX_FACET_SUBSETS subsets are refused.
+    Oracle-grade, for small sizes only: a polytope with more than
+    MAX_FACET_SUBSETS m-subsets of its f facets is refused.
     """
     if comb(geom.f, geom.m) > MAX_FACET_SUBSETS:
         raise BudgetExceededError(

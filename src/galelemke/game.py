@@ -15,7 +15,7 @@ from functools import cached_property
 
 from .errors import BudgetExceededError
 from .linalg import scaled_to_integers
-from .polytope import vertices_nonneg_form
+from .polytope import feasible_bases, vertices_nonneg_form
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 LabelSet = frozenset[int]
@@ -251,23 +251,23 @@ def equilibria_by_vertex_enumeration(game: BimatrixGame) -> list[MixedProfile]:
 
 
 def is_nondegenerate(game: BimatrixGame) -> bool:
-    """Exact nondegeneracy check by vertex enumeration.
+    """Exact nondegeneracy check on the feasible bases of P and Q.
 
-    True iff every vertex of P lies on exactly m binding inequalities and
-    every vertex of Q on exactly n.  Refuses games with m+n beyond
-    NONDEGENERACY_MAX_LABELS; past that budget callers must rely on
-    lexicographic tie-breaking instead.
+    True iff no feasible basis of P or Q has a zero right-hand side entry,
+    that is iff every vertex of P lies on exactly m binding inequalities
+    and every vertex of Q on exactly n.  Returns False at the first such
+    basis.  Refuses games with m+n beyond NONDEGENERACY_MAX_LABELS; past
+    that budget callers must rely on lexicographic tie-breaking instead.
     """
     if game.m + game.n > NONDEGENERACY_MAX_LABELS:
         raise BudgetExceededError(
             f"nondegeneracy check refused for m+n={game.m + game.n} > {NONDEGENERACY_MAX_LABELS}"
         )
-    for _, labels in p_vertices(game):
-        if len(labels) > game.m:
-            return False
-    for _, labels in q_vertices(game):
-        if len(labels) > game.n:
-            return False
+    a_rows, b_cols = game.integer_payoffs
+    for int_rows, dim in ((b_cols, game.m), (a_rows, game.n)):
+        for rows, _, _, _ in feasible_bases(int_rows, dim):
+            if any(row[-1] == 0 for row in rows):
+                return False
     return True
 
 

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .errors import DegenerateGameError, InvariantError
 from .game import ZERO, BimatrixGame, LabelSet, MixedProfile, UnitVectorGame, simplex_scaled
+from .linalg import pivot
 from .paths import PivotPath, PivotStep, capped
 
 DEFAULT_STEP_CAP = 10_000_000
@@ -100,31 +101,15 @@ class _Tableau:
         """Bring ``entering`` into the basis on the given row; returns the
         leaving variable.
 
-        Integer pivoting: the pivot row stays as it is, every other row
-        becomes ``(v*p - f*w) // det`` (an exact division; a row with f == 0
-        becomes ``v*p // det``, which is itself when p == det) and the pivot
-        entry p becomes the new common denominator.  The entering column
-        then holds the leaving variable: the old ``det`` in the pivot row
-        and ``-f`` in every other row.
+        One integer pivot step (``linalg.pivot``): the pivot entry becomes
+        the common denominator and the entering column then holds the
+        leaving variable.
         """
         col = self.cobasis.index(entering)
-        row = self.rows[row_index]
-        p = row[col]
+        p = self.rows[row_index][col]
         if p <= 0:
             raise ValueError("pivot coefficient must be positive")
-        det = self.det
-        for r, other in enumerate(self.rows):
-            if r == row_index:
-                continue
-            f = other[col]
-            if f == 0:
-                if p != det:
-                    self.rows[r] = [v * p // det for v in other]
-            else:
-                new = [(v * p - f * w) // det for v, w in zip(other, row)]
-                new[col] = -f
-                self.rows[r] = new
-        row[col] = det
+        self.rows = pivot(self.rows, row_index, col, self.det)
         self.det = p
         leaving = self.basis[row_index]
         self.basis[row_index] = entering

@@ -1,9 +1,12 @@
-"""Exact linear algebra: one fraction-free (Bareiss) integer kernel.
+"""Exact linear algebra on integers: fraction-free (Bareiss) elimination
+and the matching pivot step.
 
 ``bareiss_solve`` works on integer systems and returns a common
 denominator; callers that keep their data as integers (support guessing,
 vertex enumeration) use it directly.  ``solve_square`` is the rational
-front: it scales each row to integers and returns Fractions.
+front: it scales each row to integers and returns Fractions.  ``pivot`` is
+the one integer pivot step on a compact dictionary, shared by the
+Lemke-Howson tableaux and the vertex enumerator.
 
 Singular systems are a normal negative outcome here, not an error: callers
 probing support combinations or constraint subsets simply get ``None``.
@@ -62,6 +65,36 @@ def bareiss_solve(aug) -> tuple[list[int], int] | None:
     if prev < 0:
         return [-v for v in numerators], -prev
     return numerators, prev
+
+
+def pivot(rows, r: int, c: int, det: int) -> list[list[int]]:
+    """One fraction-free pivot of a compact integer dictionary on entry
+    ``(r, c)``; returns the new rows and leaves ``rows`` unchanged.
+
+    ``rows`` hold the cobasic columns and the right-hand side over the
+    common denominator ``det``.  Row r stays as it is, every other row
+    becomes ``(v*p - f*w) // det`` (an exact division; a row with f == 0
+    becomes ``v*p // det``, which is itself when p == det), and the pivot
+    entry p is the new common denominator.  Column c then holds the
+    leaving variable: the old ``det`` in row r and ``-f`` in every other
+    row.  A row that does not change may be shared with ``rows``.
+    """
+    row = rows[r]
+    p = row[c]
+    out = []
+    for i, other in enumerate(rows):
+        if i == r:
+            new = list(row)
+            new[c] = det
+        else:
+            f = other[c]
+            if f == 0:
+                new = other if p == det else [v * p // det for v in other]
+            else:
+                new = [(v * p - f * w) // det for v, w in zip(other, row)]
+                new[c] = -f
+        out.append(new)
+    return out
 
 
 def solve_square(matrix, rhs) -> list[Fraction] | None:

@@ -185,3 +185,5 @@ class TestRandomGenerators:
         entries = [v for mat in (game.a, game.b) for row in mat for v in row]
         assert lo <= min(entries) and max(entries) <= lo + 10**6
         assert max(entries) > hi
+        # the draw reaches past a range ten times narrower
+        assert max(entries) > lo + 10**5

@@ -206,6 +206,16 @@ class TestInvariantsAndErrors:
             with pytest.raises(DegenerateGameError):
                 lemke_path_on_unit_vector_game(u, k)
 
+    def test_tie_on_a_two_row_unit_vector_game_is_flagged(self):
+        # both columns of B are (1, 1), so every ratio test of P ties
+        tied = UnitVectorGame.of(2, (1, 2), [[1, 1], [1, 1]])
+        for k in range(1, 5):
+            with pytest.raises(DegenerateGameError):
+                lemke_path_on_unit_vector_game(tied, k)
+        clean = UnitVectorGame.of(2, (1, 2), [[1, 2], [2, 1]])
+        for k in range(1, 5):
+            assert lemke_path_on_unit_vector_game(clean, k).steps
+
     def test_almost_complementarity_along_path(self, game22):
         result = lh_solve(game22, 1)
         full = frozenset(range(1, 7))

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from galelemke.linalg import bareiss_solve, solve_square
+from galelemke.linalg import bareiss_solve, pivot, solve_square
 
 
 def _gauss_jordan(matrix, rhs):
@@ -52,3 +52,21 @@ def test_solve_square_takes_rationals():
     assert solve_square([], []) == []
     with pytest.raises(ValueError):
         solve_square([[1, 2]], [1])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pivot_is_undone_by_the_same_pivot(seed):
+    # pivoting back on the same entry restores the dictionary exactly, so
+    # every division of both steps is exact
+    rng = random.Random(seed)
+    for _ in range(200):
+        rows = [[rng.randint(-3, 5) for _ in range(rng.randint(1, 4) + 1)]]
+        rows += [[rng.randint(-3, 5) for _ in rows[0]] for _ in range(rng.randint(0, 4))]
+        r, c = rng.randrange(len(rows)), rng.randrange(len(rows[0]) - 1)
+        if rows[r][c] == 0:
+            continue
+        before = [list(row) for row in rows]
+        once = pivot(rows, r, c, 1)
+        assert rows == before
+        assert once[r][c] == 1
+        assert pivot(once, r, c, rows[r][c]) == before
