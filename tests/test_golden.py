@@ -45,6 +45,16 @@ invocation, the exit code, the CSV rows without the ``wall_time`` column
 and the printed lines without the final output path.  It was recorded on
 the CLI that ran the permutation family in its own loops and read the
 step cap from an environment variable as well as from ``--step-cap``.
+
+The ``label_cover`` digest pins ``labels_of_profile``: on the LH endpoints
+of the rational and degenerate games (with the symmetric profile each
+induces), on the profiles the equal-size support search finds, and on
+seeded profiles that are not equilibria and have zero components, on
+rational games with negative entries and different denominators in
+different rows and on degenerate games where payoff ties are common.  It
+also pins ``galelemke verify`` end to end (exit code and printed lines)
+on equilibria and on profiles that are not.  It was recorded on the cover
+that summed ``Fraction`` products over the original payoffs.
 """
 
 import csv
@@ -62,6 +72,7 @@ import pytest
 from galelemke import (
     AllColumnSubsets,
     BimatrixGame,
+    MixedProfile,
     LabeledGalePolytope,
     OnePerLabelClass,
     combinatorial_lemke,
@@ -91,10 +102,13 @@ from galelemke.cli import main
 from galelemke.errors import GaleLemkeError
 from galelemke.game import (
     equilibrium_from_labeled_point,
+    labels_of_profile,
     p_vertices,
     q_vertices,
+    symmetric_profile,
     unit_vector_completely_labeled_points,
 )
+from galelemke.gameio import format_profile, write_bgame
 from galelemke.lemke_howson import _build_tableaux, lh_steps
 
 from conftest import C_DEGENERATE, C_THREE_EQ
@@ -292,6 +306,64 @@ def _cli_bench_record(args):
     return (args, code, [row[:drop] + row[drop + 1 :] for row in rows], lines[:-1])
 
 
+def _seeded_profiles(game, seed, count):
+    """Profiles with small integer weights, many of them zero, scaled to
+    the simplex; mostly not equilibria."""
+    rng = random.Random(seed)
+
+    def strategy(size):
+        weights = [rng.choice((0, 0, 1, 2, 3)) for _ in range(size)]
+        if not any(weights):
+            weights[rng.randrange(size)] = 1
+        return [Fraction(w, sum(weights)) for w in weights]
+
+    return [MixedProfile(tuple(strategy(game.m)), tuple(strategy(game.n))) for _ in range(count)]
+
+
+def _cover_record(game, profile):
+    return (profile.x, profile.y, labels_of_profile(game, profile))
+
+
+def _endpoint_covers(game):
+    out = []
+    for k in range(1, game.m + game.n + 1):
+        try:
+            eq = lh_solve(game, k).equilibrium
+        except GaleLemkeError as exc:
+            out.append(("error", type(exc).__name__, str(exc)))
+            continue
+        out.append(_cover_record(game, eq) + (symmetric_profile(game, eq),))
+    return out
+
+
+def _cli_verify_record(game, profile):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "game.bgame"
+        path.write_text(write_bgame(game), encoding="utf-8")
+        printed = io.StringIO()
+        with redirect_stdout(printed):
+            code = main(["verify", str(path), "--profile", format_profile(profile)])
+    return (code, printed.getvalue().splitlines())
+
+
+def _label_cover_outputs():
+    out = [_endpoint_covers(g) for g in _rational_games() + _degenerate_games()]
+    games = _oracle_games() + [random_game(m, n, 0) for m, n in ((4, 4), (4, 5), (5, 5))]
+    for g in games:
+        for seed in (None, *range(6)):
+            record = _equal_search_record(g, seed)
+            if record[0] == "ok":
+                out.append(_cover_record(g, MixedProfile(record[1], record[2])))
+    probes = [_rational_game(m, n, 20 + s) for s in range(4) for m, n in ((3, 4), (4, 3), (2, 5))]
+    probes += _degenerate_games()[:6]
+    for s, g in enumerate(probes):
+        out.append([_cover_record(g, p) for p in _seeded_profiles(g, s, 25)])
+    for g in _rational_games()[:3] + _degenerate_games()[:3]:
+        eq = lh_solve(g, 1).equilibrium
+        out.append([_cli_verify_record(g, p) for p in [eq, *_seeded_profiles(g, 100, 3)]])
+    return out
+
+
 GOLDEN = {
     "lh_triple_morris": "b67fcbed48823629df5c3c39035560b13acc085cb89791e2a54cdb6adfc2558b",
     "lh_degenerate_lex": "5f9092e1d07aeaaa61f15c0f01d3493403b2e32c71b765e1a407a14b97589df9",
@@ -313,6 +385,7 @@ GOLDEN = {
     "cyclic_incidences": "71cb66007f12b1a06bb9249c8c54327e2480d72b1626bf02813c93cdd079ddc0",
     "unit_vector_points": "836f796ba3ec3bb75b56559b97f210f5d9a93eac330b3135b953b8d83d039ece",
     "cli_bench": "db82afdaf61767b1d8d51ab1b28dabdfbe618b9ff001dedec7196212ab2b822b",
+    "label_cover": "31e6bfce9e6a5d09cecb826a9b13523cc8954e9b0dd2b34ad66f959c420cb8ab",
 }
 
 
@@ -406,6 +479,8 @@ def _outputs(name):
         return out
     if name == "cli_bench":
         return [_cli_bench_record(args) for args in CLI_BENCH_RUNS]
+    if name == "label_cover":
+        return _label_cover_outputs()
     raise KeyError(name)
 
 
