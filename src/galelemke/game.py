@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .errors import BudgetExceededError
 from .linalg import scaled_to_integers
@@ -146,8 +147,8 @@ class BimatrixGame:
         ``(scale, integers)`` pairs.
 
         A positive scale of a whole row of A (column of B) changes no
-        ratio, sign or comparison the exact engines make, so the tableau
-        and the support systems start from these instead of Fractions.
+        ratio, sign or comparison the exact engines make, so the tableau,
+        the support systems and the label cover start from these.
         """
         a2, b2, _, _ = self.normalized
         return (
@@ -176,27 +177,36 @@ def _shifted(mat: Matrix, amount: Fraction) -> Matrix:
 # Labels and equilibrium verification
 
 
-def _column_payoffs(b: Matrix, x) -> list[Fraction]:
-    return [sum((x[i] * b[i][j] for i in range(len(b))), ZERO) for j in range(len(b[0]))]
+def _payoffs(scaled, weights) -> list[tuple[int, int]]:
+    """``(v, den)`` with den > 0 for each ``(scale, integers)`` vector of
+    ``integer_payoffs``: its payoff v / den against rational ``weights``."""
+    d, ints = scaled_to_integers(weights)
+    return [(sum(map(mul, entries, ints)), d * scale) for scale, entries in scaled]
 
 
-def _row_payoffs(a: Matrix, y) -> list[Fraction]:
-    return [sum((a[i][j] * y[j] for j in range(len(a[0]))), ZERO) for i in range(len(a))]
+def _best_responses(payoffs) -> list[int]:
+    """0-based indices of the largest ``v / den`` among ``payoffs``,
+    compared by cross-multiplication, as ``support._beaten`` does."""
+    best: list[int] = []
+    for k, (v, den) in enumerate(payoffs):
+        if not best or v * best_den > best_v * den:
+            best, best_v, best_den = [k], v, den
+        elif v * best_den == best_v * den:
+            best.append(k)
+    return best
 
 
 def labels_of_profile(game: BimatrixGame, profile: MixedProfile) -> tuple[LabelSet, LabelSet]:
     """Label sets of x and y: unplayed own strategies plus the opponent's
-    pure best responses."""
+    pure best responses, found on ``integer_payoffs`` (a profile sums to 1,
+    so normalizing shifts all of a player's payoffs by one constant)."""
     game.check_profile(profile)
     m = game.m
-    col_pay = _column_payoffs(game.b, profile.x)
-    best_col = max(col_pay)
-    x_labels = {i + 1 for i, v in enumerate(profile.x) if v == 0}
-    x_labels |= {m + j + 1 for j, p in enumerate(col_pay) if p == best_col}
-    row_pay = _row_payoffs(game.a, profile.y)
-    best_row = max(row_pay)
-    y_labels = {m + j + 1 for j, v in enumerate(profile.y) if v == 0}
-    y_labels |= {i + 1 for i, p in enumerate(row_pay) if p == best_row}
+    a_rows, b_cols = game.integer_payoffs
+    x_labels = {i + 1 for i, v in enumerate(profile.x) if not v}
+    x_labels.update(m + j + 1 for j in _best_responses(_payoffs(b_cols, profile.x)))
+    y_labels = {m + j + 1 for j, v in enumerate(profile.y) if not v}
+    y_labels.update(i + 1 for i in _best_responses(_payoffs(a_rows, profile.y)))
     return frozenset(x_labels), frozenset(y_labels)
 
 
@@ -303,9 +313,9 @@ def symmetric_profile(game: BimatrixGame, profile: MixedProfile) -> tuple[Fracti
     equilibrium: concatenate the polytope coordinates (x with B'x <= 1 and
     y with Ay <= 1, tight at best responses) and rescale."""
     game.check_profile(profile)
-    a2, b2, _, _ = game.normalized
-    v = max(_column_payoffs(b2, profile.x))
-    u = max(_row_payoffs(a2, profile.y))
+    a_rows, b_cols = game.integer_payoffs
+    v = max(Fraction(*p) for p in _payoffs(b_cols, profile.x))
+    u = max(Fraction(*p) for p in _payoffs(a_rows, profile.y))
     return simplex_scaled(tuple(c / v for c in profile.x) + tuple(c / u for c in profile.y))
 
 
@@ -402,14 +412,12 @@ def unit_vector_completely_labeled_points(u: UnitVectorGame):
 def equilibrium_from_labeled_point(u: UnitVectorGame, point) -> MixedProfile:
     """Build the equilibrium for a completely labeled point x != 0: pick, for
     each played row i, one binding column with label i and play it."""
-    game = u.to_bimatrix()
-    _, b2, _, _ = game.normalized
-    col_pay = _column_payoffs(b2, point)
+    binding = [v == den for v, den in _payoffs(u.to_bimatrix().integer_payoffs[1], point)]
     y = [ZERO] * u.n
     for i, weight in enumerate(point):
         if weight == 0:
             continue
-        choices = [j for j in range(u.n) if u.ell[j] == i + 1 and col_pay[j] == 1]
+        choices = [j for j in range(u.n) if u.ell[j] == i + 1 and binding[j]]
         if not choices:
             raise ValueError("point is not completely labeled for its support")
         y[choices[0]] = ONE

@@ -31,19 +31,19 @@ def _indifference_solution(scaled, own, other):
     ``(scale, integers)`` pair; the integers (normalized payoffs) are
     nonnegative.  Returns ``(numerators, denominator)`` with the weights
     first and the scaled payoff last, or None if the system is singular or
-    one row of ``own`` is zero on ``other`` while another is not.  The
-    second rule is exact: against positive weights the zero row earns 0
-    and the other more, so any solution has a weight <= 0.
+    one row of ``own`` is zero on ``other`` while another is not (checked
+    as the rows are built).  That rule is exact: against positive weights
+    the zero row earns 0 and the other more, so a weight must be <= 0.
     """
     system = []
-    zero_rows = 0
     for i in own:
         scale, entries = scaled[i - 1]
         row = [entries[j - 1] for j in other]
-        zero_rows += not any(row)
+        if not system:
+            zero = not any(row)
+        elif zero != (not any(row)):
+            return None
         system.append(row + [-scale, 0])
-    if 0 < zero_rows < len(system):
-        return None
     system.append([1] * len(other) + [0, 1])
     return bareiss_solve(system)
 

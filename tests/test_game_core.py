@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from galelemke import (
     BimatrixGame,
@@ -35,6 +37,37 @@ def uniform(n):
 
 def pure(n, i):
     return tuple(Fraction(1 if k == i else 0) for k in range(n))
+
+
+def fraction_labels_of_profile(game, profile):
+    """The label cover as ``Fraction`` sums over the original payoffs: the
+    reference for the integer cover of ``labels_of_profile``."""
+    m, n = game.m, game.n
+    col_pay = [sum((profile.x[i] * game.b[i][j] for i in range(m)), Fraction(0)) for j in range(n)]
+    row_pay = [sum((game.a[i][j] * profile.y[j] for j in range(n)), Fraction(0)) for i in range(m)]
+    x_labels = {i + 1 for i, v in enumerate(profile.x) if v == 0}
+    x_labels |= {m + j + 1 for j, p in enumerate(col_pay) if p == max(col_pay)}
+    y_labels = {m + j + 1 for j, v in enumerate(profile.y) if v == 0}
+    y_labels |= {i + 1 for i, p in enumerate(row_pay) if p == max(row_pay)}
+    return frozenset(x_labels), frozenset(y_labels)
+
+
+@st.composite
+def games_and_profiles(draw):
+    """Games of up to 4 x 4 with entries k/d, k in -4..4 and d in {1, 2, 3,
+    6}: rows and columns get different lcm scales, and ties between payoffs
+    are common.  Profiles have weights 0..3, so zero components are
+    common too."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entry = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3, 6)))
+    matrix = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)
+    game = BimatrixGame.from_rows(draw(matrix), draw(matrix))
+
+    def strategy(size):
+        weights = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size).filter(any))
+        return tuple(Fraction(w, sum(weights)) for w in weights)
+
+    return game, MixedProfile(strategy(m), strategy(n))
 
 
 class TestMixedProfile:
@@ -85,6 +118,17 @@ class TestLabels:
     def test_dimension_mismatch(self, game22):
         with pytest.raises(ValueError):
             labels_of_profile(game22, MixedProfile.of([1], [1]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(games_and_profiles())
+    # columns of B with scales 3 and 2 tie at 1/2 against x
+    @example((BimatrixGame.from_rows([[1, 0], [0, 1]], [["1/3", "1/2"], ["2/3", "1/2"]]),
+              MixedProfile.of(["1/2", "1/2"], [1, 0])))
+    # scales 6 and 3 on equal integers: column 2 earns 1/3, column 1 only 1/6
+    @example((BimatrixGame.from_rows([[1, 1]], [["1/6", "1/3"]]), MixedProfile.of([1], [1, 0])))
+    def test_integer_cover_matches_fraction_reference(self, case):
+        game, profile = case
+        assert labels_of_profile(game, profile) == fraction_labels_of_profile(game, profile)
 
 
 class TestVerifyEquilibrium:
