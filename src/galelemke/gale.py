@@ -153,9 +153,9 @@ def enumerate_gale_vertices(m: int, f: int) -> list[GaleString]:
     return out
 
 
-def _pivot_bits(bits: int, f: int, p0: int) -> tuple[int, int]:
-    """Drop the one at bit p0 of a Gale-even string that has a zero and
-    return (new bits, entered bit).
+def _gale_step(f: int):
+    """The Gale pivot on strings of length f: ``step(bits, p0)`` drops bit
+    p0 of a Gale-even string with a zero and returns (bits, entered bit).
 
     Removing a one splits its run into two fragments, exactly one of odd
     length; the only repairs by a single new one are re-adding p0 (the old
@@ -164,15 +164,18 @@ def _pivot_bits(bits: int, f: int, p0: int) -> tuple[int, int]:
     downwards; if it is even the odd fragment lies below p0 and the zero
     under it enters, otherwise the first zero above p0 enters.
     """
-    ring = bits | bits << f
-    window = (1 << (p0 + f + 1)) - 1
-    down = p0 + f + 1 - (ring & window ^ window).bit_length()
-    if down % 2 == 0:
-        q0 = (p0 - down) % f
-    else:
-        x = ring >> p0
-        q0 = (p0 + (~x & (x + 1)).bit_length() - 1) % f
-    return bits ^ 1 << p0 | 1 << q0, q0
+    def step(bits: int, p0: int) -> tuple[int, int]:
+        ring = bits | bits << f
+        window = (1 << (p0 + f + 1)) - 1
+        down = p0 + f + 1 - (ring & window ^ window).bit_length()
+        if down % 2 == 0:
+            q0 = (p0 - down) % f
+        else:
+            x = ring >> p0
+            q0 = (p0 + (~x & (x + 1)).bit_length() - 1) % f
+        return bits ^ 1 << p0 | 1 << q0, q0
+
+    return step
 
 
 def gale_pivot(s: GaleString, drop_position: int) -> tuple[GaleString, int]:
@@ -182,7 +185,7 @@ def gale_pivot(s: GaleString, drop_position: int) -> tuple[GaleString, int]:
         raise ValueError(f"position {drop_position} is not set in {s}")
     if s.m == s.f:
         raise ValueError("cannot pivot: every facet is tight")
-    new_bits, q0 = _pivot_bits(s.bits, s.f, drop_position - 1)
+    new_bits, q0 = _gale_step(s.f)(s.bits, drop_position - 1)
     return _gale_string(s.f, new_bits), q0 + 1
 
 
@@ -237,22 +240,23 @@ def completely_labeled_strings(poly: LabeledGalePolytope) -> list[GaleString]:
     return [s for s in enumerate_gale_vertices(poly.m, poly.f) if poly.labels_of(s) == full]
 
 
-def _lemke_pivots(poly: LabeledGalePolytope, missing_label: int):
-    """Generate (new_bits, dropped_label, picked_label) pivots of the path
-    for the missing label, starting from the vertex with the first m facets
-    tight."""
-    if not 1 <= missing_label <= poly.m:
-        raise ValueError(f"missing label {missing_label} out of range 1..{poly.m}")
-    f = poly.f
-    labels = poly.position_labels()
-    masks = [0] * (poly.m + 1)  # masks[lab]: the positions carrying label lab
+def _lemke_pivots(labels, m: int, missing_label: int, step):
+    """Generate (new_bits, dropped_label, picked_label) pivots of the
+    label-forced walk for the missing label, from the first m positions
+    tight (0-based; ``labels[q]`` is q's label).  After picking up label l
+    it drops the other tight position with label l by the pivot
+    ``step(bits, p)``, which returns (new bits, entered position).  Both
+    engines walk through here."""
+    if not 1 <= missing_label <= m:
+        raise ValueError(f"missing label {missing_label} out of range 1..{m}")
+    masks = [0] * (m + 1)  # masks[lab]: the positions carrying label lab
     for q, lab in enumerate(labels):
         masks[lab] |= 1 << q
-    bits = (1 << poly.m) - 1
+    bits = (1 << m) - 1
     p0 = missing_label - 1
     while True:
         dropped = labels[p0]
-        bits, q0 = _pivot_bits(bits, f, p0)
+        bits, q0 = step(bits, p0)
         picked = labels[q0]
         yield bits, dropped, picked
         if picked == missing_label:
@@ -281,7 +285,8 @@ def combinatorial_lemke(
     f = poly.f
     steps: list[PivotStep] = []
     visited = {start.bits}
-    for bits, dropped, picked in capped(_lemke_pivots(poly, missing_label), step_cap):
+    pivots = _lemke_pivots(poly.position_labels(), poly.m, missing_label, _gale_step(f))
+    for bits, dropped, picked in capped(pivots, step_cap):
         vertex = _gale_string(f, bits)
         if bits in visited:
             raise InvariantError(f"pivoting revisited vertex {vertex}")
@@ -298,7 +303,8 @@ def lemke_path_length(
     Memory-light variant for benchmark runs on exponentially long paths.
     The step cap works as in ``combinatorial_lemke``.
     """
-    for count, pivot in enumerate(capped(_lemke_pivots(poly, missing_label), step_cap), 1):
+    pivots = _lemke_pivots(poly.position_labels(), poly.m, missing_label, _gale_step(poly.f))
+    for count, pivot in enumerate(capped(pivots, step_cap), 1):
         pass
     return count, _gale_string(poly.f, pivot[0])
 

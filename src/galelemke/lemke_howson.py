@@ -2,13 +2,15 @@
 
 The walk starts at the origin pair, drops the chosen missing label, and
 alternates pivots between the two systems until that label is picked up
-again, at which point the basic solution is an equilibrium.  All pivoting is
-exact and runs on integers: each system is a dictionary of its cobasic
-columns with one common denominator (the determinant of its basis), and
-every pivot is a fraction-free Bareiss step, as in the integer pivoting of
-lrsnash (Avis, Rosenberg, Savani and von Stengel 2010).  Ratio-test ties
-are always broken lexicographically, which keeps the right-hand side
-nonnegative and rules out cycling even on degenerate inputs.
+again, at which point the basic solution is an equilibrium.  On a
+unit-vector game the Q moves are forced by the labels, so that walk pivots
+P alone, by the label rule of the Gale engine.  All pivoting is exact and
+runs on integers: each system is a dictionary of its cobasic columns with
+one common denominator (the determinant of its basis), and every pivot is
+a fraction-free Bareiss step, as in the integer pivoting of lrsnash (Avis,
+Rosenberg, Savani and von Stengel 2010).  Ratio-test ties are always
+broken lexicographically, which keeps the right-hand side nonnegative and
+rules out cycling even on degenerate inputs.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateGameError, InvariantError
+from .gale import _lemke_pivots
 from .game import ZERO, BimatrixGame, LabelSet, MixedProfile, UnitVectorGame, simplex_scaled
 from .linalg import pivot
 from .paths import PivotPath, PivotStep, capped
@@ -43,9 +46,6 @@ class _Tableau:
         self.lex_cols = tuple(basis)
         self.det = 1
         self.saw_tie = False
-
-    def is_basic(self, var: int) -> bool:
-        return var not in self.cobasis
 
     def choose_leaving(self, entering: int) -> int:
         """Row index of the leaving variable by the lexico-minimum ratio.
@@ -156,16 +156,9 @@ class LhResult:
         return self.path.path_length
 
 
-def lh_steps(
-    tableaux: tuple[_Tableau, _Tableau],
-    missing_label: int,
-    expect_nondegenerate: bool,
-):
+def lh_steps(tableaux: tuple[_Tableau, _Tableau], missing_label: int):
     """Low-level pivot stream on the tableaux of ``_build_tableaux``; yields
-    PivotStep records, pivots the tableaux in place and stops at the
-    equilibrium.  With ``expect_nondegenerate`` a ratio-test tie raises
-    DegenerateGameError.
-    """
+    PivotStep records, pivots them in place and stops at the equilibrium."""
     tab_p, tab_q = tableaux
     m, nvars = len(tab_q.rows), len(tab_p.rows) + len(tab_q.rows)
     if not 1 <= missing_label <= nvars:
@@ -174,11 +167,9 @@ def lh_steps(
     entering = missing_label - 1
     while True:
         tab = tab_p if side == "P" else tab_q
-        if tab.is_basic(entering):
+        if entering not in tab.cobasis:
             raise InvariantError("entering variable is already basic")
         row = tab.choose_leaving(entering)
-        if expect_nondegenerate and tab.saw_tie:
-            raise DegenerateGameError("ratio-test tie on a game expected to be nondegenerate")
         dropped = entering + 1
         leaving = tab.pivot(entering, row)
         picked = leaving + 1
@@ -205,8 +196,7 @@ def lh_solve(
     m, n = game.m, game.n
     start = (frozenset(range(1, m + 1)), frozenset(range(m + 1, m + n + 1)))
     tab_p, tab_q = tableaux = _build_tableaux(game)
-    stream = lh_steps(tableaux, missing_label, expect_nondegenerate=False)
-    steps = tuple(capped(stream, step_cap))
+    steps = tuple(capped(lh_steps(tableaux, missing_label), step_cap))
     x_poly = [tab_p.basic_value(i) for i in range(m)]
     y_poly = [tab_q.basic_value(m + j) for j in range(n)]
     profile = MixedProfile(simplex_scaled(x_poly), simplex_scaled(y_poly))
@@ -235,27 +225,31 @@ def project_path(result: LhResult) -> tuple[list[LabelSet], list[LabelSet]]:
 def lemke_path_on_unit_vector_game(
     u: UnitVectorGame, missing_label: int, step_cap: int | None = DEFAULT_STEP_CAP
 ) -> PivotPath:
-    """Path induced on the single labeled polytope of a unit-vector game.
+    """Path induced on the single labeled polytope of a unit-vector game,
+    with vertices as frozensets of tight facet positions.
 
-    Streams the product-polytope walk, keeps the moves of the first
-    polytope, and translates facet m+j to its label ell(j).  Vertices are
-    reported as frozensets of tight facet positions.  For missing label m+j
-    the result is the single-polytope path for missing label ell(j).  The
-    step cap counts the returned P steps and works as in ``lh_solve``.
+    Only P pivots.  Row i of A holds just the columns of label class i, so
+    Q is a product of simplices and never ties, and its moves are forced:
+    after P picks up a facet with label l, the product walk drops the other
+    tight facet of P with label l (McLennan and Tourky 2010).  So P walks
+    by the rule of ``gale._lemke_pivots``, and a tie in P's ratio test
+    raises DegenerateGameError.  Missing label m+j walks the path of label
+    ell(j).  The step cap counts P pivots and works as in ``lh_solve``.
     """
     m = u.m
+    labels = (*range(1, m + 1), *u.ell)  # the label of each facet position
+    if not 1 <= missing_label <= len(labels):
+        raise ValueError(f"missing label {missing_label} out of range 1..{len(labels)}")
+    target = labels[missing_label - 1]
+    tab = _build_tableaux(u.to_bimatrix())[0]
 
-    def translate(label: int) -> int:
-        return label if label <= m else u.ell[label - m - 1]
+    def step(bits: int, p: int) -> tuple[int, int]:
+        row = tab.choose_leaving(p)
+        if tab.saw_tie:
+            raise DegenerateGameError("ratio-test tie on a game expected to be nondegenerate")
+        q = tab.pivot(p, row)
+        return bits ^ 1 << p | 1 << q, q
 
-    stream = lh_steps(_build_tableaux(u.to_bimatrix()), missing_label, expect_nondegenerate=True)
-    p_steps = (
-        PivotStep(translate(s.dropped), translate(s.picked), s.vertex[0], "P")
-        for s in stream
-        if s.system == "P"
-    )
-    steps = tuple(capped(p_steps, step_cap))
-    target = translate(missing_label)
-    if not steps or steps[-1].picked != target:
-        raise InvariantError("projected path does not close with the missing label")
-    return PivotPath(target, frozenset(range(1, m + 1)), steps)
+    pivots = _lemke_pivots(labels, m, target, step)
+    steps = (PivotStep(drop, pick, tab.nonbasic_labels(), "P") for _, drop, pick in pivots)
+    return PivotPath(target, frozenset(range(1, m + 1)), tuple(capped(steps, step_cap)))

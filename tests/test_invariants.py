@@ -146,7 +146,7 @@ def test_integer_pivoting_keeps_one_positive_denominator(game):
             assert tab.det == 1
         starts = [_full_tableau(tab) for tab in tableaux]
         pivots = 0
-        for step in lh_steps(tableaux, label, expect_nondegenerate=False):
+        for step in lh_steps(tableaux, label):
             side = 0 if step.system == "P" else 1
             _check_common_denominator(tableaux[side], step.dropped - 1, starts[side])
             pivots += 1

@@ -1,9 +1,12 @@
 """Complementary pivoting: the worked example, projections, invariants."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galelemke import (
     BimatrixGame,
+    LabeledGalePolytope,
     MixedProfile,
     PivotStep,
     UnitVectorGame,
@@ -22,7 +25,11 @@ from galelemke import (
     verify_equilibrium,
 )
 from galelemke.errors import DegenerateGameError, StepCapExceededError
-from galelemke.generators import PermutationGameSpec, permutation_game
+from galelemke.generators import (
+    PermutationGameSpec,
+    _unit_vector_game_from_polytope,
+    permutation_game,
+)
 
 from conftest import C_DEGENERATE
 
@@ -179,7 +186,35 @@ class TestUnitVectorProjection:
                 assert len(vertices) == len(set(vertices))
                 end_labels = {p if p <= 3 else ell[p - 4] for p in path.endpoint}
                 assert end_labels == {1, 2, 3}
+                # the Q moves the P-only walk leaves out are forced: the
+                # product walk visits the same P vertices, column labels too
+                assert vertices == project_path(lh_solve(u.to_bimatrix(), k))[0]
             checked += 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from((2, 4, 6)).flatmap(
+            lambda m: st.tuples(st.just(m), st.lists(st.integers(1, m), min_size=1, max_size=6))
+        )
+    )
+    def test_tableau_walk_matches_gale_walk(self, case):
+        # the same label-forced walk on two backends: exact pivots on the
+        # canonical form of the cyclic polytope, and bit scans on its strings
+        m, ell = case
+        poly = LabeledGalePolytope.of(m, ell)
+        u = _unit_vector_game_from_polytope(poly)
+
+        def outcome(walk, positions):
+            try:
+                path = walk()
+            except DegenerateGameError:
+                return "degenerate"
+            return [positions(v) for v in path.vertices()], path.label_sequence()
+
+        for k in range(1, m + 1):
+            tableau = outcome(lambda: lemke_path_on_unit_vector_game(u, k), frozenset)
+            gale = outcome(lambda: combinatorial_lemke(poly, k), lambda s: frozenset(s.ones()))
+            assert tableau == gale
 
 
 class TestInvariantsAndErrors:
@@ -190,6 +225,12 @@ class TestInvariantsAndErrors:
     def test_missing_label_out_of_range(self, game22):
         with pytest.raises(ValueError):
             lh_solve(game22, 7)
+
+    def test_missing_label_out_of_range_on_unit_vector_game(self):
+        u = triple_morris_game(2)
+        for k in (0, u.m + u.n + 1):
+            with pytest.raises(ValueError, match="out of range"):
+                lemke_path_on_unit_vector_game(u, k)
 
     def test_degenerate_game_still_terminates_with_lexicographic_rule(self):
         game = imitation_game(C_DEGENERATE)
