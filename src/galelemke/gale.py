@@ -240,20 +240,22 @@ def completely_labeled_strings(poly: LabeledGalePolytope) -> list[GaleString]:
     return [s for s in enumerate_gale_vertices(poly.m, poly.f) if poly.labels_of(s) == full]
 
 
-def _lemke_pivots(labels, m: int, missing_label: int, step):
+def _lemke_pivots(labels, start: int, missing_label: int, step):
     """Generate (new_bits, dropped_label, picked_label) pivots of the
-    label-forced walk for the missing label, from the first m positions
-    tight (0-based; ``labels[q]`` is q's label).  After picking up label l
-    it drops the other tight position with label l by the pivot
-    ``step(bits, p)``, which returns (new bits, entered position).  Both
-    engines walk through here."""
-    if not 1 <= missing_label <= m:
-        raise ValueError(f"missing label {missing_label} out of range 1..{m}")
-    masks = [0] * (m + 1)  # masks[lab]: the positions carrying label lab
+    label-forced walk for the missing label: the one walk of the Gale engine
+    and of both Lemke-Howson walks.  ``start`` is the bit mask of the tight
+    0-based positions, which carry labels 1..start.bit_count(), and
+    ``labels[q]`` is q's label.  The walk first drops the start position
+    with the missing label; after picking up label l it drops the other
+    tight position with label l, by the pivot ``step(bits, p)``, which
+    returns (new bits, entered position)."""
+    k = start.bit_count()
+    if not 1 <= missing_label <= k:
+        raise ValueError(f"missing label {missing_label} out of range 1..{k}")
+    masks = [0] * (k + 1)  # masks[lab]: the positions carrying label lab
     for q, lab in enumerate(labels):
         masks[lab] |= 1 << q
-    bits = (1 << m) - 1
-    p0 = missing_label - 1
+    bits, p0 = start, (start & masks[missing_label]).bit_length() - 1
     while True:
         dropped = labels[p0]
         bits, q0 = step(bits, p0)
@@ -285,7 +287,7 @@ def combinatorial_lemke(
     f = poly.f
     steps: list[PivotStep] = []
     visited = {start.bits}
-    pivots = _lemke_pivots(poly.position_labels(), poly.m, missing_label, _gale_step(f))
+    pivots = _lemke_pivots(poly.position_labels(), start.bits, missing_label, _gale_step(f))
     for bits, dropped, picked in capped(pivots, step_cap):
         vertex = _gale_string(f, bits)
         if bits in visited:
@@ -303,7 +305,8 @@ def lemke_path_length(
     Memory-light variant for benchmark runs on exponentially long paths.
     The step cap works as in ``combinatorial_lemke``.
     """
-    pivots = _lemke_pivots(poly.position_labels(), poly.m, missing_label, _gale_step(poly.f))
+    start = (1 << poly.m) - 1
+    pivots = _lemke_pivots(poly.position_labels(), start, missing_label, _gale_step(poly.f))
     for count, pivot in enumerate(capped(pivots, step_cap), 1):
         pass
     return count, _gale_string(poly.f, pivot[0])

@@ -4,24 +4,26 @@ The walk starts at the origin pair, drops the chosen missing label, and
 alternates pivots between the two systems until that label is picked up
 again, at which point the basic solution is an equilibrium.  On a
 unit-vector game the Q moves are forced by the labels, so that walk pivots
-P alone, by the label rule of the Gale engine.  All pivoting is exact and
-runs on integers: each system is a dictionary of its cobasic columns with
-one common denominator (the determinant of its basis), and every pivot is
-a fraction-free Bareiss step, as in the integer pivoting of lrsnash (Avis,
-Rosenberg, Savani and von Stengel 2010).  Ratio-test ties are always
-broken lexicographically, which keeps the right-hand side nonnegative and
-rules out cycling even on degenerate inputs.
+P alone.  Both walks run on the label-forced loop ``gale._lemke_pivots``.
+All pivoting is exact and runs on integers: each system is a dictionary
+of its cobasic columns with one common denominator (the determinant of
+its basis), every pivot is a fraction-free Bareiss step, as in the
+integer pivoting of lrsnash (Avis, Rosenberg, Savani and von Stengel
+2010), and the min-ratio test is ``linalg.ratio_rows``.  Ratio-test ties
+are always broken lexicographically, which keeps the right-hand side
+nonnegative and rules out cycling even on degenerate inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import cycle
 
 from .errors import DegenerateGameError, InvariantError
 from .gale import _lemke_pivots
 from .game import ZERO, BimatrixGame, LabelSet, MixedProfile, UnitVectorGame, simplex_scaled
-from .linalg import pivot
+from .linalg import pivot, ratio_rows
 from .paths import PivotPath, PivotStep, capped
 
 DEFAULT_STEP_CAP = 10_000_000
@@ -50,52 +52,37 @@ class _Tableau:
     def choose_leaving(self, entering: int) -> int:
         """Row index of the leaving variable by the lexico-minimum ratio.
 
-        Ratios are compared by cross-multiplication: ``_order`` gives the
-        sign of row r's ratio minus row s's, and the common denominator
-        cancels.  ``BimatrixGame.normalized`` gives every column of A and
+        ``linalg.ratio_rows`` gives the rows at the minimum ratio.  A tie
+        goes to the lexicographic rule: the same test over the tied rows,
+        on each column of the starting basis in turn.  Those columns hold
+        the inverse of the basis, whose rows are independent, so one row
+        is left.  ``BimatrixGame.normalized`` gives every column of A and
         every row of B a positive entry, so P and Q are bounded and every
         entering column has a positive entry.
         """
-        col = self.cobasis.index(entering)
-        tied: list[int] = []
-        for r, row in enumerate(self.rows):
-            if row[col] <= 0:
-                continue
-            if tied:
-                order = self._order(r, tied[0], col, -1)
-                if order > 0:
-                    continue
-                if order == 0:
-                    tied.append(r)
-                    continue
-            tied = [r]
-        if not tied:
-            raise InvariantError("entering column has no positive coefficient")
+        col = self._column(entering)
+        tied = ratio_rows(self.rows, col)
         if len(tied) == 1:
             return tied[0]
+        if not tied:
+            raise InvariantError("entering column has no positive coefficient")
         self.saw_tie = True
-        best = tied[0]
-        for r in tied[1:]:
-            order = 0
-            for var in self.lex_cols:
-                if var in self.cobasis:
-                    order = self._order(r, best, col, self.cobasis.index(var))
-                else:
-                    # a basic column is det > 0 in its own row and 0 elsewhere
-                    home = self.basis.index(var)
-                    order = (r == home) * self.rows[best][col] - (best == home) * self.rows[r][col]
-                if order:
-                    break
-            if order < 0:
-                best = r
-        return best
+        for var in self.lex_cols:
+            if var in self.cobasis:
+                other = self.cobasis.index(var)
+                lex = [[self.rows[r][col], self.rows[r][other]] for r in tied]
+            else:
+                # a basic column is det > 0 in its own row and 0 elsewhere
+                home = self.basis.index(var)
+                lex = [[self.rows[r][col], self.det * (r == home)] for r in tied]
+            tied = [tied[i] for i in ratio_rows(lex, 0)]
+        return tied[0]
 
-    def _order(self, r: int, s: int, col: int, other: int) -> int:
-        """An integer with the sign of ``rows[r][other]/rows[r][col] -
-        rows[s][other]/rows[s][col]``; both ``col`` coefficients are
-        positive."""
-        row_r, row_s = self.rows[r], self.rows[s]
-        return row_r[other] * row_s[col] - row_s[other] * row_r[col]
+    def _column(self, var: int) -> int:
+        try:
+            return self.cobasis.index(var)
+        except ValueError:
+            raise InvariantError(f"entering variable {var} is already basic") from None
 
     def pivot(self, entering: int, row_index: int) -> int:
         """Bring ``entering`` into the basis on the given row; returns the
@@ -105,7 +92,7 @@ class _Tableau:
         the common denominator and the entering column then holds the
         leaving variable.
         """
-        col = self.cobasis.index(entering)
+        col = self._column(entering)
         p = self.rows[row_index][col]
         if p <= 0:
             raise ValueError("pivot coefficient must be positive")
@@ -158,27 +145,27 @@ class LhResult:
 
 def lh_steps(tableaux: tuple[_Tableau, _Tableau], missing_label: int):
     """Low-level pivot stream on the tableaux of ``_build_tableaux``; yields
-    PivotStep records, pivots them in place and stops at the equilibrium."""
+    PivotStep records, pivots them in place and stops at the equilibrium.
+
+    The walk is ``gale._lemke_pivots``: position v is P's variable v and
+    position m+n+v Q's, both with label v+1, and the tight positions are
+    the cobasic ones.  The lexicographic rule keeps each label but the
+    missing one on two tight positions, one per system, so P and Q alternate.
+    """
     tab_p, tab_q = tableaux
     m, nvars = len(tab_q.rows), len(tab_p.rows) + len(tab_q.rows)
-    if not 1 <= missing_label <= nvars:
-        raise ValueError(f"missing label {missing_label} out of range 1..{nvars}")
-    side = "P" if missing_label <= m else "Q"
-    entering = missing_label - 1
-    while True:
-        tab = tab_p if side == "P" else tab_q
-        if entering not in tab.cobasis:
-            raise InvariantError("entering variable is already basic")
-        row = tab.choose_leaving(entering)
-        dropped = entering + 1
-        leaving = tab.pivot(entering, row)
-        picked = leaving + 1
-        vertex = (tab_p.nonbasic_labels(), tab_q.nonbasic_labels())
-        yield PivotStep(dropped, picked, vertex, side)
-        if picked == missing_label:
-            return
-        entering = picked - 1
-        side = "Q" if side == "P" else "P"
+    labels = [*range(1, nvars + 1)] * 2
+    start = (1 << m) - 1 | ((1 << nvars) - (1 << m)) << nvars  # x cobasic in P, y in Q
+
+    def step(bits: int, p: int) -> tuple[int, int]:
+        tab, base = (tab_p, 0) if p < nvars else (tab_q, nvars)
+        q = base + tab.pivot(p - base, tab.choose_leaving(p - base))
+        return bits ^ 1 << p | 1 << q, q
+
+    pivots = _lemke_pivots(labels, start, missing_label, step)
+    sides = cycle("PQ" if missing_label <= m else "QP")
+    for (_, dropped, picked), side in zip(pivots, sides):
+        yield PivotStep(dropped, picked, (tab_p.nonbasic_labels(), tab_q.nonbasic_labels()), side)
 
 
 def lh_solve(
@@ -250,6 +237,6 @@ def lemke_path_on_unit_vector_game(
         q = tab.pivot(p, row)
         return bits ^ 1 << p | 1 << q, q
 
-    pivots = _lemke_pivots(labels, m, target, step)
+    pivots = _lemke_pivots(labels, (1 << m) - 1, target, step)
     steps = (PivotStep(drop, pick, tab.nonbasic_labels(), "P") for _, drop, pick in pivots)
     return PivotPath(target, frozenset(range(1, m + 1)), tuple(capped(steps, step_cap)))

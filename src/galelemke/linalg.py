@@ -5,8 +5,9 @@ and the matching pivot step.
 denominator; callers that keep their data as integers (support guessing,
 vertex enumeration) use it directly.  ``solve_square`` is the rational
 front: it scales each row to integers and returns Fractions.  ``pivot`` is
-the one integer pivot step on a compact dictionary, shared by the
-Lemke-Howson tableaux and the vertex enumerator.
+the one integer pivot step on a compact dictionary and ``ratio_rows`` its
+one min-ratio test, both shared by the Lemke-Howson tableaux and the
+vertex enumerator.
 
 Singular systems are a normal negative outcome here, not an error: callers
 probing support combinations or constraint subsets simply get ``None``.
@@ -95,6 +96,23 @@ def pivot(rows, r: int, c: int, det: int) -> list[list[int]]:
                 new[c] = -f
         out.append(new)
     return out
+
+
+def ratio_rows(rows, c: int) -> list[int]:
+    """The min-ratio test of a compact dictionary on column c: the rows,
+    ascending, whose ratio ``row[-1] / row[c]`` is least among the rows
+    with ``row[c] > 0``; ``[]`` when there is none.  Ratios are compared
+    by cross-multiplication, so a common denominator cancels."""
+    tied: list[int] = []
+    for r, row in enumerate(rows):
+        a = row[c]
+        if a > 0:
+            order = row[-1] * best_a - best_rhs * a if tied else -1
+            if order < 0:
+                tied, best_a, best_rhs = [r], a, row[-1]
+            elif order == 0:
+                tied.append(r)
+    return tied
 
 
 def solve_square(matrix, rhs) -> list[Fraction] | None:

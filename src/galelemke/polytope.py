@@ -7,7 +7,9 @@ integers)``, the row times the lcm of its denominators (the format of
 ``linalg.scaled_to_integers`` and ``BimatrixGame.integer_payoffs``), so
 the slack dictionary ``integers . z + s = scale`` is integral.  The search
 visits its feasible bases as lrs does (Avis 2000), one ``linalg.pivot``
-per basis; a degenerate vertex has several bases and is reported once.
+per basis and one ``linalg.ratio_rows`` per cobasic column, the pivot
+step and min-ratio test of the Lemke-Howson tableaux; a degenerate vertex
+has several bases and is reported once.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InvariantError
-from .linalg import bareiss_solve, pivot
+from .linalg import bareiss_solve, pivot, ratio_rows
 
 ZERO = Fraction(0)
 
@@ -42,22 +44,7 @@ def feasible_bases(int_rows, dim):
         rows, basis, cobasis, det, mask = stack.pop()
         yield rows, basis, cobasis, det
         for c, entering in enumerate(cobasis):
-            # min-ratio rows by cross-multiplication; the denominator cancels
-            tied: list[int] = []
-            for r, row in enumerate(rows):
-                a = row[c]
-                if a <= 0:
-                    continue
-                if tied:
-                    order = row[-1] * best_a - best_rhs * a
-                    if order > 0:
-                        continue
-                    if order == 0:
-                        tied.append(r)
-                        continue
-                tied = [r]
-                best_a, best_rhs = a, row[-1]
-            for r in tied:
+            for r in ratio_rows(rows, c):
                 leaving = basis[r]
                 key = mask ^ (1 << entering) ^ (1 << leaving)
                 if key in seen:

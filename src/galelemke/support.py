@@ -81,13 +81,18 @@ def solve_support(game: BimatrixGame, s1, s2) -> MixedProfile | None:
     best-response comparison as they are.  Fractions are built only for an
     equilibrium found.
     """
-    m, n = game.m, game.n
-    s1 = sorted(set(s1))
-    s2 = sorted(set(s2))
+    s1, s2 = sorted(set(s1)), sorted(set(s2))
     if not s1 or len(s1) != len(s2):
         raise ValueError("supports must be nonempty and of equal size")
-    if s1[0] < 1 or s2[0] < 1 or s1[-1] > m or s2[-1] > n:
+    if s1[0] < 1 or s2[0] < 1 or s1[-1] > game.m or s2[-1] > game.n:
         raise ValueError("support indices out of range")
+    return _solve_support(game, s1, s2)
+
+
+def _solve_support(game: BimatrixGame, s1, s2) -> MixedProfile | None:
+    """``solve_support`` on supports that are already ascending, in range
+    and of equal size, as every support search builds them."""
+    m, n = game.m, game.n
     size = len(s1)
     a_rows, b_cols = game.integer_payoffs
 
@@ -115,7 +120,7 @@ def _hits(game: BimatrixGame, pairs):
     """``(guess number, profile)`` for each support pair of ``pairs`` that
     carries an equilibrium; guesses count from 1 over all pairs tried."""
     for guess, (s1, s2) in enumerate(pairs, start=1):
-        profile = solve_support(game, s1, s2)
+        profile = _solve_support(game, s1, s2)
         if profile is not None:
             yield guess, profile
 

@@ -259,8 +259,12 @@ class TestLemkePaths:
             combinatorial_lemke(morris_polytope(10), 1, step_cap=5)
 
     def test_missing_label_out_of_range(self):
-        with pytest.raises(ValueError):
-            combinatorial_lemke(morris_polytope(4), 5)
+        poly = morris_polytope(4)
+        for k in (0, poly.m + 1):
+            with pytest.raises(ValueError, match="out of range"):
+                combinatorial_lemke(poly, k)
+            with pytest.raises(ValueError, match="out of range"):
+                lemke_path_length(poly, k)
 
 
 def test_labels_of_rejects_a_string_of_another_length():

@@ -65,14 +65,14 @@ def _not_an_equilibrium(game, s1, s2):
 
 
 def test_support_search_rejects_a_non_equilibrium(monkeypatch):
-    monkeypatch.setattr(support, "solve_support", _not_an_equilibrium)
+    monkeypatch.setattr(support, "_solve_support", _not_an_equilibrium)
     game = triple_morris_game(2).to_bimatrix()
     with pytest.raises(GaleLemkeError):
         randomized_support_search(game, AllColumnSubsets(game), seed=0)
 
 
 def test_cli_maps_a_broken_invariant_to_solver_exit(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(support, "solve_support", _not_an_equilibrium)
+    monkeypatch.setattr(support, "_solve_support", _not_an_equilibrium)
     code = main(
         ["bench", "triple-morris", "--m", "2", "--solver", "support", "--seeds", "1",
          "--out", str(tmp_path / "bench.csv")]
@@ -89,6 +89,15 @@ def test_pivot_off_the_ratio_test_raises():
     tableau = _Tableau([[1, 1], [2, 1]], [1, 2], [0])
     with pytest.raises(InvariantError):
         tableau.pivot(0, 0)
+
+
+def test_entering_a_basic_variable_raises():
+    # variable 1 is basic in row 0, so it has no column to enter on
+    tableau = _Tableau([[1, 1], [2, 1]], [1, 2], [0])
+    with pytest.raises(InvariantError, match="already basic"):
+        tableau.choose_leaving(1)
+    with pytest.raises(InvariantError, match="already basic"):
+        tableau.pivot(1, 0)
 
 
 def test_entering_column_without_positive_entry_raises():

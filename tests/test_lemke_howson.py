@@ -223,8 +223,9 @@ class TestInvariantsAndErrors:
             lh_solve(game22, 1, step_cap=3)
 
     def test_missing_label_out_of_range(self, game22):
-        with pytest.raises(ValueError):
-            lh_solve(game22, 7)
+        for k in (0, game22.m + game22.n + 1):
+            with pytest.raises(ValueError, match="out of range"):
+                lh_solve(game22, k)
 
     def test_missing_label_out_of_range_on_unit_vector_game(self):
         u = triple_morris_game(2)

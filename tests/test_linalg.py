@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from galelemke.linalg import bareiss_solve, pivot, solve_square
+from galelemke.linalg import bareiss_solve, pivot, ratio_rows, solve_square
 
 
 def _gauss_jordan(matrix, rhs):
@@ -70,3 +72,25 @@ def test_pivot_is_undone_by_the_same_pivot(seed):
         assert rows == before
         assert once[r][c] == 1
         assert pivot(once, r, c, rows[r][c]) == before
+
+
+@st.composite
+def dictionaries(draw):
+    """Integer rows of a compact dictionary times a common scale > 1, with
+    zero and negative entries, and small values so that ratios often tie."""
+    width = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=width + 1, max_size=width + 1),
+                         max_size=6))
+    scale = draw(st.integers(2, 5))
+    return [[scale * v for v in row] for row in rows], draw(st.integers(0, width - 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(dictionaries())
+@example(([[2, 4], [-2, 2], [4, 8], [0, 6], [3, 9]], 0))  # rows 0 and 2 tie
+@example(([[0, 4], [-2, 2]], 0))  # no positive entry
+def test_ratio_rows_matches_fraction_reference(case):
+    rows, c = case
+    ratios = {r: Fraction(row[-1], row[c]) for r, row in enumerate(rows) if row[c] > 0}
+    least = min(ratios.values(), default=None)
+    assert ratio_rows(rows, c) == [r for r, ratio in ratios.items() if ratio == least]

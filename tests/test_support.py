@@ -49,6 +49,8 @@ class TestSolveSupport:
     def test_worked_example_support(self, game22, game22_equilibrium):
         profile = solve_support(game22, {1, 2}, {1, 2})
         assert profile == game22_equilibrium
+        # any order, repeats ignored
+        assert solve_support(game22, (2, 1, 2), [1, 2, 1]) == game22_equilibrium
 
     def test_dominated_pure_cell(self, game22):
         assert solve_support(game22, {3}, {3}) is None
