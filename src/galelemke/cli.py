@@ -13,6 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 
 from . import gameio
@@ -345,7 +346,11 @@ def cmd_bench(args) -> int:
 # argument parsing and dispatch
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``galelemke`` parser, built on the first call and shared by every
+    later one: ``parse_args`` returns a fresh namespace each time and
+    leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="galelemke",
         description="Exact equilibrium solvers and hard-instance generators for bimatrix games",

@@ -249,13 +249,24 @@ def _labeled_vertices(int_rows, dim, coord_offset, row_offset):
 
 def equilibria_by_vertex_enumeration(game: BimatrixGame) -> list[MixedProfile]:
     """Equilibria via exhaustive P x Q vertex enumeration (oracle path): one
-    per completely labeled vertex pair other than the origin pair."""
+    per completely labeled vertex pair other than the origin pair.
+
+    The Q vertices are indexed by label, so each P vertex meets only the Q
+    vertices that hold every label it misses.  A P vertex always misses
+    one: only the origin has every coordinate label, and it has no row
+    label.
+    """
     full = frozenset(range(1, game.m + game.n + 1))
     qs = list(q_vertices(game))
+    holders: dict[int, set[int]] = {label: set() for label in full}
+    for k, (_, y_labels) in enumerate(qs):
+        for label in y_labels:
+            holders[label].add(k)
     found = set()
     for x_point, x_labels in p_vertices(game):
-        for y_point, y_labels in qs:
-            if x_labels | y_labels == full and (any(x_point) or any(y_point)):
+        for k in set.intersection(*(holders[label] for label in full - x_labels)):
+            y_point = qs[k][0]
+            if any(x_point) or any(y_point):
                 found.add(MixedProfile(simplex_scaled(x_point), simplex_scaled(y_point)))
     return sorted(found, key=lambda p: (p.x, p.y))
 

@@ -15,6 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
+from operator import ge, le
 
 from .errors import BudgetExceededError, InvariantError, NoEquilibriumError
 from .game import ZERO, BimatrixGame, MixedProfile, UnitVectorGame, verify_equilibrium
@@ -31,9 +32,12 @@ def _indifference_solution(scaled, own, other):
     ``(scale, integers)`` pair; the integers (normalized payoffs) are
     nonnegative.  Returns ``(numerators, denominator)`` with the weights
     first and the scaled payoff last, or None if the system is singular or
-    one row of ``own`` is zero on ``other`` while another is not (checked
-    as the rows are built).  That rule is exact: against positive weights
-    the zero row earns 0 and the other more, so a weight must be <= 0.
+    a row of ``own`` beats another on ``other``: one row is zero there
+    while another is not (checked as the rows are built), or two rows of
+    equal scale differ and one is >= the other on every column.  Both
+    rules are exact: against positive weights the larger row earns
+    strictly more, so the rows cannot be indifferent and any solution has
+    a weight <= 0.  Rows of different scales are not compared.
     """
     system = []
     for i in own:
@@ -44,6 +48,10 @@ def _indifference_solution(scaled, own, other):
         elif zero != (not any(row)):
             return None
         system.append(row + [-scale, 0])
+    # equal scales make the last two entries equal, so whole rows compare
+    for a, b in itertools.combinations(system, 2):
+        if a[-2] == b[-2] and a != b and (all(map(ge, a, b)) or all(map(le, a, b))):
+            return None
     system.append([1] * len(other) + [0, 1])
     return bareiss_solve(system)
 
@@ -96,22 +104,21 @@ def _solve_support(game: BimatrixGame, s1, s2) -> MixedProfile | None:
     size = len(s1)
     a_rows, b_cols = game.integer_payoffs
 
-    # player 2's mix makes player 1 indifferent across s1
+    # player 2's mix makes player 1 indifferent across s1, and no row
+    # outside s1 beats it; only then is player 1's mix worth solving for
     y_sol = _indifference_solution(a_rows, s1, s2)
     if y_sol is None:
         return None
     y_num, y_den = y_sol
-    if any(w <= 0 for w in y_num[:size]):
+    if any(w <= 0 for w in y_num[:size]) or _beaten(a_rows, s1, s2, y_num):
         return None
-    # player 1's mix makes player 2 indifferent across s2
+    # player 1's mix makes player 2 indifferent across s2, and no column
+    # outside s2 beats it
     x_sol = _indifference_solution(b_cols, s2, s1)
     if x_sol is None:
         return None
     x_num, x_den = x_sol
-    if any(w <= 0 for w in x_num[:size]):
-        return None
-    # best-response checks outside the supports
-    if _beaten(a_rows, s1, s2, y_num) or _beaten(b_cols, s2, s1, x_num):
+    if any(w <= 0 for w in x_num[:size]) or _beaten(b_cols, s2, s1, x_num):
         return None
     return MixedProfile(_mixed(m, s1, x_num, x_den), _mixed(n, s2, y_num, y_den))
 

@@ -10,7 +10,7 @@ import pytest
 
 import galelemke
 from galelemke import GaleString, enumerate_gale_vertices
-from galelemke.cli import main
+from galelemke.cli import build_parser, main
 from galelemke.gameio import (
     format_profile,
     load_game,
@@ -171,6 +171,22 @@ class TestSolve:
     def test_missing_label_zero_is_out_of_range(self, game22_path, capsys):
         assert main(["solve", game22_path, "--missing-label", "0"]) == 2
         assert "out of range" in capsys.readouterr().err
+
+    def test_shared_parser_keeps_no_state(self, game22_path, capsys):
+        # main parses with one parser per process: options and errors of
+        # earlier calls must not reach a later one
+        assert main(["solve", game22_path]) == 0
+        first = capsys.readouterr().out
+        assert "path_length 8" in first.splitlines()
+        assert main(["solve", game22_path, "--method", "support", "--seed", "3"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("guesses ")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", game22_path, "--method", "simplex"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["solve", game22_path]) == 0
+        assert capsys.readouterr().out == first
+        assert build_parser() is build_parser()
 
     def test_support_pair_budget_exit_code(self, tmp_path, capsys):
         out = tmp_path / "tm8.uvg"

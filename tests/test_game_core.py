@@ -16,6 +16,7 @@ from galelemke import (
     imitation_game,
     is_nondegenerate,
     labels_of_profile,
+    random_game,
     split_symmetric_profile,
     symmetric_profile,
     symmetrize,
@@ -24,6 +25,8 @@ from galelemke import (
 from galelemke.errors import BudgetExceededError
 from galelemke.game import (
     equilibrium_from_labeled_point,
+    p_vertices,
+    q_vertices,
     simplex_scaled,
     unit_vector_completely_labeled_points,
 )
@@ -328,6 +331,28 @@ class TestUnitVectorGame:
             checked += 1
 
 
+def _all_pairs_equilibria(game):
+    """Reference: test every P x Q vertex pair for a complete labeling."""
+    full = frozenset(range(1, game.m + game.n + 1))
+    qs = list(q_vertices(game))
+    found = set()
+    for x_point, x_labels in p_vertices(game):
+        for y_point, y_labels in qs:
+            if x_labels | y_labels == full and (any(x_point) or any(y_point)):
+                found.add(MixedProfile(simplex_scaled(x_point), simplex_scaled(y_point)))
+    return sorted(found, key=lambda p: (p.x, p.y))
+
+
 class TestVertexOracle:
     def test_matches_support_enumeration(self, game22):
         assert equilibria_by_vertex_enumeration(game22) == enumerate_equilibria(game22)
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
+    def test_label_index_matches_all_pairs_on_degenerate_games(self, m, n):
+        # payoffs 0..2 make ties, zero rows and vertices with extra labels common
+        degenerate = 0
+        for seed in range(25):
+            game = random_game(m, n, seed, payoff_range=(0, 2), filter_degenerate=False)
+            degenerate += not is_nondegenerate(game)
+            assert equilibria_by_vertex_enumeration(game) == _all_pairs_equilibria(game)
+        assert degenerate

@@ -3,7 +3,9 @@
 import statistics
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 from math import comb
+from operator import ge, le
 
 import pytest
 from hypothesis import example, given, settings
@@ -87,22 +89,31 @@ class TestSolveSupport:
     @given(indifference_systems())
     @example(([(1, (0, 0)), (1, (1, 2))], [1, 2], [1, 2]))  # solvable, weights 2 and -1
     @example(([(2, (0,)), (1, (0,))], [1], [1]))  # every row zero: not rejected
+    @example(([(1, (2, 1)), (1, (1, 1))], [1, 2], [1, 2]))  # equal scales, dominated: rejected
+    @example(([(2, (2, 4)), (1, (2, 1))], [1, 2], [1, 2]))  # payoffs (1, 2) and (2, 1): not rejected
+    @example(([(1, (1, 2)), (1, (1, 2))], [1, 2], [1, 2]))  # equal rows: not rejected (singular)
     def test_zero_row_rejection_is_exact(self, system):
-        # a row zero on the opponent's support beside a nonzero one is
-        # rejected before elimination; the elimination itself must then
-        # find the system singular or a weight that is not positive
+        # a row zero on the opponent's support beside a nonzero one, and a
+        # row that dominates another of equal scale, are rejected before
+        # elimination; the elimination itself must then find the system
+        # singular or a weight that is not positive
         scaled, own, other = system
         rows = [[scaled[i - 1][1][j - 1] for j in other] for i in own]
         aug = [row + [-scaled[i - 1][0], 0] for row, i in zip(rows, own)]
         aug.append([1] * len(other) + [0, 1])
         solved = bareiss_solve(aug)
         got = _indifference_solution(scaled, own, other)
-        if 0 < sum(not any(row) for row in rows) < len(rows):
+        pairs = combinations([(scaled[i - 1][0], row) for i, row in zip(own, rows)], 2)
+        dominated = any(
+            sa == sb and ra != rb and (all(map(ge, ra, rb)) or all(map(le, ra, rb)))
+            for (sa, ra), (sb, rb) in pairs
+        )
+        if dominated or 0 < sum(not any(row) for row in rows) < len(rows):
             assert got is None
-        if got is None:
-            assert solved is None or any(w <= 0 for w in solved[0][: len(other)])
         else:
             assert got == solved
+        if got is None:
+            assert solved is None or any(w <= 0 for w in solved[0][: len(other)])
 
 
 class TestEnumerateEquilibria:
