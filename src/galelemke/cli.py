@@ -112,6 +112,8 @@ def _load_bimatrix(path: str):
 
 
 def cmd_solve(args) -> int:
+    if args.path_csv and args.method != "lh":
+        raise ValueError("--path-csv needs --method lh")
     game = _load_bimatrix(args.game)
     if args.method == "lh":
         result = lh_solve(game, args.missing_label, step_cap=args.step_cap)

@@ -16,7 +16,7 @@ from math import comb
 from .errors import BudgetExceededError
 from .game import ONE, ZERO, Matrix, as_fraction, transpose
 from .gale import GaleString
-from .linalg import dot, scaled_to_integers, solve_square
+from .linalg import scaled_to_integers, solve_square
 from .polytope import vertices_nonneg_form
 
 MAX_FACET_SUBSETS = 200_000
@@ -76,11 +76,9 @@ def geometry_vertex_strings(geom: CyclicPolytopeGeometry):
         raise BudgetExceededError(
             f"vertex enumeration over C({geom.f},{geom.m}) subsets exceeds budget"
         )
-    m = geom.m
     int_rows = [scaled_to_integers(col) for col in transpose(to_canonical_form(geom).b)]
-    for point, tight_coords, tight_rows in vertices_nonneg_form(int_rows, m):
-        positions = [*tight_coords, *(m + j for j in tight_rows)]
-        yield point, GaleString.from_positions(geom.f, positions)
+    for point, tight in vertices_nonneg_form(int_rows, geom.m):
+        yield point, GaleString.from_positions(geom.f, tight)
 
 
 @dataclass(frozen=True)
@@ -128,7 +126,7 @@ class CanonicalForm:
         point = tuple(as_fraction(v) for v in point)
         positions = [p for p in range(1, self.m + 1) if point[p - 1] == 0]
         for j in range(self.n):
-            if dot((self.b[i][j] for i in range(self.m)), point) == 1:
+            if sum(self.b[i][j] * point[i] for i in range(self.m)) == 1:
                 positions.append(self.m + j + 1)
         return GaleString.from_positions(self.geometry.f, positions)
 

@@ -231,20 +231,15 @@ def simplex_scaled(vec) -> tuple[Fraction, ...]:
 
 def p_vertices(game: BimatrixGame):
     """Vertices of P with their label sets: (point, labels)."""
-    return _labeled_vertices(game.integer_payoffs[1], game.m, 0, game.m)
+    return vertices_nonneg_form(game.integer_payoffs[1], game.m)
 
 
 def q_vertices(game: BimatrixGame):
-    """Vertices of Q with their label sets: (point, labels)."""
-    return _labeled_vertices(game.integer_payoffs[0], game.n, game.m, 0)
-
-
-def _labeled_vertices(int_rows, dim, coord_offset, row_offset):
-    """Label tight coordinate i with coord_offset + i and tight row j with
-    row_offset + j."""
-    for point, tight_coords, tight_rows in vertices_nonneg_form(int_rows, dim):
-        labels = {coord_offset + i for i in tight_coords} | {row_offset + j for j in tight_rows}
-        yield point, frozenset(labels)
+    """Vertices of Q with their label sets: (point, labels).  Tight
+    coordinate v is label m + v and tight row i label i."""
+    m, n = game.m, game.n
+    for point, tight in vertices_nonneg_form(game.integer_payoffs[0], n):
+        yield point, frozenset(m + v if v <= n else v - n for v in tight)
 
 
 def equilibria_by_vertex_enumeration(game: BimatrixGame) -> list[MixedProfile]:

@@ -2,15 +2,15 @@
 and the matching pivot step.
 
 ``bareiss_solve`` works on integer systems and returns a common
-denominator; callers that keep their data as integers (support guessing,
-vertex enumeration) use it directly.  ``solve_square`` is the rational
-front: it scales each row to integers and returns Fractions.  ``pivot`` is
-the one integer pivot step on a compact dictionary and ``ratio_rows`` its
-one min-ratio test, both shared by the Lemke-Howson tableaux and the
-vertex enumerator.
+denominator; support guessing, which keeps its data as integers, uses it
+directly.  ``solve_square`` is the rational front: it scales each row to
+integers and returns Fractions.  ``pivot`` is the one integer pivot step
+on a compact dictionary and ``ratio_rows`` its one min-ratio test, both
+shared by the Lemke-Howson tableaux and the vertex enumerator, which
+solves no system of its own.
 
 Singular systems are a normal negative outcome here, not an error: callers
-probing support combinations or constraint subsets simply get ``None``.
+probing support combinations simply get ``None``.
 """
 
 from __future__ import annotations
@@ -129,7 +129,3 @@ def solve_square(matrix, rhs) -> list[Fraction] | None:
         return None
     numerators, denominator = solved
     return [Fraction(v, denominator) for v in numerators]
-
-
-def dot(u, v) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))

@@ -8,18 +8,18 @@ integers)``, the row times the lcm of its denominators (the format of
 the slack dictionary ``integers . z + s = scale`` is integral.  The search
 visits its feasible bases as lrs does (Avis 2000), one ``linalg.pivot``
 per basis and one ``linalg.ratio_rows`` per cobasic column, the pivot
-step and min-ratio test of the Lemke-Howson tableaux; a degenerate vertex
-has several bases and is reported once.
+step and min-ratio test of the Lemke-Howson tableaux.  A degenerate vertex
+has several bases and is reported once, with one set of tight positions;
+its order key is read off those bases, so nothing else is solved.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import gcd
 
 from .errors import InvariantError
-from .linalg import bareiss_solve, pivot, ratio_rows
+from .linalg import pivot, ratio_rows
 
 ZERO = Fraction(0)
 
@@ -61,19 +61,22 @@ def vertices_nonneg_form(int_rows, dim):
     """Vertices of ``{z >= 0, R z <= 1}``; ``int_rows`` lists the rows of R
     as ``(scale, integers)``, so row j reads ``integers . z <= scale``.
 
-    Yields ``(point, tight_coords, tight_rows)`` with 1-based index sets of
-    the binding constraints (``z_i = 0`` and ``(R z)_j = 1`` respectively).
-    Every vertex is reported once; the tight sets cover all constraints that
-    bind there, so a degenerate vertex reports more than ``dim`` of them.
+    Yields ``(point, tight)``: the 1-based positions of every constraint
+    that binds there, i for ``z_i = 0`` and ``dim + j`` for ``(R z)_j = 1``.
+    Every vertex is reported once; a degenerate vertex has more than
+    ``dim`` tight positions.
 
     The order is fixed by the key ``(|S|, S, T)``: S is the support, as
     ascending 0-based coordinates, and T the lexicographically first
     |S|-subset of the tight rows whose system on the columns S is
     nonsingular.  That is the order in which a search over square
     subsystems, by size, then free coordinates, then rows, first meets
-    each vertex.
+    each vertex.  No subsystem is solved for T: such a subset is exactly
+    the set of cobasic rows of a feasible basis of the vertex with |S|
+    cobasic rows, and the walk visits every feasible basis.
     """
-    found = {}
+    found = {}  # point key -> (S, point, tight positions)
+    first_rows = {}  # point key -> T, the least cobasic rows of size |S| so far
     for rows, basis, cobasis, det in feasible_bases(int_rows, dim):
         scaled = [0] * dim
         for var, row in zip(basis, rows):
@@ -81,29 +84,18 @@ def vertices_nonneg_form(int_rows, dim):
                 scaled[var] = row[-1]
         g = gcd(det, *scaled)
         point_key = (tuple(v // g for v in scaled), det // g)
-        if point_key in found:
-            continue
-        tight = set(cobasis)
-        tight.update(var for var, row in zip(basis, rows) if row[-1] == 0)
-        support = tuple(i for i in range(dim) if scaled[i])
-        tight_rows = [v - dim for v in sorted(tight) if v >= dim]
-        order = (len(support), support, _first_basis_rows(int_rows, support, tight_rows))
-        found[point_key] = (order, scaled, det, tight)
-    for _, scaled, det, tight in sorted(found.values(), key=lambda item: item[0]):
-        point = tuple(Fraction(v, det) if v else ZERO for v in scaled)
-        tight_coords = frozenset(v + 1 for v in tight if v < dim)
-        yield point, tight_coords, frozenset(v - dim + 1 for v in tight if v >= dim)
-
-
-def _first_basis_rows(int_rows, support, tight_rows) -> tuple[int, ...]:
-    """The lexicographically first |support|-subset of ``tight_rows``
-    (0-based, ascending) that is nonsingular on the columns ``support``.
-    A nondegenerate vertex has exactly |support| tight rows, so it needs
-    no solve."""
-    if len(tight_rows) == len(support):
-        return tuple(tight_rows)
-    columns = {j: [int_rows[j][1][c] for c in support] + [int_rows[j][0]] for j in tight_rows}
-    for subset in itertools.combinations(tight_rows, len(support)):
-        if bareiss_solve([list(columns[j]) for j in subset]) is not None:
-            return subset
-    raise InvariantError("vertex without a nonsingular set of tight rows")
+        if point_key not in found:
+            tight = [*cobasis, *(var for var, row in zip(basis, rows) if row[-1] == 0)]
+            found[point_key] = (
+                tuple(i for i in range(dim) if scaled[i]),
+                tuple(Fraction(v, det) if v else ZERO for v in scaled),
+                frozenset(v + 1 for v in tight),
+            )
+        # the cobasic slacks: rows shifted by dim, which keeps their order
+        cobasic_rows = tuple(sorted(v for v in cobasis if v >= dim))
+        if len(cobasic_rows) == len(found[point_key][0]):
+            first_rows[point_key] = min(cobasic_rows, first_rows.get(point_key, cobasic_rows))
+    if len(first_rows) < len(found):
+        raise InvariantError("vertex without a feasible basis on its support")
+    for key in sorted(found, key=lambda k: (len(found[k][0]), found[k][0], first_rows[k])):
+        yield found[key][1:]

@@ -4,12 +4,23 @@ import csv
 import os
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import galelemke
-from galelemke import GaleString, enumerate_gale_vertices
+from galelemke import (
+    BimatrixGame,
+    GaleString,
+    MixedProfile,
+    UnitVectorGame,
+    enumerate_gale_vertices,
+    triple_morris_game,
+)
 from galelemke.cli import build_parser, main
 from galelemke.gameio import (
     format_profile,
@@ -40,17 +51,51 @@ def game22_path(tmp_path):
     return str(path)
 
 
+payoffs = st.fractions(min_value=-99, max_value=99, max_denominator=12)
+
+
+@st.composite
+def bimatrix_games(draw):
+    """Games with negative and p/q payoffs, 1..4 x 1..4."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    matrix = st.lists(st.lists(payoffs, min_size=n, max_size=n), min_size=m, max_size=m)
+    return BimatrixGame.from_rows(draw(matrix), draw(matrix))
+
+
+@st.composite
+def unit_vector_games(draw):
+    """A label string over 1..m and a B with negative and p/q payoffs."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    ell = draw(st.lists(st.integers(1, m), min_size=n, max_size=n))
+    b = draw(st.lists(st.lists(payoffs, min_size=n, max_size=n), min_size=m, max_size=m))
+    return UnitVectorGame.of(m, ell, b)
+
+
+def mixed_strategies(size: int):
+    weights = st.lists(st.integers(0, 12), min_size=size, max_size=size).filter(any)
+    return weights.map(lambda w: [Fraction(v, sum(w)) for v in w])
+
+
+profiles = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda mn: st.builds(MixedProfile.of, mixed_strategies(mn[0]), mixed_strategies(mn[1]))
+)
+
+
 class TestFormats:
-    def test_bgame_round_trip(self, game22):
-        assert read_bgame(write_bgame(game22)) == game22
+    @settings(max_examples=50)
+    @given(bimatrix_games())
+    @example(read_bgame(GAME22_TEXT))
+    def test_bgame_round_trip(self, game):
+        assert read_bgame(write_bgame(game)) == game
 
-    def test_uvg_round_trip(self, tmp_path):
-        from galelemke import triple_morris_game
-
-        u = triple_morris_game(2)
-        path = tmp_path / "g.uvg"
-        path.write_text(write_uvg(u))
-        assert load_game(str(path)) == u
+    @settings(max_examples=50)
+    @given(unit_vector_games())
+    @example(triple_morris_game(2))
+    def test_uvg_round_trip(self, u):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.uvg"
+            path.write_text(write_uvg(u))
+            assert load_game(str(path)) == u
 
     def test_parse_error_reports_position(self):
         with pytest.raises(GameFormatError) as info:
@@ -73,10 +118,12 @@ class TestFormats:
         assert read_bgame(GAME22_TEXT + "\n  \n\n") == game22
         assert read_uvg("2 2\n1 2\n1 0\n0 1\n\n") == read_uvg("2 2\n1 2\n1 0\n0 1\n")
 
-    def test_profile_round_trip(self, game22_equilibrium):
-        text = format_profile(game22_equilibrium)
-        assert text == "1/3 2/3 0 ; 1/2 1/2 0"
-        assert parse_profile(text, 3, 3) == game22_equilibrium
+    @given(profiles)
+    @example(MixedProfile.of(["1/3", "2/3", 0], ["1/2", "1/2", 0]))
+    def test_profile_round_trip(self, profile):
+        text = format_profile(profile)
+        assert text == " ".join(map(str, profile.x)) + " ; " + " ".join(map(str, profile.y))
+        assert parse_profile(text, len(profile.x), len(profile.y)) == profile
 
     @pytest.mark.parametrize(
         "text, token, column",
@@ -162,6 +209,15 @@ class TestSolve:
         assert rows[0] == ["step", "dropped_label", "picked_label", "polytope", "basis"]
         assert len(rows) == 9
         assert rows[1][1:4] == ["1", "6", "P"]
+
+    def test_path_csv_needs_lh(self, game22_path, tmp_path, capsys):
+        out = tmp_path / "path.csv"
+        args = ["solve", game22_path, "--method", "support", "--path-csv", str(out)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert "--path-csv needs --method lh" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_uvg_input(self, tmp_path, capsys):
         out = tmp_path / "tm.uvg"

@@ -20,6 +20,8 @@ from galelemke import (
     lh_solve,
     project_path,
     random_game,
+    split_symmetric_profile,
+    symmetrize,
     triple_morris_game,
     triple_morris_polytope,
     verify_equilibrium,
@@ -30,6 +32,7 @@ from galelemke.generators import (
     _unit_vector_game_from_polytope,
     permutation_game,
 )
+from galelemke.linalg import solve_square
 
 from conftest import C_DEGENERATE
 
@@ -305,3 +308,56 @@ class TestInvariantsAndErrors:
             assert enumerate_equilibria(game) == enumerate_equilibria(shifted)
             for k in range(1, 7):
                 assert verify_equilibrium(game, lh_solve(game, k).equilibrium)
+
+
+class TestImitationWalk:
+    """Lemke-Howson on G = (A, B) is the P-only walk on the imitation game
+    of C = symmetrize(G).a (McLennan and Tourky 2010): the polytope
+    {z >= 0, C z <= 1} is P x Q with the same labels.  Of its 2M facet
+    positions (M = m + n), 1..m and M+m+1..2M belong to P, the rest to Q;
+    position v <= M has label v and position M + j label j."""
+
+    @staticmethod
+    def in_p(game, v):
+        return v <= game.m or v > 2 * game.m + game.n
+
+    def assert_same_walk(self, game, k):
+        big_m = game.m + game.n
+        c = symmetrize(game).a
+        u = UnitVectorGame.of(big_m, range(1, big_m + 1), [list(col) for col in zip(*c)])
+        walk, lh = lemke_path_on_unit_vector_game(u, k), lh_solve(game, k)
+        assert walk.label_sequence() == lh.path.label_sequence()
+        previous = walk.start
+        for step, lh_step in zip(walk.steps, lh.path.steps):
+            labels = {True: set(), False: set()}
+            for v in step.vertex:
+                labels[self.in_p(game, v)].add(v - big_m if v > big_m else v)
+            assert (labels[True], labels[False]) == lh_step.vertex
+            (dropped,) = previous - step.vertex
+            assert ("P" if self.in_p(game, dropped) else "Q") == lh_step.system
+            previous = step.vertex
+        # the endpoint's tight facets fix z, which splits into the LH equilibrium
+        tight = sorted(walk.endpoint)
+        rows = [[int(i == v - 1) for i in range(big_m)] if v <= big_m else c[v - big_m - 1] for v in tight]
+        z = solve_square(rows, [int(v > big_m) for v in tight])
+        assert split_symmetric_profile(game, z) == lh.equilibrium
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 4), st.integers(2, 5), st.integers(0, 10**6))
+    def test_matches_product_walk_on_nondegenerate_games(self, m, n, seed):
+        game = random_game(m, n, seed)
+        for k in range(1, m + n + 1):
+            self.assert_same_walk(game, k)
+
+    def test_degenerate_games_raise_or_match(self):
+        # on a degenerate G the imitation walk refuses a ratio-test tie
+        # that lh_solve breaks lexicographically
+        raised = 0
+        for seed in range(40):
+            game = random_game(3, 3, seed, payoff_range=(0, 2), filter_degenerate=False)
+            for k in range(1, 7):
+                try:
+                    self.assert_same_walk(game, k)
+                except DegenerateGameError:
+                    raised += 1
+        assert raised == 190

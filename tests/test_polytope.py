@@ -12,7 +12,7 @@ from galelemke import BimatrixGame, is_nondegenerate, random_game
 from galelemke.cyclic import cyclic_geometry, to_canonical_form
 from galelemke.game import transpose
 from galelemke.linalg import bareiss_solve, scaled_to_integers
-from galelemke.polytope import vertices_nonneg_form
+from galelemke.polytope import feasible_bases, vertices_nonneg_form
 
 
 @st.composite
@@ -66,8 +66,8 @@ def brute_force_vertices(int_rows, dim):
                 seen.add(key)
                 yield (
                     tuple(Fraction(v, den) for v in scaled),
-                    frozenset(i + 1 for i in range(dim) if scaled[i] == 0),
-                    frozenset(j + 1 for j, (v, (b, _)) in enumerate(zip(values, int_rows)) if v == b * den),
+                    frozenset(i + 1 for i in range(dim) if scaled[i] == 0)
+                    | frozenset(dim + j + 1 for j, (v, (b, _)) in enumerate(zip(values, int_rows)) if v == b * den),
                 )
 
 
@@ -108,10 +108,56 @@ def test_is_nondegenerate_matches_brute_force_label_counts():
         game = BimatrixGame.from_rows(a, b)
         a_rows, b_cols = game.integer_payoffs
         too_many = any(
-            len(coords) + len(rows) > dim
+            len(tight) > dim
             for int_rows, dim in ((b_cols, m), (a_rows, n))
-            for _, coords, rows in brute_force_vertices(int_rows, dim)
+            for _, tight in brute_force_vertices(int_rows, dim)
         )
         assert is_nondegenerate(game) == (not too_many)
         degenerate += too_many
     assert degenerate == 380
+
+
+def brute_force_bases(int_rows, dim):
+    """Every feasible basis of the slack dictionary ``integers . z + s =
+    scale``, by trying each R-subset of the dim + R variables: the subset
+    is a basis if its columns are nonsingular, and feasible if the basic
+    values are >= 0.  Maps each basis to its basic values."""
+    nrows = len(int_rows)
+    columns = [[row[v] for _, row in int_rows] for v in range(dim)]
+    columns += [[int(i == j) for i in range(nrows)] for j in range(nrows)]
+    bases = {}
+    for basis in itertools.combinations(range(dim + nrows), nrows):
+        aug = [[columns[v][i] for v in basis] + [int_rows[i][0]] for i in range(nrows)]
+        solved = bareiss_solve(aug)
+        if solved is not None and all(v >= 0 for v in solved[0]):
+            bases[frozenset(basis)] = dict(zip(basis, (Fraction(v, solved[1]) for v in solved[0])))
+    return bases
+
+
+def assert_feasible_bases_exact(int_rows, dim):
+    walked = [(frozenset(basis), basis, rows, det) for rows, basis, _, det in feasible_bases(int_rows, dim)]
+    expected = brute_force_bases(int_rows, dim)
+    assert len({key for key, *_ in walked}) == len(walked)
+    assert {key for key, *_ in walked} == set(expected)
+    for key, basis, rows, det in walked:
+        assert {v: Fraction(row[-1], det) for v, row in zip(basis, rows)} == expected[key]
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_systems())
+@example((2, [[1, 0], [0, 1], [1, 1]], [1, 1, 1]))  # three bases at (1, 0) and at (0, 1)
+@example((2, [[1, 1], [1, 1], [2, 2]], [1, 3, 2]))  # repeated rows
+def test_feasible_bases_are_exactly_the_feasible_bases(system):
+    dim, rows, scales = system
+    assert_feasible_bases_exact([(s, tuple(s * v for v in row)) for s, row in zip(scales, rows)], dim)
+
+
+def test_feasible_bases_are_exactly_the_feasible_bases_on_degenerate_games():
+    rng = random.Random(16)
+    for _ in range(60):
+        m, n = rng.randint(2, 4), rng.randint(2, 4)
+        a = [[rng.randint(0, 2) for _ in range(n)] for _ in range(m)]
+        b = [[rng.randint(0, 2) for _ in range(n)] for _ in range(m)]
+        a_rows, b_cols = BimatrixGame.from_rows(a, b).integer_payoffs
+        assert_feasible_bases_exact(b_cols, m)
+        assert_feasible_bases_exact(a_rows, n)
