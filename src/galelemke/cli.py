@@ -112,11 +112,15 @@ def _load_bimatrix(path: str):
 
 
 def cmd_solve(args) -> int:
-    if args.path_csv and args.method != "lh":
-        raise ValueError("--path-csv needs --method lh")
+    only = {"missing_label": "lh", "step_cap": "lh", "path_csv": "lh", "seed": "support"}
+    for dest, method in only.items():
+        if getattr(args, dest) is not None and args.method != method:
+            raise ValueError(f"--{dest.replace('_', '-')} needs --method {method}")
     game = _load_bimatrix(args.game)
     if args.method == "lh":
-        result = lh_solve(game, args.missing_label, step_cap=args.step_cap)
+        label = 1 if args.missing_label is None else args.missing_label
+        cap = DEFAULT_STEP_CAP if args.step_cap is None else args.step_cap
+        result = lh_solve(game, label, step_cap=cap)
         print(gameio.format_profile(result.equilibrium))
         print(f"path_length {result.path_length}")
         if args.path_csv:
@@ -373,9 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve a game file")
     solve.add_argument("game")
     solve.add_argument("--method", choices=["lh", "support"], default="lh")
-    solve.add_argument("--missing-label", type=int, default=1)
+    solve.add_argument("--missing-label", type=int)
     solve.add_argument("--seed", type=int)
-    solve.add_argument("--step-cap", type=int, default=DEFAULT_STEP_CAP)
+    solve.add_argument("--step-cap", type=int)
     solve.add_argument("--path-csv", help="dump the pivot path as CSV")
     solve.set_defaults(func=cmd_solve)
 

@@ -222,11 +222,12 @@ def verify_equilibrium(game: BimatrixGame, profile: MixedProfile) -> bool:
 
 
 def simplex_scaled(vec) -> tuple[Fraction, ...]:
-    """Divide by the coordinate sum.  The origin is not convertible."""
-    total = sum(vec, ZERO)
+    """Divide ints or Fractions by their sum, one Fraction per coordinate.
+    The origin is not convertible."""
+    total = sum(vec)
     if total <= 0:
         raise ValueError("cannot scale the origin (or a nonpositive vector) to the simplex")
-    return tuple(v / total for v in vec)
+    return tuple(Fraction(v, total) for v in vec)
 
 
 def p_vertices(game: BimatrixGame):
@@ -345,10 +346,7 @@ def imitation_game(c_rows) -> BimatrixGame:
         raise ValueError("matrix must be nonnegative (shift payoffs first)")
     if any(all(row[j] == 0 for row in c) for j in range(size)):
         raise ValueError("matrix must have no zero column")
-    identity = tuple(
-        tuple(ONE if i == j else ZERO for j in range(size)) for i in range(size)
-    )
-    return BimatrixGame(identity, transpose(c))
+    return UnitVectorGame(size, tuple(range(1, size + 1)), transpose(c)).to_bimatrix()
 
 
 # ---------------------------------------------------------------------------

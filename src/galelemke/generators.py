@@ -21,8 +21,8 @@ from .game import (
     BimatrixGame,
     MixedProfile,
     UnitVectorGame,
+    imitation_game,
     is_nondegenerate,
-    matrix_from,
 )
 
 RANDOM_GAME_RETRIES = 50
@@ -124,11 +124,7 @@ class PermutationGameSpec:
 
 def permutation_game(spec: PermutationGameSpec) -> BimatrixGame:
     n = spec.n
-    identity = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    permuted = [
-        [ONE if spec.pi[i] == j + 1 else ZERO for j in range(n)] for i in range(n)
-    ]
-    return BimatrixGame(matrix_from(identity), matrix_from(permuted))
+    return imitation_game([[int(spec.pi[j] == i + 1) for j in range(n)] for i in range(n)])
 
 
 def permutation_equilibria(spec: PermutationGameSpec) -> list[MixedProfile]:

@@ -17,12 +17,11 @@ nonnegative and rules out cycling even on degenerate inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import cycle
 
 from .errors import DegenerateGameError, InvariantError
 from .gale import _lemke_pivots
-from .game import ZERO, BimatrixGame, LabelSet, MixedProfile, UnitVectorGame, simplex_scaled
+from .game import BimatrixGame, LabelSet, MixedProfile, UnitVectorGame, simplex_scaled
 from .linalg import pivot, ratio_rows
 from .paths import PivotPath, PivotStep, capped
 
@@ -105,13 +104,11 @@ class _Tableau:
             raise InvariantError("pivot broke right-hand side nonnegativity")
         return leaving
 
-    def basic_value(self, var: int) -> Fraction:
+    def basic_value(self, var: int) -> int:
+        """The value of ``var`` times ``det`` (0 when it is cobasic)."""
         if var in self.cobasis:
-            return ZERO
-        return Fraction(self.rows[self.basis.index(var)][-1], self.det)
-
-    def nonbasic_labels(self) -> LabelSet:
-        return frozenset(v + 1 for v in self.cobasis)
+            return 0
+        return self.rows[self.basis.index(var)][-1]
 
 
 def _build_tableaux(game: BimatrixGame) -> tuple[_Tableau, _Tableau]:
@@ -151,6 +148,8 @@ def lh_steps(tableaux: tuple[_Tableau, _Tableau], missing_label: int):
     position m+n+v Q's, both with label v+1, and the tight positions are
     the cobasic ones.  The lexicographic rule keeps each label but the
     missing one on two tight positions, one per system, so P and Q alternate.
+    The walk keeps the two label sets itself: a pivot replaces only the
+    moved side's set, so consecutive steps share the other side's.
     """
     tab_p, tab_q = tableaux
     m, nvars = len(tab_q.rows), len(tab_p.rows) + len(tab_q.rows)
@@ -163,9 +162,10 @@ def lh_steps(tableaux: tuple[_Tableau, _Tableau], missing_label: int):
         return bits ^ 1 << p | 1 << q, q
 
     pivots = _lemke_pivots(labels, start, missing_label, step)
-    sides = cycle("PQ" if missing_label <= m else "QP")
-    for (_, dropped, picked), side in zip(pivots, sides):
-        yield PivotStep(dropped, picked, (tab_p.nonbasic_labels(), tab_q.nonbasic_labels()), side)
+    vertex = [frozenset(range(1, m + 1)), frozenset(range(m + 1, nvars + 1))]
+    for (_, dropped, picked), side in zip(pivots, cycle((0, 1) if missing_label <= m else (1, 0))):
+        vertex[side] = vertex[side] - {dropped} | {picked}
+        yield PivotStep(dropped, picked, tuple(vertex), "PQ"[side])
 
 
 def lh_solve(
@@ -238,5 +238,5 @@ def lemke_path_on_unit_vector_game(
         return bits ^ 1 << p | 1 << q, q
 
     pivots = _lemke_pivots(labels, (1 << m) - 1, target, step)
-    steps = (PivotStep(drop, pick, tab.nonbasic_labels(), "P") for _, drop, pick in pivots)
+    steps = (PivotStep(d, k, frozenset(v + 1 for v in tab.cobasis), "P") for _, d, k in pivots)
     return PivotPath(target, frozenset(range(1, m + 1)), tuple(capped(steps, step_cap)))

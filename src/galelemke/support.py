@@ -100,27 +100,22 @@ def solve_support(game: BimatrixGame, s1, s2) -> MixedProfile | None:
 def _solve_support(game: BimatrixGame, s1, s2) -> MixedProfile | None:
     """``solve_support`` on supports that are already ascending, in range
     and of equal size, as every support search builds them."""
-    m, n = game.m, game.n
-    size = len(s1)
     a_rows, b_cols = game.integer_payoffs
-
-    # player 2's mix makes player 1 indifferent across s1, and no row
-    # outside s1 beats it; only then is player 1's mix worth solving for
-    y_sol = _indifference_solution(a_rows, s1, s2)
-    if y_sol is None:
-        return None
-    y_num, y_den = y_sol
-    if any(w <= 0 for w in y_num[:size]) or _beaten(a_rows, s1, s2, y_num):
-        return None
-    # player 1's mix makes player 2 indifferent across s2, and no column
-    # outside s2 beats it
-    x_sol = _indifference_solution(b_cols, s2, s1)
+    # player 2's mix first: only if it holds is player 1's worth solving for
+    y_sol = _opponent_mix(a_rows, s1, s2)
+    x_sol = None if y_sol is None else _opponent_mix(b_cols, s2, s1)
     if x_sol is None:
         return None
-    x_num, x_den = x_sol
-    if any(w <= 0 for w in x_num[:size]) or _beaten(b_cols, s2, s1, x_num):
+    return MixedProfile(_mixed(game.m, s1, *x_sol), _mixed(game.n, s2, *y_sol))
+
+
+def _opponent_mix(scaled, own, other):
+    """``_indifference_solution`` if its weights are all positive and no
+    strategy outside ``own`` beats them, else None."""
+    sol = _indifference_solution(scaled, own, other)
+    if sol is None or min(sol[0][: len(own)]) <= 0 or _beaten(scaled, own, other, sol[0]):
         return None
-    return MixedProfile(_mixed(m, s1, x_num, x_den), _mixed(n, s2, y_num, y_den))
+    return sol
 
 
 def _hits(game: BimatrixGame, pairs):

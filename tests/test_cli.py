@@ -219,6 +219,30 @@ class TestSolve:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--method", "support", "--missing-label", "99"], "--missing-label needs --method lh"),
+            (["--method", "support", "--step-cap", "0"], "--step-cap needs --method lh"),
+            (["--method", "lh", "--seed", "5"], "--seed needs --method support"),
+            (["--seed", "5"], "--seed needs --method support"),
+        ],
+    )
+    def test_options_of_the_other_method_rejected(self, game22_path, tmp_path, capsys, options, message):
+        # rejected before the game is loaded: a missing file gives the same error
+        for path in (game22_path, str(tmp_path / "absent.bgame")):
+            assert main(["solve", path, *options]) == 2
+            captured = capsys.readouterr()
+            assert message in captured.err
+            assert captured.out == ""
+
+    def test_step_cap_applies_to_lh(self, game22_path, capsys):
+        # the worked example's label-1 path is 8 pivots long
+        assert main(["solve", game22_path, "--method", "lh", "--step-cap", "8"]) == 0
+        assert "path_length 8" in capsys.readouterr().out.splitlines()
+        assert main(["solve", game22_path, "--step-cap", "7"]) == 4
+        assert "step cap of 7" in capsys.readouterr().err
+
     def test_uvg_input(self, tmp_path, capsys):
         out = tmp_path / "tm.uvg"
         main(["gen", "triple-morris", "--m", "2", "--out", str(out)])

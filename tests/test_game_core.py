@@ -93,6 +93,15 @@ class TestMixedProfile:
     def test_origin_not_scalable(self):
         with pytest.raises(ValueError):
             simplex_scaled((Fraction(0), Fraction(0)))
+        with pytest.raises(ValueError):
+            simplex_scaled((0, 0))
+
+    def test_simplex_scaled_ints_and_fractions(self):
+        # lh_solve hands over integers (values times the basis determinant)
+        scaled = simplex_scaled((0, 2, 6))
+        assert scaled == (0, Fraction(1, 4), Fraction(3, 4))
+        assert all(type(v) is Fraction for v in scaled)
+        assert simplex_scaled((Fraction(1, 2), Fraction(1, 3))) == (Fraction(3, 5), Fraction(2, 5))
 
 
 class TestLabels:

@@ -6,6 +6,8 @@ from operator import mul
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import galelemke
 from galelemke import (
@@ -160,6 +162,33 @@ def test_integer_pivoting_keeps_one_positive_denominator(game):
             _check_common_denominator(tableaux[side], step.dropped - 1, starts[side])
             pivots += 1
         assert pivots > 0
+
+
+walk_games = st.one_of(
+    st.builds(random_game, st.integers(2, 4), st.integers(2, 4), st.integers(0, 10**6)),
+    st.builds(
+        lambda seed: random_game(3, 3, seed, payoff_range=(0, 2), filter_degenerate=False),
+        st.integers(0, 10**6),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(walk_games)
+def test_walk_label_sets_are_the_cobases(game):
+    # the product walk keeps its own label sets: they must be the ones the
+    # tableaux' cobases carry, and a pivot of one side must leave the other
+    # side's set object as it was
+    for label in range(1, game.m + game.n + 1):
+        tableaux = _build_tableaux(game)
+        before = None
+        for step in lh_steps(tableaux, label):
+            assert step.vertex == tuple(frozenset(v + 1 for v in tab.cobasis) for tab in tableaux)
+            if before is not None:
+                kept = 1 if step.system == "P" else 0
+                assert step.system != before.system
+                assert step.vertex[kept] is before.vertex[kept]
+            before = step
 
 
 def test_no_assert_in_package_sources():
