@@ -66,9 +66,10 @@ class MixedProfile:
                 raise ValueError(f"{name} must be nonempty")
             if any(not isinstance(v, (Fraction, int)) for v in vec):
                 raise TypeError(f"{name} must hold exact rationals")
-            if any(v < 0 for v in vec):
+            scale, ints = scaled_to_integers(vec)
+            if min(ints) < 0:
                 raise ValueError(f"{name} has a negative component")
-            if sum(vec) != 1:
+            if sum(ints) != scale:
                 raise ValueError(f"{name} must sum to 1, got {sum(vec)}")
 
     @classmethod
@@ -155,6 +156,37 @@ class BimatrixGame:
             tuple(scaled_to_integers(row) for row in a2),
             tuple(scaled_to_integers(col) for col in transpose(b2)),
         )
+
+    @cached_property
+    def _dominance(self):
+        """``dominance_masks`` of ``a_rows`` and of ``b_cols``, built at
+        the first support guess on this game."""
+        return tuple(map(dominance_masks, self.integer_payoffs))
+
+
+def dominance_masks(scaled):
+    """``(nonzero, beaten_by)`` for the ``(scale, integers)`` vectors of
+    ``integer_payoffs``, as bit masks with bit j for column j (1-based):
+    ``nonzero[i]`` holds the columns where vector i+1 is nonzero, and
+    ``beaten_by[i]`` one ``(lt, gt)`` for each vector that is above vector
+    i+1 on some column, with the columns where it is below and above.
+    Payoffs ``integers / scale`` are compared by cross-multiplication."""
+    nonzero = tuple(sum(1 << j for j, v in enumerate(row, start=1) if v) for _, row in scaled)
+    beaten_by = []
+    for scale_i, row_i in scaled:
+        pairs = []
+        for scale_k, row_k in scaled:
+            lt = gt = 0
+            for j, (v, w) in enumerate(zip(row_i, row_k), start=1):
+                diff = w * scale_i - v * scale_k
+                if diff < 0:
+                    lt |= 1 << j
+                elif diff > 0:
+                    gt |= 1 << j
+            if gt:
+                pairs.append((lt, gt))
+        beaten_by.append(tuple(pairs))
+    return nonzero, tuple(beaten_by)
 
 
 def _shift_amount(mat: Matrix, vectors) -> Fraction:

@@ -15,7 +15,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
-from operator import ge, le
 
 from .errors import BudgetExceededError, InvariantError, NoEquilibriumError
 from .game import ZERO, BimatrixGame, MixedProfile, UnitVectorGame, verify_equilibrium
@@ -24,34 +23,36 @@ from .linalg import bareiss_solve
 MAX_SUPPORT_PAIRS = 1 << 22
 
 
-def _indifference_solution(scaled, own, other):
+def _indifference_solution(scaled, masks, own, other):
     """Weights on ``other`` that make the opponent indifferent across
     ``own``, which sum to 1, and the common payoff.
 
     ``scaled[k]`` is the opponent's payoff vector of own strategy k+1 as a
     ``(scale, integers)`` pair; the integers (normalized payoffs) are
-    nonnegative.  Returns ``(numerators, denominator)`` with the weights
-    first and the scaled payoff last, or None if the system is singular or
-    a row of ``own`` beats another on ``other``: one row is zero there
-    while another is not (checked as the rows are built), or two rows of
-    equal scale differ and one is >= the other on every column.  Both
-    rules are exact: against positive weights the larger row earns
-    strictly more, so the rows cannot be indifferent and any solution has
-    a weight <= 0.  Rows of different scales are not compared.
+    nonnegative, and ``masks`` is ``dominance_masks(scaled)``.  Returns
+    ``(numerators, denominator)`` with the weights first and the scaled
+    payoff last, or None if the system is singular or a row i of ``own``
+    is beaten on ``other``: some row k, in ``own`` or not, is >= i on
+    every column of ``other`` and > i on one (checked first, as the cheap
+    case: i is zero there while another row of ``own`` is not).  The rule
+    is exact for ``_opponent_mix``: against weights positive on ``other``,
+    k earns strictly more than i.  So if k is in ``own`` the rows cannot
+    be indifferent and any solution has a weight <= 0, and if k is not,
+    it beats the support payoff and ``_beaten`` rejects the weights.
     """
+    support = sum(1 << j for j in other)
+    nonzero, beaten_by = masks
+    hit = [nonzero[i - 1] & support != 0 for i in own]
+    if any(hit) != all(hit):
+        return None
+    for i in own:
+        for lt, gt in beaten_by[i - 1]:
+            if not support & lt and support & gt:
+                return None
     system = []
     for i in own:
         scale, entries = scaled[i - 1]
-        row = [entries[j - 1] for j in other]
-        if not system:
-            zero = not any(row)
-        elif zero != (not any(row)):
-            return None
-        system.append(row + [-scale, 0])
-    # equal scales make the last two entries equal, so whole rows compare
-    for a, b in itertools.combinations(system, 2):
-        if a[-2] == b[-2] and a != b and (all(map(ge, a, b)) or all(map(le, a, b))):
-            return None
+        system.append([entries[j - 1] for j in other] + [-scale, 0])
     system.append([1] * len(other) + [0, 1])
     return bareiss_solve(system)
 
@@ -101,18 +102,19 @@ def _solve_support(game: BimatrixGame, s1, s2) -> MixedProfile | None:
     """``solve_support`` on supports that are already ascending, in range
     and of equal size, as every support search builds them."""
     a_rows, b_cols = game.integer_payoffs
+    a_masks, b_masks = game._dominance
     # player 2's mix first: only if it holds is player 1's worth solving for
-    y_sol = _opponent_mix(a_rows, s1, s2)
-    x_sol = None if y_sol is None else _opponent_mix(b_cols, s2, s1)
+    y_sol = _opponent_mix(a_rows, a_masks, s1, s2)
+    x_sol = None if y_sol is None else _opponent_mix(b_cols, b_masks, s2, s1)
     if x_sol is None:
         return None
     return MixedProfile(_mixed(game.m, s1, *x_sol), _mixed(game.n, s2, *y_sol))
 
 
-def _opponent_mix(scaled, own, other):
+def _opponent_mix(scaled, masks, own, other):
     """``_indifference_solution`` if its weights are all positive and no
     strategy outside ``own`` beats them, else None."""
-    sol = _indifference_solution(scaled, own, other)
+    sol = _indifference_solution(scaled, masks, own, other)
     if sol is None or min(sol[0][: len(own)]) <= 0 or _beaten(scaled, own, other, sol[0]):
         return None
     return sol

@@ -82,6 +82,18 @@ class TestMixedProfile:
         with pytest.raises(ValueError):
             MixedProfile.of(["1/2", "1/3"], [1, 0])
 
+    def test_sum_of_ints_and_fractions(self):
+        # the sum is checked on integers; the message shows the exact sum
+        p = MixedProfile((0, Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 4), 0, Fraction(3, 4)))
+        assert p.support() == (frozenset({2, 3}), frozenset({1, 3}))
+        assert MixedProfile((1, 0), (True, False)).y == (True, False)
+        with pytest.raises(ValueError, match=r"^x must sum to 1, got 4/3$"):
+            MixedProfile((1, Fraction(1, 3), 0), (1,))
+        with pytest.raises(ValueError, match=r"^y must sum to 1, got 2$"):
+            MixedProfile((Fraction(1, 2), Fraction(1, 2)), (1, 1))
+        with pytest.raises(ValueError, match=r"^y must sum to 1, got 5/6$"):
+            MixedProfile((1,), (Fraction(1, 2), 0, Fraction(1, 3)))
+
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             MixedProfile.of([0.5, 0.5], [1, 0])

@@ -1,11 +1,12 @@
 """Support guessing: single pairs, full enumeration, randomized search."""
 
+import random
 import statistics
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from operator import ge, le
+from operator import ge
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,11 +15,14 @@ from hypothesis import strategies as st
 from galelemke import (
     AllColumnSubsets,
     BimatrixGame,
+    MixedProfile,
     OnePerLabelClass,
     PermutationGameSpec,
     count_equilibrium_supports,
     enumerate_equilibria,
+    equilibria_by_vertex_enumeration,
     expected_guesses,
+    is_nondegenerate,
     permutation_game,
     random_game,
     randomized_support_search,
@@ -27,8 +31,9 @@ from galelemke import (
     verify_equilibrium,
 )
 from galelemke.errors import BudgetExceededError, NoEquilibriumError
+from galelemke.game import dominance_masks
 from galelemke.linalg import bareiss_solve
-from galelemke.support import _indifference_solution, search_equal_supports
+from galelemke.support import _indifference_solution, _opponent_mix, search_equal_supports
 
 from conftest import C_THREE_EQ
 
@@ -45,6 +50,52 @@ def indifference_systems(draw):
     own = sorted(draw(st.sets(st.integers(1, n_own), min_size=k, max_size=k)))
     other = sorted(draw(st.sets(st.integers(1, n_other), min_size=k, max_size=k)))
     return scaled, own, other
+
+
+def _plain_solve(scaled, own, other):
+    """Bareiss on the indifference system of ``own`` against ``other``."""
+    aug = [[scaled[i - 1][1][j - 1] for j in other] + [-scaled[i - 1][0], 0] for i in own]
+    aug.append([1] * len(other) + [0, 1])
+    return bareiss_solve(aug)
+
+
+def _plain_mix(scaled, own, other):
+    """Reference for ``support._opponent_mix``: plain elimination, then
+    positive weights, then no row outside ``own`` above the payoff."""
+    sol = _plain_solve(scaled, own, other)
+    if sol is None or min(sol[0][: len(other)]) <= 0:
+        return None
+    weights, payoff = sol[0][:-1], sol[0][-1]
+    for i, (scale, entries) in enumerate(scaled, start=1):
+        if i not in own and sum(entries[j - 1] * w for j, w in zip(other, weights)) > scale * payoff:
+            return None
+    return sol
+
+
+@st.composite
+def rational_games(draw):
+    """Nondegenerate 1..4 x 1..4 games with payoffs p/q (q up to 6), so
+    the rows of A and columns of B get different integer scales."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entry = st.builds(Fraction, st.integers(0, 12), st.integers(1, 6))
+    matrix = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)
+    return draw(st.builds(BimatrixGame.from_rows, matrix, matrix).filter(is_nondegenerate))
+
+
+def _plain_profile(game, s1, s2):
+    """Reference for ``solve_support``: both mixes by ``_plain_mix``."""
+    a_rows, b_cols = game.integer_payoffs
+    y_sol = _plain_mix(a_rows, s1, s2)
+    x_sol = y_sol and _plain_mix(b_cols, s2, s1)
+    if not x_sol:
+        return None
+    weights = []
+    for size, support, (nums, den) in ((game.m, s1, x_sol), (game.n, s2, y_sol)):
+        w = [Fraction(0)] * size
+        for k, v in zip(support, nums):
+            w[k - 1] = Fraction(v, den)
+        weights.append(tuple(w))
+    return MixedProfile(*weights)
 
 
 class TestSolveSupport:
@@ -87,33 +138,50 @@ class TestSolveSupport:
 
     @settings(max_examples=400, deadline=None)
     @given(indifference_systems())
-    @example(([(1, (0, 0)), (1, (1, 2))], [1, 2], [1, 2]))  # solvable, weights 2 and -1
+    @example(([(1, (0, 0)), (1, (1, 2))], [1, 2], [1, 2]))  # zero row: rejected (solve gives 2, -1)
     @example(([(2, (0,)), (1, (0,))], [1], [1]))  # every row zero: not rejected
     @example(([(1, (2, 1)), (1, (1, 1))], [1, 2], [1, 2]))  # equal scales, dominated: rejected
     @example(([(2, (2, 4)), (1, (2, 1))], [1, 2], [1, 2]))  # payoffs (1, 2) and (2, 1): not rejected
     @example(([(1, (1, 2)), (1, (1, 2))], [1, 2], [1, 2]))  # equal rows: not rejected (singular)
+    @example(([(2, (2, 4)), (1, (1, 3))], [1, 2], [1, 2]))  # payoffs (1, 2) and (1, 3): rejected
+    @example(([(1, (2, 1)), (1, (1, 2)), (1, (2, 2))], [1, 2], [1, 2]))  # outside row 3 beats: rejected
+    @example(([(1, (2, 1)), (1, (1, 2)), (2, (4, 2))], [1, 2], [1, 2]))  # outside row 3 equals row 1: kept
     def test_zero_row_rejection_is_exact(self, system):
-        # a row zero on the opponent's support beside a nonzero one, and a
-        # row that dominates another of equal scale, are rejected before
-        # elimination; the elimination itself must then find the system
-        # singular or a weight that is not positive
+        # the mask rules reject exactly the guesses where some row is >= a
+        # row i of own on every column of other and > on one (a zero row
+        # beside a nonzero one is such a case), compared as payoffs
+        # integers / scale; the guesses they reject never change the mix
         scaled, own, other = system
-        rows = [[scaled[i - 1][1][j - 1] for j in other] for i in own]
-        aug = [row + [-scaled[i - 1][0], 0] for row, i in zip(rows, own)]
-        aug.append([1] * len(other) + [0, 1])
-        solved = bareiss_solve(aug)
-        got = _indifference_solution(scaled, own, other)
-        pairs = combinations([(scaled[i - 1][0], row) for i, row in zip(own, rows)], 2)
+        masks = dominance_masks(scaled)
+        payoffs = [[Fraction(entries[j - 1], scale) for j in other] for scale, entries in scaled]
         dominated = any(
-            sa == sb and ra != rb and (all(map(ge, ra, rb)) or all(map(le, ra, rb)))
-            for (sa, ra), (sb, rb) in pairs
+            row != payoffs[i - 1] and all(map(ge, row, payoffs[i - 1]))
+            for i in own
+            for row in payoffs
         )
-        if dominated or 0 < sum(not any(row) for row in rows) < len(rows):
-            assert got is None
-        else:
-            assert got == solved
-        if got is None:
-            assert solved is None or any(w <= 0 for w in solved[0][: len(other)])
+        got = _indifference_solution(scaled, masks, own, other)
+        assert got == (None if dominated else _plain_solve(scaled, own, other))
+        assert _opponent_mix(scaled, masks, own, other) == _plain_mix(scaled, own, other)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_games(), st.one_of(st.none(), st.integers(0, 1000)))
+    def test_rational_games_match_plain_elimination(self, game, seed):
+        # the dominance masks compare rows of different scales here
+        assert enumerate_equilibria(game) == equilibria_by_vertex_enumeration(game)
+        pairs = [
+            (s1, s2)
+            for k in range(1, min(game.m, game.n) + 1)
+            for s1 in combinations(range(1, game.m + 1), k)
+            for s2 in combinations(range(1, game.n + 1), k)
+        ]
+        if seed is not None:
+            random.Random(seed).shuffle(pairs)
+        expected = next(
+            (profile, guess)
+            for guess, pair in enumerate(pairs, start=1)
+            if (profile := _plain_profile(game, *pair)) is not None
+        )
+        assert search_equal_supports(game, seed) == expected
 
 
 class TestEnumerateEquilibria:
