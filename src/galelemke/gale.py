@@ -10,9 +10,10 @@ a purely combinatorial operation: no arithmetic, a few bit scans per pivot.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
-from .errors import BudgetExceededError, DegenerateGameError, InvariantError
-from .paths import PivotPath, PivotStep, capped
+from .errors import BudgetExceededError, DegenerateGameError, InvariantError, StepCapExceededError
+from .paths import PivotPath, PivotStep
 
 MAX_ENUMERATED = 1_000_000
 
@@ -240,7 +241,7 @@ def completely_labeled_strings(poly: LabeledGalePolytope) -> list[GaleString]:
     return [s for s in enumerate_gale_vertices(poly.m, poly.f) if poly.labels_of(s) == full]
 
 
-def _lemke_pivots(labels, start: int, missing_label: int, step):
+def _lemke_pivots(labels, start: int, missing_label: int, step, cap: int | None):
     """Generate (new_bits, dropped_label, picked_label) pivots of the
     label-forced walk for the missing label: the one walk of the Gale engine
     and of both Lemke-Howson walks.  ``start`` is the bit mask of the tight
@@ -248,15 +249,22 @@ def _lemke_pivots(labels, start: int, missing_label: int, step):
     ``labels[q]`` is q's label.  The walk first drops the start position
     with the missing label; after picking up label l it drops the other
     tight position with label l, by the pivot ``step(bits, p)``, which
-    returns (new bits, entered position)."""
+    returns (new bits, entered position).
+
+    The walk takes at most ``cap`` pivots (``None``: no cap).  If it has
+    not ended by then, it raises StepCapExceededError with ``steps_taken ==
+    cap`` instead of computing pivot cap + 1.
+    """
     k = start.bit_count()
     if not 1 <= missing_label <= k:
         raise ValueError(f"missing label {missing_label} out of range 1..{k}")
+    if cap is not None and cap < 0:
+        raise ValueError(f"step cap must be nonnegative, got {cap}")
     masks = [0] * (k + 1)  # masks[lab]: the positions carrying label lab
     for q, lab in enumerate(labels):
         masks[lab] |= 1 << q
     bits, p0 = start, (start & masks[missing_label]).bit_length() - 1
-    while True:
+    for _ in repeat(None) if cap is None else repeat(None, cap):
         dropped = labels[p0]
         bits, q0 = step(bits, p0)
         picked = labels[q0]
@@ -270,6 +278,7 @@ def _lemke_pivots(labels, start: int, missing_label: int, step):
                 "labeling is degenerate"
             )
         p0 = (holders ^ 1 << q0).bit_length() - 1
+    raise StepCapExceededError(f"pivoting exceeded the step cap of {cap} pivots", cap)
 
 
 def combinatorial_lemke(
@@ -287,8 +296,8 @@ def combinatorial_lemke(
     f = poly.f
     steps: list[PivotStep] = []
     visited = {start.bits}
-    pivots = _lemke_pivots(poly.position_labels(), start.bits, missing_label, _gale_step(f))
-    for bits, dropped, picked in capped(pivots, step_cap):
+    pivots = _lemke_pivots(poly.position_labels(), start.bits, missing_label, _gale_step(f), step_cap)
+    for bits, dropped, picked in pivots:
         vertex = _gale_string(f, bits)
         if bits in visited:
             raise InvariantError(f"pivoting revisited vertex {vertex}")
@@ -306,10 +315,10 @@ def lemke_path_length(
     The step cap works as in ``combinatorial_lemke``.
     """
     start = (1 << poly.m) - 1
-    pivots = _lemke_pivots(poly.position_labels(), start, missing_label, _gale_step(poly.f))
-    for count, pivot in enumerate(capped(pivots, step_cap), 1):
+    pivots = _lemke_pivots(poly.position_labels(), start, missing_label, _gale_step(poly.f), step_cap)
+    for length, pivot in enumerate(pivots, 1):
         pass
-    return count, _gale_string(poly.f, pivot[0])
+    return length, _gale_string(poly.f, pivot[0])
 
 
 # ---------------------------------------------------------------------------

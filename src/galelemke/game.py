@@ -314,8 +314,8 @@ def is_nondegenerate(game: BimatrixGame) -> bool:
         )
     a_rows, b_cols = game.integer_payoffs
     for int_rows, dim in ((b_cols, game.m), (a_rows, game.n)):
-        for rows, _, _, _ in feasible_bases(int_rows, dim):
-            if any(row[-1] == 0 for row in rows):
+        for d in feasible_bases(int_rows, dim):
+            if any(row[-1] == 0 for row in d.rows):
                 return False
     return True
 

@@ -139,7 +139,16 @@ def load_game(path: str):
 
 
 def save_game(path: str, game) -> None:
-    text = write_uvg(game) if isinstance(game, UnitVectorGame) else write_bgame(game)
+    """Write a game in the format ``load_game`` reads from the suffix:
+    ".uvg" takes only a UnitVectorGame, anything else gets ".bgame" text
+    (of ``to_bimatrix()`` for a unit-vector game)."""
+    unit_vector = isinstance(game, UnitVectorGame)
+    if str(path).endswith(".uvg"):
+        if not unit_vector:
+            raise ValueError(f"{path}: a .uvg file holds only a unit-vector game")
+        text = write_uvg(game)
+    else:
+        text = write_bgame(game.to_bimatrix() if unit_vector else game)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
 

@@ -1,21 +1,18 @@
-"""Pivot-path records and the step-cap runner shared by the tableau solver
-and the bitstring engine.
+"""Pivot-path records shared by the tableau solver and the bitstring engine.
 
 A path starts at a completely labeled vertex, drops the missing label, and
 pivots along almost-complementary edges until the missing label is picked
 up again.  Steps record the vertex reached, which label's facet was left
 (dropped) and which was hit (picked up), and, for paths on a product of two
-polytopes, which side moved.
+polytopes, which side moved.  Every walk is generated, and cut at its
+step cap, by the one label-forced loop ``gale._lemke_pivots``.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import chain, islice
-from typing import Any, Iterable, Iterator, NamedTuple
-
-from .errors import StepCapExceededError
+from typing import Any, Iterable, NamedTuple
 
 
 class PivotStep(NamedTuple):
@@ -45,27 +42,6 @@ class PivotPath:
 
     def label_sequence(self) -> list[tuple[int, int]]:
         return [(step.dropped, step.picked) for step in self.steps]
-
-
-def capped(pivots: Iterator, cap: int | None) -> Iterator:
-    """The first ``cap`` pivots of the stream; raises StepCapExceededError
-    with ``steps_taken == cap`` if the stream holds a pivot ``cap + 1``.
-
-    ``cap=None`` returns the stream itself.  The cut adds no Python frame
-    per pivot: ``islice`` forwards the pivots and the overflow check runs
-    once, after the last allowed one.
-    """
-    if cap is None:
-        return pivots
-    if cap < 0:
-        raise ValueError(f"step cap must be nonnegative, got {cap}")
-    return chain(islice(pivots, cap), _nothing_left(pivots, cap))
-
-
-def _nothing_left(pivots: Iterator, cap: int) -> Iterator:
-    for _ in pivots:
-        raise StepCapExceededError(f"pivoting exceeded the step cap of {cap} pivots", cap)
-    yield from ()
 
 
 def _basis_names(labels: Iterable[int], m: int, n: int, side: str) -> str:

@@ -7,16 +7,19 @@ integers)``, the row times the lcm of its denominators (the format of
 ``linalg.scaled_to_integers`` and ``BimatrixGame.integer_payoffs``), so
 the slack dictionary ``integers . z + s = scale`` is integral.  The search
 visits its feasible bases as lrs does (Avis 2000), one ``linalg.pivot``
-per basis and one ``linalg.ratio_rows`` per cobasic column, the pivot
-step and min-ratio test of the Lemke-Howson tableaux.  A degenerate vertex
-has several bases and is reported once, with one set of tight positions;
-its order key is read off those bases, so nothing else is solved.
+per basis and one ``linalg.ratio_rows`` per cobasic column.  Each basis
+is a ``Dictionary``, the compact integer dictionary that both
+Lemke-Howson walks pivot too, as lrsnash does with one dictionary for
+both jobs.  A degenerate vertex has several bases and is reported once,
+with one set of tight positions; its order key is read off those bases,
+so nothing else is solved.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .errors import InvariantError
 from .linalg import pivot, ratio_rows
@@ -24,37 +27,72 @@ from .linalg import pivot, ratio_rows
 ZERO = Fraction(0)
 
 
-def feasible_bases(int_rows, dim):
-    """Every feasible basis of the slack dictionary of ``{z >= 0, R z <=
-    1}``, once each, depth first from the slack basis (the origin).
+class Dictionary(NamedTuple):
+    """A compact integer dictionary of ``{z >= 0, R z <= 1}``, as in lrs
+    (Avis 2000) and lrsnash: the one pivoting kernel of the vertex
+    enumerator and of both Lemke-Howson walks.
 
-    Yields ``(rows, basis, cobasis, det)`` in the layout of
-    ``linalg.pivot``: row r reads ``det * basis[r] + sum(rows[r][c] *
-    cobasis[c]) = rows[r][-1]``, with ``det > 0``.  Variable v < dim is
-    z_v and variable dim + j the slack of row j.  Every cobasic column
-    takes the min-ratio test and every tied leaving row is followed,
-    because the graph of feasible bases is connected even on a degenerate
-    polytope; a column with no positive entry is an unbounded edge.
+    Row r reads ``det * basis[r] + sum(rows[r][c] * cobasis[c]) =
+    rows[r][-1]``, with ``det > 0`` the determinant of the basis: every
+    entry is an integer over that common denominator.  Variable v < dim is
+    z_v and variable dim + j the slack of row j, where dim is the length
+    of the cobasis.
     """
-    start = [[*integers, b] for b, integers in int_rows]
+
+    rows: list[list[int]]
+    basis: list[int]
+    cobasis: list[int]
+    det: int
+
+    @classmethod
+    def slack(cls, int_rows, dim: int) -> "Dictionary":
+        """The origin: rows ``(scale, integers)`` read ``integers . z + s =
+        scale``, so the slack basis has det 1; positive row scales leave the
+        ratio test, its ties and the lexicographic order unchanged."""
+        rows = [[*integers, b] for b, integers in int_rows]
+        return cls(rows, list(range(dim, dim + len(rows))), list(range(dim)), 1)
+
+    def pivoted(self, r: int, c: int) -> "Dictionary":
+        """The dictionary after ``cobasis[c]`` enters on row r (one
+        ``linalg.pivot``); this one is left unchanged."""
+        rows, basis, cobasis, det = self
+        basis, cobasis = list(basis), list(cobasis)
+        basis[r], cobasis[c] = cobasis[c], basis[r]
+        # tuple.__new__ skips the NamedTuple's Python-level __new__: one call less per pivot
+        return tuple.__new__(Dictionary, (pivot(rows, r, c, det), basis, cobasis, rows[r][c]))
+
+    def scaled_point(self) -> list[int]:
+        """The basic solution's z times ``det``."""
+        dim = len(self.cobasis)
+        z = [0] * dim
+        for var, row in zip(self.basis, self.rows):
+            if var < dim:
+                z[var] = row[-1]
+        return z
+
+
+def feasible_bases(int_rows, dim):
+    """Every feasible basis of ``{z >= 0, R z <= 1}`` as a ``Dictionary``,
+    once each, depth first from the slack basis (the origin).
+
+    Every cobasic column takes the min-ratio test and every tied leaving
+    row is followed, because the graph of feasible bases is connected even
+    on a degenerate polytope; a column with no positive entry is an
+    unbounded edge.
+    """
     mask = (1 << dim) - 1  # a cobasis as the bit mask of its variables
     seen = {mask}
-    stack = [(start, list(range(dim, dim + len(int_rows))), list(range(dim)), 1, mask)]
+    stack = [(Dictionary.slack(int_rows, dim), mask)]
     while stack:
-        rows, basis, cobasis, det, mask = stack.pop()
-        yield rows, basis, cobasis, det
+        d, mask = stack.pop()
+        yield d
+        rows, basis, cobasis, _ = d
         for c, entering in enumerate(cobasis):
             for r in ratio_rows(rows, c):
-                leaving = basis[r]
-                key = mask ^ (1 << entering) ^ (1 << leaving)
-                if key in seen:
-                    continue
-                seen.add(key)
-                new_basis = list(basis)
-                new_basis[r] = entering
-                new_cobasis = list(cobasis)
-                new_cobasis[c] = leaving
-                stack.append((pivot(rows, r, c, det), new_basis, new_cobasis, rows[r][c], key))
+                key = mask ^ (1 << entering) ^ (1 << basis[r])
+                if key not in seen:
+                    seen.add(key)
+                    stack.append((d.pivoted(r, c), key))
 
 
 def vertices_nonneg_form(int_rows, dim):
@@ -77,11 +115,9 @@ def vertices_nonneg_form(int_rows, dim):
     """
     found = {}  # point key -> (S, point, tight positions)
     first_rows = {}  # point key -> T, the least cobasic rows of size |S| so far
-    for rows, basis, cobasis, det in feasible_bases(int_rows, dim):
-        scaled = [0] * dim
-        for var, row in zip(basis, rows):
-            if var < dim:
-                scaled[var] = row[-1]
+    for d in feasible_bases(int_rows, dim):
+        rows, basis, cobasis, det = d
+        scaled = d.scaled_point()
         g = gcd(det, *scaled)
         point_key = (tuple(v // g for v in scaled), det // g)
         if point_key not in found:

@@ -26,6 +26,7 @@ from galelemke.gameio import (
     format_profile,
     load_game,
     parse_profile,
+    save_game,
     read_bgame,
     read_uvg,
     write_bgame,
@@ -96,6 +97,17 @@ class TestFormats:
             path = Path(tmp) / "g.uvg"
             path.write_text(write_uvg(u))
             assert load_game(str(path)) == u
+
+    def test_save_then_load_follows_the_suffix(self, tmp_path, game22):
+        u = triple_morris_game(4)
+        for name, game, loaded in [
+            ("u.uvg", u, u),
+            ("u.bgame", u, u.to_bimatrix()),
+            ("u.txt", u, u.to_bimatrix()),
+            ("g.bgame", game22, game22),
+        ]:
+            save_game(str(tmp_path / name), game)
+            assert load_game(str(tmp_path / name)) == loaded
 
     def test_parse_error_reports_position(self):
         with pytest.raises(GameFormatError) as info:
@@ -173,6 +185,23 @@ class TestGen:
         out = tmp_path / "pi.bgame"
         assert main(["gen", "permutation", "--n", "3", "--pi", "2 1", "--out", str(out)]) == 2
         assert "disagrees with --pi" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unit_vector_game_as_bgame_solves(self, tmp_path, capsys):
+        # the file format follows the suffix, so solve reads what gen wrote
+        bgame, uvg = tmp_path / "m4.bgame", tmp_path / "m4.uvg"
+        assert main(["gen", "morris", "--m", "4", "--out", str(bgame)]) == 0
+        assert main(["gen", "morris", "--m", "4", "--out", str(uvg)]) == 0
+        capsys.readouterr()
+        assert main(["solve", str(bgame)]) == 0
+        from_bgame = capsys.readouterr().out
+        assert main(["solve", str(uvg)]) == 0
+        assert capsys.readouterr().out == from_bgame
+
+    def test_bimatrix_game_as_uvg_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "p.uvg"
+        assert main(["gen", "permutation", "--n", "3", "--out", str(out)]) == 2
+        assert "unit-vector game" in capsys.readouterr().err
         assert not out.exists()
 
     def test_shuffled_columns(self, tmp_path):

@@ -21,12 +21,19 @@ from galelemke import (
     triple_morris_game,
     triple_morris_polytope,
 )
-from galelemke import support
+from galelemke import gale, lemke_howson, support
 from galelemke.cli import main
-from galelemke.errors import GaleLemkeError, InvariantError, StepCapExceededError
+from galelemke.errors import (
+    DegenerateGameError,
+    GaleLemkeError,
+    InvariantError,
+    StepCapExceededError,
+)
+from galelemke.game import UnitVectorGame
 from galelemke.generators import random_game
-from galelemke.lemke_howson import _build_tableaux, _Tableau, lh_steps
+from galelemke.lemke_howson import _leaving_row, _pivot, lh_steps
 from galelemke.linalg import bareiss_solve
+from galelemke.polytope import Dictionary, feasible_bases
 
 ENTRY_POINTS = {
     "combinatorial_lemke": lambda cap: combinatorial_lemke(
@@ -44,15 +51,48 @@ ENTRY_POINTS = {
 }
 
 
+def _count_pivots(monkeypatch, name):
+    """A list that gets one entry per pivot the walk ``name`` computes."""
+    computed = []
+    if name in ("combinatorial_lemke", "lemke_path_length"):
+        gale_step = gale._gale_step
+
+        def counted_gale_step(f):
+            step = gale_step(f)
+            return lambda bits, p: computed.append(p) or step(bits, p)
+
+        monkeypatch.setattr(gale, "_gale_step", counted_gale_step)
+    else:
+        pivot = lemke_howson._pivot
+        monkeypatch.setattr(lemke_howson, "_pivot", lambda d, v: computed.append(v) or pivot(d, v))
+    return computed
+
+
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
-def test_step_cap_allows_exactly_cap_pivots(name):
+def test_step_cap_allows_exactly_cap_pivots(name, monkeypatch):
     walk = ENTRY_POINTS[name]
     length = walk(None)
     assert walk(length) == length
+    computed = _count_pivots(monkeypatch, name)
+    for cap in (length - 1, 0):
+        computed.clear()
+        with pytest.raises(StepCapExceededError) as info:
+            walk(cap)
+        assert info.value.steps_taken == cap
+        assert str(info.value) == f"pivoting exceeded the step cap of {cap} pivots"
+        # the walk loop stops at the cap: pivot cap + 1 is never computed
+        assert len(computed) == cap
+
+
+def test_step_cap_is_checked_before_the_next_pivot():
+    # label 1 on this game ties in P's ratio test at the first pivot: a cap
+    # of 0 stops the walk before that pivot, a cap of 1 lets it raise
+    u = UnitVectorGame.of(3, [1, 3, 1, 2], [[0, 1, 1, 1], [2, 1, 0, 0], [1, 0, 1, 1]])
     with pytest.raises(StepCapExceededError) as info:
-        walk(length - 1)
-    assert info.value.steps_taken == length - 1
-    assert str(info.value) == f"pivoting exceeded the step cap of {length - 1} pivots"
+        lemke_path_on_unit_vector_game(u, 1, step_cap=0)
+    assert info.value.steps_taken == 0
+    with pytest.raises(DegenerateGameError):
+        lemke_path_on_unit_vector_game(u, 1, step_cap=1)
 
 
 def test_negative_step_cap_rejected():
@@ -83,59 +123,73 @@ def test_cli_maps_a_broken_invariant_to_solver_exit(monkeypatch, tmp_path, capsy
     assert "label cover" in capsys.readouterr().err
 
 
-def test_pivot_off_the_ratio_test_raises():
+def _slack_dictionaries(game):
+    """The [P, Q] dictionaries a product walk on the game starts from."""
+    a_rows, b_cols = game.integer_payoffs
+    return [Dictionary.slack(b_cols, game.m), Dictionary.slack(a_rows, game.n)]
+
+
+def _variable_labels(m, n):
+    """Each side's label of each variable: P numbers x, then the slacks of
+    B's columns; Q numbers y, then the slacks of A's rows."""
+    return tuple(range(1, m + n + 1)), (*range(m + 1, m + n + 1), *range(1, m + 1))
+
+
+def test_pivot_off_the_ratio_test_raises(monkeypatch):
     # entering variable 0 has ratios 1 (row 0) and 1/2 (row 1); pivoting on
     # row 0 drives the right-hand side of row 1 negative.  The full rows
     # are [1, 1, 0 | 1] and [2, 0, 1 | 1]; the compact dictionary keeps
     # the cobasic column 0 and the right-hand side
-    tableau = _Tableau([[1, 1], [2, 1]], [1, 2], [0])
-    with pytest.raises(InvariantError):
-        tableau.pivot(0, 0)
+    d = Dictionary([[1, 1], [2, 1]], [1, 2], [0], 1)
+    assert _leaving_row(d, 0) == (1, False)
+    monkeypatch.setattr(lemke_howson, "_leaving_row", lambda d, c: (0, False))
+    with pytest.raises(InvariantError, match="nonnegativity"):
+        _pivot(d, 0)
 
 
 def test_entering_a_basic_variable_raises():
     # variable 1 is basic in row 0, so it has no column to enter on
-    tableau = _Tableau([[1, 1], [2, 1]], [1, 2], [0])
+    d = Dictionary([[1, 1], [2, 1]], [1, 2], [0], 1)
     with pytest.raises(InvariantError, match="already basic"):
-        tableau.choose_leaving(1)
-    with pytest.raises(InvariantError, match="already basic"):
-        tableau.pivot(1, 0)
+        _pivot(d, 1)
 
 
 def test_entering_column_without_positive_entry_raises():
     # a normalized game gives every entering column a positive entry, so a
     # column with none (here 0 and -1) is a broken invariant
-    tableau = _Tableau([[0, 1], [-1, 2]], [1, 2], [0])
-    with pytest.raises(InvariantError):
-        tableau.choose_leaving(0)
+    d = Dictionary([[0, 1], [-1, 2]], [1, 2], [0], 1)
+    with pytest.raises(InvariantError, match="no positive"):
+        _leaving_row(d, 0)
+    with pytest.raises(InvariantError, match="no positive"):
+        _pivot(d, 0)
 
 
-def _full_tableau(tab):
+def _full_tableau(d):
     """The full tableau a compact dictionary stands for: the column of
     every variable, then the right-hand side."""
-    nvars = len(tab.basis) + len(tab.cobasis)
+    nvars = len(d.basis) + len(d.cobasis)
     full = []
-    for var, row in zip(tab.basis, tab.rows):
-        entries = [tab.det if v == var else 0 for v in range(nvars)] + [row[-1]]
-        for c, v in enumerate(tab.cobasis):
+    for var, row in zip(d.basis, d.rows):
+        entries = [d.det if v == var else 0 for v in range(nvars)] + [row[-1]]
+        for c, v in enumerate(d.cobasis):
             entries[v] = row[c]
         full.append(entries)
     return full
 
 
-def _check_common_denominator(tab, entering, start):
-    det = tab.det
+def _check_common_denominator(d, entering, start):
+    det = d.det
     assert det > 0
-    full = _full_tableau(tab)
+    full = _full_tableau(d)
     # the pivot row is kept, so its entry in the entering column is the
     # last pivot, which is the new common denominator
-    assert full[tab.basis.index(entering)][entering] == det
-    for r, var in enumerate(tab.basis):
+    assert full[d.basis.index(entering)][entering] == det
+    for r, var in enumerate(d.basis):
         assert [row[var] for row in full] == [det if k == r else 0 for k in range(len(full))]
     # the whole tableau is det * inverse(basis) * start, where the basis
     # matrix holds the start's columns of the basic variables, and det is
     # the absolute determinant of that matrix
-    basis_matrix = [[row[var] for var in tab.basis] for row in start]
+    basis_matrix = [[row[var] for var in d.basis] for row in start]
     columns = list(zip(*full))
     for b_row, start_row in zip(basis_matrix, start):
         assert [sum(map(mul, b_row, col)) for col in columns] == [det * v for v in start_row]
@@ -151,15 +205,17 @@ def _check_common_denominator(tab, entering, start):
     ids=["triple-morris-6", "degenerate-lex"],
 )
 def test_integer_pivoting_keeps_one_positive_denominator(game):
+    labels = _variable_labels(game.m, game.n)
     for label in range(1, game.m + game.n + 1):
-        tableaux = _build_tableaux(game)
-        for tab in tableaux:
-            assert tab.det == 1
-        starts = [_full_tableau(tab) for tab in tableaux]
+        dicts = _slack_dictionaries(game)
+        for d in dicts:
+            assert d.det == 1
+        starts = [_full_tableau(d) for d in dicts]
         pivots = 0
-        for step in lh_steps(tableaux, label):
-            side = 0 if step.system == "P" else 1
-            _check_common_denominator(tableaux[side], step.dropped - 1, starts[side])
+        for step in lh_steps(dicts, label, None):
+            side = "PQ".index(step.system)
+            entering = labels[side].index(step.dropped)
+            _check_common_denominator(dicts[side], entering, starts[side])
             pivots += 1
         assert pivots > 0
 
@@ -177,18 +233,44 @@ walk_games = st.one_of(
 @given(walk_games)
 def test_walk_label_sets_are_the_cobases(game):
     # the product walk keeps its own label sets: they must be the ones the
-    # tableaux' cobases carry, and a pivot of one side must leave the other
-    # side's set object as it was
+    # dictionaries' cobases carry, and a pivot of one side must leave the
+    # other side's set object as it was
+    labels = _variable_labels(game.m, game.n)
     for label in range(1, game.m + game.n + 1):
-        tableaux = _build_tableaux(game)
+        dicts = _slack_dictionaries(game)
         before = None
-        for step in lh_steps(tableaux, label):
-            assert step.vertex == tuple(frozenset(v + 1 for v in tab.cobasis) for tab in tableaux)
+        for step in lh_steps(dicts, label, None):
+            assert step.vertex == tuple(
+                frozenset(side_labels[v] for v in d.cobasis) for side_labels, d in zip(labels, dicts)
+            )
             if before is not None:
                 kept = 1 if step.system == "P" else 0
                 assert step.system != before.system
                 assert step.vertex[kept] is before.vertex[kept]
             before = step
+
+
+def test_walked_dictionaries_are_enumerated_feasible_bases():
+    # one kernel for both engines: every dictionary a product walk reaches
+    # is a feasible basis that the vertex enumerator visits on the same
+    # side, with the same basis set, determinant and point
+    games = [random_game(m, n, seed) for m, n in ((2, 3), (3, 3), (3, 4), (4, 4), (4, 5)) for seed in range(10)]
+    games += [random_game(3, 3, seed, payoff_range=(0, 2), filter_degenerate=False) for seed in range(60)]
+    pivots = 0
+    for game in games:
+        a_rows, b_cols = game.integer_payoffs
+        bases = [
+            {frozenset(d.basis): (d.det, d.scaled_point()) for d in feasible_bases(rows, dim)}
+            for rows, dim in ((b_cols, game.m), (a_rows, game.n))
+        ]
+        for label in range(1, game.m + game.n + 1):
+            dicts = _slack_dictionaries(game)
+            for step in lh_steps(dicts, label, None):
+                side = "PQ".index(step.system)
+                d = dicts[side]
+                assert bases[side][frozenset(d.basis)] == (d.det, d.scaled_point())
+                pivots += 1
+    assert pivots > 2000
 
 
 def test_no_assert_in_package_sources():
