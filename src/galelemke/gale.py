@@ -5,6 +5,8 @@ exactly the length-f bitstrings with m ones in which every maximal cyclic
 run of ones has even length.  Dropping one facet of a vertex leaves m-1
 fixed facets that admit exactly two completions, which makes edge-following
 a purely combinatorial operation: no arithmetic, a few bit scans per pivot.
+A vertex is its set of tight facets; the walk driver ``_lemke_pivots``,
+shared with both Lemke-Howson walks, keeps it as one bit mask.
 """
 
 from __future__ import annotations
@@ -156,7 +158,7 @@ def enumerate_gale_vertices(m: int, f: int) -> list[GaleString]:
 
 def _gale_step(f: int):
     """The Gale pivot on strings of length f: ``step(bits, p0)`` drops bit
-    p0 of a Gale-even string with a zero and returns (bits, entered bit).
+    p0 of a Gale-even string with a zero and returns the bit that enters.
 
     Removing a one splits its run into two fragments, exactly one of odd
     length; the only repairs by a single new one are re-adding p0 (the old
@@ -165,16 +167,14 @@ def _gale_step(f: int):
     downwards; if it is even the odd fragment lies below p0 and the zero
     under it enters, otherwise the first zero above p0 enters.
     """
-    def step(bits: int, p0: int) -> tuple[int, int]:
+    def step(bits: int, p0: int) -> int:
         ring = bits | bits << f
         window = (1 << (p0 + f + 1)) - 1
         down = p0 + f + 1 - (ring & window ^ window).bit_length()
-        if down % 2 == 0:
-            q0 = (p0 - down) % f
-        else:
+        if down % 2:
             x = ring >> p0
-            q0 = (p0 + (~x & (x + 1)).bit_length() - 1) % f
-        return bits ^ 1 << p0 | 1 << q0, q0
+            return (p0 + (~x & (x + 1)).bit_length() - 1) % f
+        return (p0 - down) % f
 
     return step
 
@@ -186,8 +186,8 @@ def gale_pivot(s: GaleString, drop_position: int) -> tuple[GaleString, int]:
         raise ValueError(f"position {drop_position} is not set in {s}")
     if s.m == s.f:
         raise ValueError("cannot pivot: every facet is tight")
-    new_bits, q0 = _gale_step(s.f)(s.bits, drop_position - 1)
-    return _gale_string(s.f, new_bits), q0 + 1
+    q0 = _gale_step(s.f)(s.bits, drop_position - 1)
+    return _gale_string(s.f, s.bits ^ 1 << (drop_position - 1) | 1 << q0), q0 + 1
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,7 @@ def _lemke_pivots(labels, start: int, missing_label: int, step, cap: int | None)
     ``labels[q]`` is q's label.  The walk first drops the start position
     with the missing label; after picking up label l it drops the other
     tight position with label l, by the pivot ``step(bits, p)``, which
-    returns (new bits, entered position).
+    returns the entered position; only the driver updates the mask.
 
     The walk takes at most ``cap`` pivots (``None``: no cap).  If it has
     not ended by then, it raises StepCapExceededError with ``steps_taken ==
@@ -265,9 +265,9 @@ def _lemke_pivots(labels, start: int, missing_label: int, step, cap: int | None)
         masks[lab] |= 1 << q
     bits, p0 = start, (start & masks[missing_label]).bit_length() - 1
     for _ in repeat(None) if cap is None else repeat(None, cap):
-        dropped = labels[p0]
-        bits, q0 = step(bits, p0)
-        picked = labels[q0]
+        q0 = step(bits, p0)
+        bits ^= 1 << p0 | 1 << q0
+        dropped, picked = labels[p0], labels[q0]
         yield bits, dropped, picked
         if picked == missing_label:
             return

@@ -16,7 +16,7 @@ from .game import BimatrixGame, MixedProfile, UnitVectorGame, matrix_from
 
 def _parse_rational(token: str, line: int, column: int) -> Fraction:
     try:
-        return Fraction(token)
+        return Fraction(int(token)) if token.isdecimal() else Fraction(token)  # int skips Fraction's regex
     except (ValueError, ZeroDivisionError):
         raise GameFormatError(f"bad rational {token!r}", line, column) from None
 

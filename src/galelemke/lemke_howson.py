@@ -35,8 +35,9 @@ def _leaving_row(d: Dictionary, c: int) -> tuple[int, bool]:
 
     ``linalg.ratio_rows`` gives the rows at the minimum ratio.  A tie goes
     to the lexicographic rule: the same test over the tied rows, on each
-    column of the starting slack basis in turn.  Those columns hold the
-    inverse of the basis, whose rows are independent, so one row is left.
+    column of the starting slack basis in turn, until one row is left.
+    Those columns hold the inverse of the basis, whose rows are
+    independent, so one always is.
     ``BimatrixGame.normalized`` gives every column of A and every row of B
     a positive entry, so P and Q are bounded and every entering column has
     a positive entry.
@@ -56,6 +57,8 @@ def _leaving_row(d: Dictionary, c: int) -> tuple[int, bool]:
             home = basis.index(var)
             lex = [[rows[r][c], det * (r == home)] for r in tied]
         tied = [tied[i] for i in ratio_rows(lex, 0)]
+        if len(tied) == 1:
+            break
     return tied[0], True
 
 
@@ -103,11 +106,10 @@ def lh_steps(dicts: list[Dictionary], missing_label: int, step_cap: int | None):
     labels = [*range(1, nvars + 1), *range(m + 1, nvars + 1), *range(1, m + 1)]
     start = (1 << m) - 1 | ((1 << n) - 1) << nvars  # x cobasic in P, y in Q
 
-    def step(bits: int, p: int) -> tuple[int, int]:
+    def step(bits: int, p: int) -> int:
         side, base = (1, nvars) if p >= nvars else (0, 0)
         dicts[side], leaving, _ = _pivot(dicts[side], p - base)
-        q = base + leaving
-        return bits ^ 1 << p | 1 << q, q
+        return base + leaving
 
     pivots = _lemke_pivots(labels, start, missing_label, step, step_cap)
     vertex = [frozenset(range(1, m + 1)), frozenset(range(m + 1, nvars + 1))]
@@ -178,12 +180,12 @@ def lemke_path_on_unit_vector_game(
     target = labels[missing_label - 1]
     d = Dictionary.slack(u.to_bimatrix().integer_payoffs[1], m)
 
-    def step(bits: int, p: int) -> tuple[int, int]:
+    def step(bits: int, p: int) -> int:
         nonlocal d
         d, q, tied = _pivot(d, p)
         if tied:
             raise DegenerateGameError("ratio-test tie on a game expected to be nondegenerate")
-        return bits ^ 1 << p | 1 << q, q
+        return q
 
     pivots = _lemke_pivots(labels, (1 << m) - 1, target, step, step_cap)
     # each pivot is yielded right after ``step`` rebinds d, so d.cobasis is its vertex

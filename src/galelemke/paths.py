@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Any, Iterable, NamedTuple
+from typing import Any, NamedTuple
 
 
 class PivotStep(NamedTuple):
@@ -44,30 +44,17 @@ class PivotPath:
         return [(step.dropped, step.picked) for step in self.steps]
 
 
-def _basis_names(labels: Iterable[int], m: int, n: int, side: str) -> str:
-    """Variable ids of the side's basis, from the complement of its labels."""
-    missing = set(labels)
-    names = []
-    for label in range(1, m + n + 1):
-        if label in missing:
-            continue
-        if side == "P":
-            names.append(f"x{label}" if label <= m else f"s{label - m}")
-        else:
-            names.append(f"r{label}" if label <= m else f"y{label - m}")
-    return ";".join(names)
-
-
 def path_to_csv(path: PivotPath, out, m: int, n: int) -> None:
     """Dump a product-polytope path of an m x n game as CSV: step,
     dropped_label, picked_label, polytope, basis.
 
-    The basis is that of the side that moved, reconstructed from its label
-    set.
+    The basis is that of the side that moved: the variables whose labels
+    are not in its label set, x_i and s_j in P, r_i and y_j in Q.
     """
     writer = csv.writer(out)
     writer.writerow(["step", "dropped_label", "picked_label", "polytope", "basis"])
     for idx, step in enumerate(path.steps, start=1):
-        labels = step.vertex[0] if step.system == "P" else step.vertex[1]
-        basis = _basis_names(labels, m, n, step.system)
-        writer.writerow([idx, step.dropped, step.picked, step.system, basis])
+        side = "PQ".index(step.system)
+        labels, (low, high) = step.vertex[side], ("xs", "ry")[side]
+        basis = [f"{low}{k}" if k <= m else f"{high}{k - m}" for k in range(1, m + n + 1) if k not in labels]
+        writer.writerow([idx, step.dropped, step.picked, step.system, ";".join(basis)])

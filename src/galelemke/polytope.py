@@ -10,15 +10,15 @@ visits its feasible bases as lrs does (Avis 2000), one ``linalg.pivot``
 per basis and one ``linalg.ratio_rows`` per cobasic column.  Each basis
 is a ``Dictionary``, the compact integer dictionary that both
 Lemke-Howson walks pivot too, as lrsnash does with one dictionary for
-both jobs.  A degenerate vertex has several bases and is reported once,
-with one set of tight positions; its order key is read off those bases,
-so nothing else is solved.
+both jobs.  A vertex is its set of tight positions, which binds at no
+other point of the polytope, so bases are grouped by that set: a
+degenerate vertex, which has several, is reported once, and its order
+key is read off those bases without solving anything else.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import NamedTuple
 
 from .errors import InvariantError
@@ -101,8 +101,8 @@ def vertices_nonneg_form(int_rows, dim):
 
     Yields ``(point, tight)``: the 1-based positions of every constraint
     that binds there, i for ``z_i = 0`` and ``dim + j`` for ``(R z)_j = 1``.
-    Every vertex is reported once; a degenerate vertex has more than
-    ``dim`` tight positions.
+    Bases are keyed by that tight set, so every vertex is reported once; a
+    degenerate vertex has more than ``dim`` tight positions.
 
     The order is fixed by the key ``(|S|, S, T)``: S is the support, as
     ascending 0-based coordinates, and T the lexicographically first
@@ -113,25 +113,20 @@ def vertices_nonneg_form(int_rows, dim):
     the set of cobasic rows of a feasible basis of the vertex with |S|
     cobasic rows, and the walk visits every feasible basis.
     """
-    found = {}  # point key -> (S, point, tight positions)
-    first_rows = {}  # point key -> T, the least cobasic rows of size |S| so far
+    found = {}  # tight positions -> (S, point)
+    first_rows = {}  # tight positions -> T, the least cobasic rows of size |S| so far
     for d in feasible_bases(int_rows, dim):
         rows, basis, cobasis, det = d
-        scaled = d.scaled_point()
-        g = gcd(det, *scaled)
-        point_key = (tuple(v // g for v in scaled), det // g)
-        if point_key not in found:
-            tight = [*cobasis, *(var for var, row in zip(basis, rows) if row[-1] == 0)]
-            found[point_key] = (
-                tuple(i for i in range(dim) if scaled[i]),
-                tuple(Fraction(v, det) if v else ZERO for v in scaled),
-                frozenset(v + 1 for v in tight),
-            )
+        tight = frozenset([v + 1 for v in cobasis] + [v + 1 for v, row in zip(basis, rows) if row[-1] == 0])
+        if tight not in found:
+            scaled = d.scaled_point()
+            point = tuple(Fraction(v, det) if v else ZERO for v in scaled)
+            found[tight] = (tuple(i for i in range(dim) if scaled[i]), point)
         # the cobasic slacks: rows shifted by dim, which keeps their order
         cobasic_rows = tuple(sorted(v for v in cobasis if v >= dim))
-        if len(cobasic_rows) == len(found[point_key][0]):
-            first_rows[point_key] = min(cobasic_rows, first_rows.get(point_key, cobasic_rows))
+        if len(cobasic_rows) == len(found[tight][0]):
+            first_rows[tight] = min(cobasic_rows, first_rows.get(tight, cobasic_rows))
     if len(first_rows) < len(found):
         raise InvariantError("vertex without a feasible basis on its support")
-    for key in sorted(found, key=lambda k: (len(found[k][0]), found[k][0], first_rows[k])):
-        yield found[key][1:]
+    for tight in sorted(found, key=lambda k: (len(found[k][0]), found[k][0], first_rows[k])):
+        yield found[tight][1], tight

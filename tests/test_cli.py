@@ -23,6 +23,7 @@ from galelemke import (
 )
 from galelemke.cli import build_parser, main
 from galelemke.gameio import (
+    _parse_rational,
     format_profile,
     load_game,
     parse_profile,
@@ -76,6 +77,13 @@ def mixed_strategies(size: int):
     weights = st.lists(st.integers(0, 12), min_size=size, max_size=size).filter(any)
     return weights.map(lambda w: [Fraction(v, sum(w)) for v in w])
 
+
+# digits of any script (Nd), signs, separators and superscripts, which are
+# digits to str.isdigit but not to int or Fraction
+rational_tokens = st.text(
+    st.one_of(st.sampled_from("0123456789+-_/.\u00b9\u00b2\u00b3"), st.characters(categories=["Nd"])),
+    max_size=10,
+)
 
 profiles = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
     lambda mn: st.builds(MixedProfile.of, mixed_strategies(mn[0]), mixed_strategies(mn[1]))
@@ -153,6 +161,23 @@ class TestFormats:
         assert info.value.line == 1
         assert info.value.column == column
         assert text[column - 1 : column - 1 + len(token)] == token
+
+    @settings(max_examples=400)
+    @given(rational_tokens)
+    @example("1" * 4301)  # past int's default digit limit: both parsers refuse it
+    @example("\u0663\uff12/-4")
+    @example("1_000/3_0")
+    @example("\u00b2")
+    @example("1/0")
+    def test_parse_rational_is_fraction_of_the_token(self, token):
+        try:
+            expected = Fraction(token)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(GameFormatError):
+                _parse_rational(token, 1, 1)
+        else:
+            value = _parse_rational(token, 1, 1)
+            assert type(value) is Fraction and value == expected
 
 
 class TestGen:
@@ -238,6 +263,17 @@ class TestSolve:
         assert rows[0] == ["step", "dropped_label", "picked_label", "polytope", "basis"]
         assert len(rows) == 9
         assert rows[1][1:4] == ["1", "6", "P"]
+
+    def test_path_csv_basis_column(self, game22_path, tmp_path):
+        # the moved side's basis: x_i / s_j basic in P, r_i / y_j basic in Q
+        out = tmp_path / "path.csv"
+        assert main(["solve", game22_path, "--missing-label", "1", "--path-csv", str(out)]) == 0
+        rows = list(csv.reader(out.open()))[1:]
+        assert [row[3] for row in rows] == ["P", "Q"] * 4
+        assert [row[4] for row in rows] == [
+            "x1;s1;s2", "r1;r2;y3", "x1;x3;s1", "r1;y2;y3",
+            "x1;x2;s1", "r1;r3;y2", "x1;x2;s3", "r3;y1;y2",
+        ]
 
     def test_path_csv_needs_lh(self, game22_path, tmp_path, capsys):
         out = tmp_path / "path.csv"

@@ -22,8 +22,8 @@ from galelemke import (
     morris_polytope,
     triple_morris_polytope,
 )
-from galelemke.errors import BudgetExceededError, StepCapExceededError
-from galelemke.gale import _gale_step
+from galelemke.errors import BudgetExceededError, DegenerateGameError, StepCapExceededError
+from galelemke.gale import _gale_step, _lemke_pivots
 
 
 def brute_force_gale(m, f):
@@ -171,7 +171,9 @@ class TestPivotProperties:
     @example(GaleString.from_text("111..11111"))  # m = f - 2, wrapping
     def test_matches_run_stepping_reference(self, s):
         for p in s.ones():
-            assert _gale_step(s.f)(s.bits, p - 1) == reference_pivot_bits(s.bits, s.f, p - 1)
+            q0 = _gale_step(s.f)(s.bits, p - 1)
+            bits = s.bits ^ 1 << (p - 1) | 1 << q0
+            assert (bits, q0) == reference_pivot_bits(s.bits, s.f, p - 1)
 
     @settings(max_examples=300, deadline=None)
     @given(gale_even_strings())
@@ -265,6 +267,54 @@ class TestLemkePaths:
                 combinatorial_lemke(poly, k)
             with pytest.raises(ValueError, match="out of range"):
                 lemke_path_length(poly, k)
+
+
+def scripted_step(entered):
+    """A pivot step that returns the given positions in turn and records
+    the (bits, dropped position) it was called with."""
+    calls, script = [], iter(entered)
+
+    def step(bits, p):
+        calls.append((bits, p))
+        return next(script)
+
+    return step, calls
+
+
+class TestPivotDriver:
+    # positions 0..3 carry labels 1, 2, 2, 1; positions 0 and 1 start tight
+    LABELS = (1, 2, 2, 1)
+
+    def test_driver_applies_each_pivot_to_the_mask(self):
+        step, calls = scripted_step([2, 3])
+        pivots = list(_lemke_pivots(self.LABELS, 0b0011, 1, step, None))
+        # drop 0 (label 1), enter 2 (label 2); drop 1, the other tight 2; enter 3 (label 1)
+        assert calls == [(0b0011, 0), (0b0110, 1)]
+        assert pivots == [(0b0011 ^ 1 << 0 | 1 << 2, 1, 2), (0b0110 ^ 1 << 1 | 1 << 3, 2, 1)]
+
+    @pytest.mark.parametrize(
+        "labels, start, entered, holders",
+        [
+            ((1, 2, 2, 2), 0b0111, 3, 3),  # a third tight position with label 2
+            ((1, 1, 2), 0b011, 2, 1),  # label 2 on the entered position only
+        ],
+    )
+    def test_label_without_two_tight_holders_is_degenerate(self, labels, start, entered, holders):
+        step, _ = scripted_step([entered])
+        pivots = _lemke_pivots(labels, start, 1, step, None)
+        assert next(pivots)[2] == 2
+        with pytest.raises(DegenerateGameError, match=f"held by {holders} tight"):
+            next(pivots)
+
+    @pytest.mark.parametrize("cap", [0, 1])
+    def test_cap_stops_the_walk_before_pivot_cap_plus_one(self, cap):
+        step, calls = scripted_step([2, 3])
+        with pytest.raises(StepCapExceededError) as info:
+            list(_lemke_pivots(self.LABELS, 0b0011, 1, step, cap))
+        assert info.value.steps_taken == cap
+        assert len(calls) == cap
+        step, calls = scripted_step([2, 3])
+        assert len(list(_lemke_pivots(self.LABELS, 0b0011, 1, step, 2))) == 2
 
 
 def test_labels_of_rejects_a_string_of_another_length():
