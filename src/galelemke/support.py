@@ -2,7 +2,8 @@
 
 Guessing a pair of equal-size supports reduces equilibrium finding to two
 square linear systems (equal payoffs on the opponent's support, probabilities
-summing to one) plus best-response checks outside the supports.  Singular or
+summing to one) plus best-response checks outside the supports; a guess that
+either player's dominance masks reject costs no solve.  Singular or
 infeasible systems are normal negative outcomes.
 """
 
@@ -23,32 +24,34 @@ from .linalg import bareiss_solve
 MAX_SUPPORT_PAIRS = 1 << 22
 
 
-def _indifference_solution(scaled, masks, own, other):
-    """Weights on ``other`` that make the opponent indifferent across
-    ``own``, which sum to 1, and the common payoff.
-
-    ``scaled[k]`` is the opponent's payoff vector of own strategy k+1 as a
-    ``(scale, integers)`` pair; the integers (normalized payoffs) are
-    nonnegative, and ``masks`` is ``dominance_masks(scaled)``.  Returns
-    ``(numerators, denominator)`` with the weights first and the scaled
-    payoff last, or None if the system is singular or a row i of ``own``
-    is beaten on ``other``: some row k, in ``own`` or not, is >= i on
-    every column of ``other`` and > i on one (checked first, as the cheap
-    case: i is zero there while another row of ``own`` is not).  The rule
-    is exact for ``_opponent_mix``: against weights positive on ``other``,
-    k earns strictly more than i.  So if k is in ``own`` the rows cannot
-    be indifferent and any solution has a weight <= 0, and if k is not,
-    it beats the support payoff and ``_beaten`` rejects the weights.
+def _rejected(masks, own, other) -> bool:
+    """True iff ``masks``, the ``dominance_masks`` of the opponent's payoff
+    vectors, beat a row i of ``own`` on ``other``: some row k, in ``own`` or
+    not, is >= i on every column of ``other`` and > i on one (checked first,
+    as the cheap case: i is zero there while another row of ``own`` is not).
+    Exact for ``_opponent_mix``: against weights positive on ``other``, k
+    earns more than i, so if k is in ``own`` any indifferent solution has a
+    weight <= 0, and if k is not, ``_beaten`` rejects the weights.
     """
     support = sum(1 << j for j in other)
     nonzero, beaten_by = masks
     hit = [nonzero[i - 1] & support != 0 for i in own]
     if any(hit) != all(hit):
-        return None
+        return True
     for i in own:
         for lt, gt in beaten_by[i - 1]:
             if not support & lt and support & gt:
-                return None
+                return True
+    return False
+
+
+def _indifference_solution(scaled, own, other):
+    """Weights on ``other`` that make the opponent indifferent across
+    ``own``, which sum to 1, and the common payoff, as ``(numerators,
+    denominator)`` with the payoff last; None if the system is singular.
+    ``scaled[k]`` is the opponent's payoff vector of own strategy k+1 as a
+    ``(scale, integers)`` pair of nonnegative normalized payoffs.
+    """
     system = []
     for i in own:
         scale, entries = scaled[i - 1]
@@ -100,21 +103,24 @@ def solve_support(game: BimatrixGame, s1, s2) -> MixedProfile | None:
 
 def _solve_support(game: BimatrixGame, s1, s2) -> MixedProfile | None:
     """``solve_support`` on supports that are already ascending, in range
-    and of equal size, as every support search builds them."""
-    a_rows, b_cols = game.integer_payoffs
+    and of equal size, as every support search builds them.  Both players'
+    dominance masks are checked before either system is built; then player
+    2's mix is solved, and player 1's only if it holds."""
     a_masks, b_masks = game._dominance
-    # player 2's mix first: only if it holds is player 1's worth solving for
-    y_sol = _opponent_mix(a_rows, a_masks, s1, s2)
-    x_sol = None if y_sol is None else _opponent_mix(b_cols, b_masks, s2, s1)
+    if _rejected(a_masks, s1, s2) or _rejected(b_masks, s2, s1):
+        return None
+    a_rows, b_cols = game.integer_payoffs
+    y_sol = _opponent_mix(a_rows, s1, s2)
+    x_sol = None if y_sol is None else _opponent_mix(b_cols, s2, s1)
     if x_sol is None:
         return None
     return MixedProfile(_mixed(game.m, s1, *x_sol), _mixed(game.n, s2, *y_sol))
 
 
-def _opponent_mix(scaled, masks, own, other):
+def _opponent_mix(scaled, own, other):
     """``_indifference_solution`` if its weights are all positive and no
     strategy outside ``own`` beats them, else None."""
-    sol = _indifference_solution(scaled, masks, own, other)
+    sol = _indifference_solution(scaled, own, other)
     if sol is None or min(sol[0][: len(own)]) <= 0 or _beaten(scaled, own, other, sol[0]):
         return None
     return sol

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -162,6 +163,10 @@ class TestFormats:
         assert info.value.column == column
         assert text[column - 1 : column - 1 + len(token)] == token
 
+    def test_profile_without_separator(self):
+        with pytest.raises(GameFormatError, match='with a single ";"'):
+            parse_profile("1/2 1/2 1/3 1/3 1/3", 2, 3)
+
     @settings(max_examples=400)
     @given(rational_tokens)
     @example("1" * 4301)  # past int's default digit limit: both parsers refuse it
@@ -269,6 +274,7 @@ class TestSolve:
         out = tmp_path / "path.csv"
         assert main(["solve", game22_path, "--missing-label", "1", "--path-csv", str(out)]) == 0
         rows = list(csv.reader(out.open()))[1:]
+        assert [row[0] for row in rows] == [str(step) for step in range(1, 9)]
         assert [row[3] for row in rows] == ["P", "Q"] * 4
         assert [row[4] for row in rows] == [
             "x1;s1;s2", "r1;r2;y3", "x1;x3;s1", "r1;y2;y3",
@@ -382,6 +388,8 @@ class TestBench:
             ["permutation", "--n", "0", "--exhaustive"],
             ["permutation", "--n", "-3", "--exhaustive"],
             ["permutation", "--n", "4", "--seeds", "0"],
+            ["morris", "--m", "3..6"],
+            ["morris", "--m", "4..7"],
         ],
     )
     def test_rejected_run_leaves_out_alone(self, tmp_path, capsys, args):
@@ -458,6 +466,15 @@ class TestBench:
         assert len(rows) == 10
         assert all(r["solver"] == "support" for r in rows)
         assert all(1 <= int(r["guesses"]) <= 13 for r in rows)
+
+    def test_support_wall_time_is_the_search_time(self, tmp_path):
+        out = tmp_path / "support.csv"
+        start = time.perf_counter()
+        main(["bench", "triple-morris", "--m", "4", "--solver", "support", "--seeds", "3", "--out", str(out)])
+        elapsed = time.perf_counter() - start
+        times = [float(row["wall_time"]) for row in csv.DictReader(out.open())]
+        assert len(times) == 3
+        assert min(times) >= 0 and sum(times) <= elapsed
 
     def test_lh_solver_mode(self, tmp_path):
         out = tmp_path / "lh.csv"

@@ -143,6 +143,11 @@ class TestLabels:
         with pytest.raises(ValueError):
             labels_of_profile(game22, MixedProfile.of([1], [1]))
 
+    @pytest.mark.parametrize("x, y", [([1], [1, 0, 0]), ([1, 0, 0], [1])])
+    def test_one_side_of_the_wrong_length(self, game22, x, y):
+        with pytest.raises(ValueError, match="do not match game 3x3"):
+            game22.check_profile(MixedProfile.of(x, y))
+
     @settings(max_examples=300, deadline=None)
     @given(games_and_profiles())
     # columns of B with scales 3 and 2 tie at 1/2 against x
@@ -326,6 +331,10 @@ class TestUnitVectorGame:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             UnitVectorGame.of(2, (1, 3), [[1, 1], [1, 1]])
+
+    def test_no_rows(self):
+        with pytest.raises(ValueError, match="m must be at least 1"):
+            UnitVectorGame.of(0, (1,), [[1]])
 
     def test_equilibria_match_completely_labeled_points(self):
         # dual oracles: support enumeration vs labeled-polytope vertices

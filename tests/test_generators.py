@@ -171,6 +171,19 @@ class TestRandomGenerators:
         assert game == random_game(4, 4, 11)
         assert is_nondegenerate(game)
 
+    @pytest.mark.parametrize("m, n", [(0, 3), (3, 0)])
+    def test_random_game_needs_a_strategy_each(self, m, n):
+        with pytest.raises(ValueError, match="m and n must be at least 1"):
+            random_game(m, n, 0)
+
+    def test_default_draws_are_pinned(self):
+        # payoffs are drawn uniformly from 0..999; seed 291 draws a value
+        # that a range reaching 1000 would keep and this range redraws
+        rows = lambda game: [[list(map(int, row)) for row in mat] for mat in (game.a, game.b)]
+        assert rows(random_game(2, 2, 0)) == [[[864, 394], [776, 911]], [[430, 41], [265, 988]]]
+        assert rows(random_game(2, 2, 291)) == [[[674, 484], [751, 648]], [[514, 848], [93, 399]]]
+        assert rows(random_game(1, 1, 0)) == [[[864]], [[394]]]
+
     def test_retry_cap(self):
         with pytest.raises(GaleLemkeError):
             random_game(2, 2, 0, payoff_range=(1, 1))  # constant games are degenerate

@@ -31,9 +31,10 @@ from galelemke import (
     verify_equilibrium,
 )
 from galelemke.errors import BudgetExceededError, NoEquilibriumError
+from galelemke import support
 from galelemke.game import dominance_masks
 from galelemke.linalg import bareiss_solve
-from galelemke.support import _indifference_solution, _opponent_mix, search_equal_supports
+from galelemke.support import _indifference_solution, _opponent_mix, _rejected, search_equal_supports
 
 from conftest import C_THREE_EQ
 
@@ -159,9 +160,30 @@ class TestSolveSupport:
             for i in own
             for row in payoffs
         )
-        got = _indifference_solution(scaled, masks, own, other)
-        assert got == (None if dominated else _plain_solve(scaled, own, other))
-        assert _opponent_mix(scaled, masks, own, other) == _plain_mix(scaled, own, other)
+        rejected = _rejected(masks, own, other)
+        assert rejected == dominated
+        assert _indifference_solution(scaled, own, other) == _plain_solve(scaled, own, other)
+        assert (None if rejected else _opponent_mix(scaled, own, other)) == _plain_mix(scaled, own, other)
+
+    def test_both_players_masks_come_before_any_solve(self, monkeypatch):
+        # a guess that either player's masks reject costs no Bareiss solve,
+        # and every other guess solves player 2's system at least
+        solves = []
+        monkeypatch.setattr(support, "bareiss_solve", lambda system: solves.append(1) or bareiss_solve(system))
+        games = [random_game(k, k, seed) for k in (3, 4, 5) for seed in range(4)]
+        games += [random_game(4, 4, seed, payoff_range=(0, 2), filter_degenerate=False) for seed in range(8)]
+        only_x_rejects = 0
+        for game in games:
+            a_masks, b_masks = map(dominance_masks, game.integer_payoffs)
+            for k in range(1, game.m + 1):
+                for s1 in combinations(range(1, game.m + 1), k):
+                    for s2 in combinations(range(1, game.n + 1), k):
+                        solves.clear()
+                        solve_support(game, s1, s2)
+                        y_rejects, x_rejects = _rejected(a_masks, s1, s2), _rejected(b_masks, s2, s1)
+                        only_x_rejects += x_rejects and not y_rejects
+                        assert bool(solves) != (y_rejects or x_rejects), (game, s1, s2)
+        assert only_x_rejects > 0
 
     @settings(max_examples=60, deadline=None)
     @given(rational_games(), st.one_of(st.none(), st.integers(0, 1000)))
@@ -320,6 +342,10 @@ class TestExpectedGuesses:
     def test_rejects_zero_equilibria(self):
         with pytest.raises(ValueError):
             expected_guesses(10, 0)
+
+    def test_rejects_more_equilibria_than_universe(self):
+        with pytest.raises(ValueError, match="more equilibria than universe elements"):
+            expected_guesses(3, 4)
 
 
 class TestEqualSupportSearch:
