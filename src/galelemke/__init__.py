@@ -30,7 +30,6 @@ from .game import (
     verify_equilibrium,
 )
 from .gale import (
-    EulerGraph,
     GaleString,
     LabeledGalePolytope,
     combinatorial_lemke,

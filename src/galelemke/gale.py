@@ -6,12 +6,14 @@ run of ones has even length.  Dropping one facet of a vertex leaves m-1
 fixed facets that admit exactly two completions, which makes edge-following
 a purely combinatorial operation: no arithmetic, a few bit scans per pivot.
 A vertex is its set of tight facets; the walk driver ``_lemke_pivots``,
-shared with both Lemke-Howson walks, keeps it as one bit mask.
+shared with both Lemke-Howson walks, keeps it as one bit mask, which is
+what a recorded path keeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 
 from .errors import BudgetExceededError, DegenerateGameError, InvariantError, StepCapExceededError
@@ -227,9 +229,6 @@ class LabeledGalePolytope:
         labels = self.position_labels()
         return frozenset(labels[p - 1] for p in s.ones())
 
-    def start_vertex(self) -> GaleString:
-        return GaleString(self.f, (1 << self.m) - 1)
-
     def is_completely_labeled(self, s: GaleString) -> bool:
         return self.labels_of(s) == frozenset(range(1, self.m + 1))
 
@@ -242,14 +241,15 @@ def completely_labeled_strings(poly: LabeledGalePolytope) -> list[GaleString]:
 
 
 def _lemke_pivots(labels, start: int, missing_label: int, step, cap: int | None):
-    """Generate (new_bits, dropped_label, picked_label) pivots of the
-    label-forced walk for the missing label: the one walk of the Gale engine
-    and of both Lemke-Howson walks.  ``start`` is the bit mask of the tight
-    0-based positions, which carry labels 1..start.bit_count(), and
-    ``labels[q]`` is q's label.  The walk first drops the start position
-    with the missing label; after picking up label l it drops the other
-    tight position with label l, by the pivot ``step(bits, p)``, which
-    returns the entered position; only the driver updates the mask.
+    """Generate (dropped_label, picked_label, new_bits) pivots, the fields
+    of ``PivotStep``, of the label-forced walk for the missing label: the
+    one walk of the Gale engine and of both Lemke-Howson walks.  ``start``
+    is the bit mask of the tight 0-based positions, which carry labels
+    1..start.bit_count(), and ``labels[q]`` is q's label.  The walk first
+    drops the start position with the missing label; after picking up label
+    l it drops the other tight position with label l, by the pivot
+    ``step(bits, p)``, which returns the entered position; only the driver
+    updates the mask.
 
     The walk takes at most ``cap`` pivots (``None``: no cap).  If it has
     not ended by then, it raises StepCapExceededError with ``steps_taken ==
@@ -268,7 +268,7 @@ def _lemke_pivots(labels, start: int, missing_label: int, step, cap: int | None)
         q0 = step(bits, p0)
         bits ^= 1 << p0 | 1 << q0
         dropped, picked = labels[p0], labels[q0]
-        yield bits, dropped, picked
+        yield dropped, picked, bits
         if picked == missing_label:
             return
         holders = bits & masks[picked]
@@ -287,23 +287,22 @@ def combinatorial_lemke(
     """Follow the pivot path for the missing label on the labeled polytope.
 
     Starts at the vertex with the first m facets tight and ends at another
-    completely labeled vertex.  Unbounded by default; with a ``step_cap``
-    the path may take exactly that many pivots, and a longer one raises
-    StepCapExceededError with ``steps_taken == step_cap``.  Every vertex is
-    checked against the ones visited before it.
+    completely labeled vertex; the path's vertices are GaleStrings.
+    Unbounded by default; with a ``step_cap`` the path may take exactly that
+    many pivots, and a longer one raises StepCapExceededError with
+    ``steps_taken == step_cap``.  Every vertex is checked against the ones
+    visited before it.
     """
-    start = poly.start_vertex()
-    f = poly.f
+    start, f = (1 << poly.m) - 1, poly.f
     steps: list[PivotStep] = []
-    visited = {start.bits}
-    pivots = _lemke_pivots(poly.position_labels(), start.bits, missing_label, _gale_step(f), step_cap)
-    for bits, dropped, picked in pivots:
-        vertex = _gale_string(f, bits)
+    visited = {start}
+    pivots = _lemke_pivots(poly.position_labels(), start, missing_label, _gale_step(f), step_cap)
+    for dropped, picked, bits in pivots:
         if bits in visited:
-            raise InvariantError(f"pivoting revisited vertex {vertex}")
+            raise InvariantError(f"pivoting revisited vertex {_gale_string(f, bits)}")
         visited.add(bits)
-        steps.append(PivotStep(dropped, picked, vertex))
-    return PivotPath(missing_label, start, tuple(steps))
+        steps.append(PivotStep(dropped, picked, bits))
+    return PivotPath(missing_label, start, tuple(steps), partial(_gale_string, f))
 
 
 def lemke_path_length(
@@ -318,63 +317,43 @@ def lemke_path_length(
     pivots = _lemke_pivots(poly.position_labels(), start, missing_label, _gale_step(poly.f), step_cap)
     for length, pivot in enumerate(pivots, 1):
         pass
-    return length, _gale_string(poly.f, pivot[0])
+    return length, _gale_string(poly.f, pivot[2])
 
 
 # ---------------------------------------------------------------------------
 # The tour multigraph of a label string and its perfect matchings.
 
 
-@dataclass(frozen=True)
-class EulerGraph:
-    """Multigraph on nodes 1..m whose edges join consecutive elements of the
-    cyclic tour 1, ..., m, ell(1), ..., ell(n); every node has even degree."""
-
-    node_count: int
-    edges: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def from_labeling(cls, poly: LabeledGalePolytope) -> "EulerGraph":
-        tour = poly.position_labels()
-        f = poly.f
-        edges = tuple((tour[t], tour[(t + 1) % f]) for t in range(f))
-        return cls(poly.m, edges)
-
-    def degrees(self) -> dict[int, int]:
-        deg = {node: 0 for node in range(1, self.node_count + 1)}
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
-
 def euler_matchings(poly: LabeledGalePolytope) -> list[frozenset[int]]:
     """All loop-free perfect matchings of the tour multigraph, as frozensets
-    of 1-based edge positions; edge t joins the labels of positions t and
-    t+1 (cyclically).  In bijection with the completely labeled strings.
-    Refuses more than MAX_ENUMERATED of them."""
-    graph = EulerGraph.from_labeling(poly)
-    incident: dict[int, list[int]] = {node: [] for node in range(1, graph.node_count + 1)}
-    for t, (u, v) in enumerate(graph.edges):
+    of 1-based edge positions.  The multigraph has nodes 1..m, and its edge
+    t joins the labels of positions t and t+1 (cyclically) of the tour 1,
+    ..., m, ell(1), ..., ell(n), so every node has even degree.  In bijection
+    with the completely labeled strings.  Refuses more than MAX_ENUMERATED
+    of them."""
+    tour, m, f = poly.position_labels(), poly.m, poly.f
+    edges = [(tour[t], tour[(t + 1) % f]) for t in range(f)]
+    incident: dict[int, list[int]] = {node: [] for node in range(1, m + 1)}
+    for t, (u, v) in enumerate(edges):
         if u == v:
             continue  # a loop cannot cover its node exactly once
         incident[u].append(t)
         incident[v].append(t)
     matchings: list[frozenset[int]] = []
-    covered = [False] * (graph.node_count + 1)
+    covered = [False] * (m + 1)
     chosen: list[int] = []
 
     def extend(node: int):
-        while node <= graph.node_count and covered[node]:
+        while node <= m and covered[node]:
             node += 1
-        if node > graph.node_count:
+        if node > m:
             if len(matchings) >= MAX_ENUMERATED:
                 raise BudgetExceededError(f"more than {MAX_ENUMERATED} matchings")
             matchings.append(frozenset(t + 1 for t in chosen))
             return
         covered[node] = True
         for t in incident[node]:
-            u, v = graph.edges[t]
+            u, v = edges[t]
             other = v if u == node else u
             if covered[other]:
                 continue

@@ -5,25 +5,26 @@ alternates pivots between the two systems until that label is picked up
 again, at which point the basic solution is an equilibrium.  On a
 unit-vector game the Q moves are forced by the labels, so that walk pivots
 P alone.  Both walks run on the label-forced loop ``gale._lemke_pivots``,
-which also stops them at their step cap.  Each system is a
-``polytope.Dictionary``, numbered as the vertex enumerator numbers it (in
-Q, y_j is variable j-1 and the slack of row i of A is n+i-1), and every
-pivot is a fraction-free Bareiss step, as in the integer pivoting of
-lrsnash (Avis, Rosenberg, Savani and von Stengel 2010).  Ratio-test ties
-are always broken lexicographically, which keeps the right-hand side
-nonnegative and rules out cycling even on degenerate inputs.
+which also stops them at their step cap, and keep what it yields as their
+path.  Each system is a ``polytope.Dictionary``, numbered as the vertex
+enumerator numbers it (in Q, y_j is variable j-1 and the slack of row i of
+A is n+i-1), and every pivot is a fraction-free Bareiss step, as in the
+integer pivoting of lrsnash (Avis, Rosenberg, Savani and von Stengel
+2010).  Ratio-test ties are always broken lexicographically, which keeps
+the right-hand side nonnegative and rules out cycling even on degenerate
+inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import cycle
+from functools import partial
 
 from .errors import DegenerateGameError, InvariantError
 from .gale import _lemke_pivots
 from .game import BimatrixGame, LabelSet, MixedProfile, UnitVectorGame, simplex_scaled
 from .linalg import ratio_rows
-from .paths import PivotPath, PivotStep
+from .paths import PivotPath, PivotStep, tight_set
 from .polytope import Dictionary
 
 DEFAULT_STEP_CAP = 10_000_000
@@ -88,34 +89,37 @@ class LhResult:
         return self.path.path_length
 
 
-def lh_steps(dicts: list[Dictionary], missing_label: int, step_cap: int | None):
-    """Pivot stream on ``dicts``, the slack dictionaries ``[P, Q]`` of a
-    game: yields PivotStep records, puts each pivoted dictionary back into
-    the list and stops at the equilibrium or at the cap, as in ``lh_solve``.
+def _label_sets(labels: list[int], bits: int) -> tuple[LabelSet, LabelSet]:
+    """The P and Q label sets of a product walk's mask."""
+    nvars = len(labels) // 2
+    return tight_set(labels[:nvars], bits), tight_set(labels[nvars:], bits >> nvars)
+
+
+def lh_path(dicts: list[Dictionary], missing_label: int, step_cap: int | None) -> PivotPath:
+    """The walk from ``dicts``, the dictionaries ``[P, Q]`` of a game, for
+    the missing label: it puts each pivoted dictionary back into the list
+    and stops at a completely labeled pair or at the cap, as in
+    ``lh_solve``.  The path's vertices are pairs of P and Q label sets.
 
     The walk is ``gale._lemke_pivots``: position v is P's variable v and
-    position m+n+v Q's, and the tight positions are the cobasic ones.  The
+    position m+n+v Q's, and the tight positions are the cobasic ones, so the
+    walk starts at the cobases of ``dicts``, wherever they are.  The
     lexicographic rule keeps each label but the missing one on two tight
-    positions, one per system, so P and Q alternate.  The walk keeps the
-    two label sets itself: a pivot replaces only the moved side's set, so
-    consecutive steps share the other side's.
+    positions, one per system, so P and Q alternate.
     """
     n, m = len(dicts[0].rows), len(dicts[1].rows)
     nvars = m + n
     # P: x_1..x_m, then the slacks of B's columns; Q: y_1..y_n, then the slacks of A's rows
     labels = [*range(1, nvars + 1), *range(m + 1, nvars + 1), *range(1, m + 1)]
-    start = (1 << m) - 1 | ((1 << n) - 1) << nvars  # x cobasic in P, y in Q
+    start = sum(1 << v for v in dicts[0].cobasis) | sum(1 << nvars + v for v in dicts[1].cobasis)
 
     def step(bits: int, p: int) -> int:
         side, base = (1, nvars) if p >= nvars else (0, 0)
         dicts[side], leaving, _ = _pivot(dicts[side], p - base)
         return base + leaving
 
-    pivots = _lemke_pivots(labels, start, missing_label, step, step_cap)
-    vertex = [frozenset(range(1, m + 1)), frozenset(range(m + 1, nvars + 1))]
-    for (_, dropped, picked), side in zip(pivots, cycle((0, 1) if missing_label <= m else (1, 0))):
-        vertex[side] = vertex[side] - {dropped} | {picked}
-        yield PivotStep(dropped, picked, tuple(vertex), "PQ"[side])
+    steps = tuple(map(PivotStep._make, _lemke_pivots(labels, start, missing_label, step, step_cap)))
+    return PivotPath(missing_label, start, steps, partial(_label_sets, labels), ((1 << nvars) - 1) << nvars)
 
 
 def lh_solve(
@@ -131,13 +135,11 @@ def lh_solve(
     StepCapExceededError with ``steps_taken == step_cap`` before pivot
     ``step_cap + 1`` is computed.
     """
-    m, n = game.m, game.n
-    start = (frozenset(range(1, m + 1)), frozenset(range(m + 1, m + n + 1)))
     a_rows, b_cols = game.integer_payoffs
-    dicts = [Dictionary.slack(b_cols, m), Dictionary.slack(a_rows, n)]
-    steps = tuple(lh_steps(dicts, missing_label, step_cap))
+    dicts = [Dictionary.slack(b_cols, game.m), Dictionary.slack(a_rows, game.n)]
+    path = lh_path(dicts, missing_label, step_cap)
     profile = MixedProfile(*(simplex_scaled(d.scaled_point()) for d in dicts))
-    return LhResult(profile, PivotPath(missing_label, start, steps))
+    return LhResult(profile, path)
 
 
 def lh_all_labels(game: BimatrixGame, **kwargs) -> list[tuple[int, LhResult]]:
@@ -150,13 +152,16 @@ def project_path(result: LhResult) -> tuple[list[LabelSet], list[LabelSet]]:
 
     Each side's sequence is its start and the vertex after each of its own
     pivots: a pivot always changes the label set of the side that moved and
-    never the other side's.  On a nondegenerate game both projections are
-    simple: no vertex is left and visited again.
+    never the other side's, so a step is replayed, not decoded.  On a
+    nondegenerate game both projections are simple: no vertex is left and
+    visited again.
     """
     path = result.path
-    xs = [path.start[0]] + [step.vertex[0] for step in path.steps if step.system == "P"]
-    ys = [path.start[1]] + [step.vertex[1] for step in path.steps if step.system == "Q"]
-    return xs, ys
+    seqs = [[labels] for labels in path.start]
+    for step, side in zip(path.steps, path.sides()):
+        seq = seqs[side == "Q"]
+        seq.append(seq[-1] - {step.dropped} | {step.picked})
+    return seqs[0], seqs[1]
 
 
 def lemke_path_on_unit_vector_game(
@@ -187,7 +192,5 @@ def lemke_path_on_unit_vector_game(
             raise DegenerateGameError("ratio-test tie on a game expected to be nondegenerate")
         return q
 
-    pivots = _lemke_pivots(labels, (1 << m) - 1, target, step, step_cap)
-    # each pivot is yielded right after ``step`` rebinds d, so d.cobasis is its vertex
-    steps = tuple(PivotStep(dk, pk, frozenset(v + 1 for v in d.cobasis), "P") for _, dk, pk in pivots)
-    return PivotPath(target, frozenset(range(1, m + 1)), steps)
+    steps = tuple(map(PivotStep._make, _lemke_pivots(labels, (1 << m) - 1, target, step, step_cap)))
+    return PivotPath(target, (1 << m) - 1, steps, partial(tight_set, range(1, len(labels) + 1)))

@@ -3,13 +3,14 @@ import pytest
 from galelemke import BimatrixGame, MixedProfile, random_game
 
 
+# A and B of the 3x3 unit-vector game used as the running worked example
+WORKED_EXAMPLE = ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 2, 4], [3, 2, 0], [0, 2, 0]])
+
+
 @pytest.fixture
 def game22() -> BimatrixGame:
     """The 3x3 unit-vector game used as the running worked example."""
-    return BimatrixGame.from_rows(
-        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-        [[0, 2, 4], [3, 2, 0], [0, 2, 0]],
-    )
+    return BimatrixGame.from_rows(*WORKED_EXAMPLE)
 
 
 @pytest.fixture

@@ -29,7 +29,7 @@ from galelemke import (
     triple_morris_game,
     triple_morris_polytope,
 )
-from galelemke.gale import LabeledGalePolytope
+from galelemke.gale import GaleString, LabeledGalePolytope
 from galelemke.game import equilibria_by_vertex_enumeration
 
 import random as random_module
@@ -61,7 +61,7 @@ def test_criterion_1_worked_example_path(game22, game22_equilibrium):
         start = time.perf_counter()
         result = lh_solve(game22, 1)
         best = min(best, time.perf_counter() - start)
-    sequence = [result.path.start] + [s.vertex for s in result.path.steps]
+    sequence = result.path.vertices()
     assert sequence == [(frozenset(a), frozenset(b)) for a, b in expected]
     assert result.equilibrium == game22_equilibrium
     assert result.path_length == 8
@@ -121,7 +121,7 @@ def test_criterion_5_completely_labeled_string_counts():
         poly = triple_morris_polytope(m)
         strings = completely_labeled_strings(poly)
         assert len(strings) == 3 ** (m // 2) + 1
-        origin = poly.start_vertex()
+        origin = GaleString.from_positions(poly.f, range(1, m + 1))
         for s in strings:
             if s == origin:
                 continue

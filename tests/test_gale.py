@@ -2,13 +2,13 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from galelemke import (
-    EulerGraph,
     GaleString,
     LabeledGalePolytope,
     combinatorial_lemke,
@@ -290,7 +290,7 @@ class TestPivotDriver:
         pivots = list(_lemke_pivots(self.LABELS, 0b0011, 1, step, None))
         # drop 0 (label 1), enter 2 (label 2); drop 1, the other tight 2; enter 3 (label 1)
         assert calls == [(0b0011, 0), (0b0110, 1)]
-        assert pivots == [(0b0011 ^ 1 << 0 | 1 << 2, 1, 2), (0b0110 ^ 1 << 1 | 1 << 3, 2, 1)]
+        assert pivots == [(1, 2, 0b0011 ^ 1 << 0 | 1 << 2), (2, 1, 0b0110 ^ 1 << 1 | 1 << 3)]
 
     @pytest.mark.parametrize(
         "labels, start, entered, holders",
@@ -302,7 +302,7 @@ class TestPivotDriver:
     def test_label_without_two_tight_holders_is_degenerate(self, labels, start, entered, holders):
         step, _ = scripted_step([entered])
         pivots = _lemke_pivots(labels, start, 1, step, None)
-        assert next(pivots)[2] == 2
+        assert next(pivots)[1] == 2
         with pytest.raises(DegenerateGameError, match=f"held by {holders} tight"):
             next(pivots)
 
@@ -368,10 +368,14 @@ class TestCompletelyLabeledStrings:
 
 class TestEulerMatchings:
     def test_graph_shape(self):
+        # the tour multigraph: f edges, one per cyclically consecutive pair
+        # of position labels, and every node of even degree
         poly = triple_morris_polytope(2)
-        graph = EulerGraph.from_labeling(poly)
-        assert len(graph.edges) == poly.f
-        assert all(d % 2 == 0 for d in graph.degrees().values())
+        tour = poly.position_labels()
+        edges = list(zip(tour, tour[1:] + tour[:1]))
+        assert len(edges) == poly.f
+        degrees = Counter(node for edge in edges for node in edge)
+        assert all(d % 2 == 0 for d in degrees.values())
 
     def test_triple_morris_two_bijection(self):
         poly = triple_morris_polytope(2)

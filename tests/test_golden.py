@@ -50,6 +50,11 @@ different rows and on degenerate games where payoff ties are common.  It
 also pins ``galelemke verify`` end to end (exit code and printed lines)
 on equilibria and on profiles that are not.  It was recorded on the cover
 that summed ``Fraction`` products over the original payoffs.
+
+The ``path_csv`` digest pins ``path_to_csv`` byte for byte on every label
+of the worked example, of seeded random 4x5 games and of the triple Morris
+game with m = 4.  It was recorded on the walk that kept a pair of label
+sets per step.
 """
 
 import csv
@@ -104,8 +109,9 @@ from galelemke.game import (
     unit_vector_completely_labeled_points,
 )
 from galelemke.gameio import format_profile, write_bgame
+from galelemke.paths import path_to_csv
 
-from conftest import C_DEGENERATE, C_THREE_EQ
+from conftest import C_DEGENERATE, C_THREE_EQ, WORKED_EXAMPLE
 
 
 def _canon(obj):
@@ -124,10 +130,11 @@ def _digest(records) -> str:
 
 
 def _path_record(path):
+    steps = zip(path.steps, path.vertices()[1:], path.sides())
     return (
         path.missing_label,
         path.start,
-        tuple((s.dropped, s.picked, s.vertex, s.system) for s in path.steps),
+        tuple((s.dropped, s.picked, vertex, side) for s, vertex, side in steps),
     )
 
 
@@ -216,7 +223,7 @@ def _gale_path_record(poly, label, step_cap=None):
         path = combinatorial_lemke(poly, label, step_cap)
     except (GaleLemkeError, ValueError) as exc:
         return ("error", type(exc).__name__, str(exc))
-    steps = tuple((s.dropped, s.picked, s.vertex.f, s.vertex.bits) for s in path.steps)
+    steps = tuple((s.dropped, s.picked, v.f, v.bits) for s, v in zip(path.steps, path.vertices()[1:]))
     return ("ok", path.missing_label, path.start.f, path.start.bits, steps)
 
 
@@ -346,6 +353,15 @@ def _label_cover_outputs():
     return out
 
 
+def _path_csvs(game):
+    out = []
+    for k in range(1, game.m + game.n + 1):
+        text = io.StringIO()
+        path_to_csv(lh_solve(game, k).path, text, game.m, game.n)
+        out.append(text.getvalue())
+    return out
+
+
 GOLDEN = {
     "lh_triple_morris": "b67fcbed48823629df5c3c39035560b13acc085cb89791e2a54cdb6adfc2558b",
     "lh_degenerate_lex": "5f9092e1d07aeaaa61f15c0f01d3493403b2e32c71b765e1a407a14b97589df9",
@@ -367,6 +383,7 @@ GOLDEN = {
     "unit_vector_points": "836f796ba3ec3bb75b56559b97f210f5d9a93eac330b3135b953b8d83d039ece",
     "cli_bench": "db82afdaf61767b1d8d51ab1b28dabdfbe618b9ff001dedec7196212ab2b822b",
     "label_cover": "31e6bfce9e6a5d09cecb826a9b13523cc8954e9b0dd2b34ad66f959c420cb8ab",
+    "path_csv": "b503156fbabae9b635a4573ee558debcf3caab59dd1ce214b045b711d4e2d877",
 }
 
 
@@ -457,6 +474,9 @@ def _outputs(name):
         return [_cli_bench_record(args) for args in CLI_BENCH_RUNS]
     if name == "label_cover":
         return _label_cover_outputs()
+    if name == "path_csv":
+        games = [BimatrixGame.from_rows(*WORKED_EXAMPLE)] + [random_game(4, 5, s) for s in range(5)]
+        return [_path_csvs(g) for g in games + [triple_morris_game(4).to_bimatrix()]]
     raise KeyError(name)
 
 

@@ -2,6 +2,7 @@
 typed errors on every call (also under ``python -O``)."""
 
 import ast
+import tracemalloc
 from operator import mul
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from galelemke import (
     lemke_path_length,
     lemke_path_on_unit_vector_game,
     lh_solve,
+    morris_polytope,
     randomized_support_search,
     triple_morris_game,
     triple_morris_polytope,
@@ -31,7 +33,7 @@ from galelemke.errors import (
 )
 from galelemke.game import UnitVectorGame
 from galelemke.generators import random_game
-from galelemke.lemke_howson import _leaving_row, _pivot, lh_steps
+from galelemke.lemke_howson import _leaving_row, _pivot, lh_path
 from galelemke.linalg import bareiss_solve
 from galelemke.polytope import Dictionary, feasible_bases
 
@@ -135,6 +137,28 @@ def _variable_labels(m, n):
     return tuple(range(1, m + n + 1)), (*range(m + 1, m + n + 1), *range(1, m + 1))
 
 
+class _LoggedDictionaries(list):
+    """A walk's [P, Q] list that logs, for each dictionary put back, the side
+    and both dictionaries after it."""
+
+    def __init__(self, dicts):
+        super().__init__(dicts)
+        self.log = []
+
+    def __setitem__(self, side, d):
+        super().__setitem__(side, d)
+        self.log.append((side, list(self)))
+
+
+def _walk(game, label):
+    """``lh_path`` from the game's slack dictionaries: the path, and for each
+    step the side whose dictionary it replaced and the [P, Q] after it."""
+    dicts = _LoggedDictionaries(_slack_dictionaries(game))
+    path = lh_path(dicts, label, None)
+    assert len(dicts.log) == path.path_length
+    return path, dicts.log
+
+
 def test_pivot_off_the_ratio_test_raises(monkeypatch):
     # entering variable 0 has ratios 1 (row 0) and 1/2 (row 1); pivoting on
     # row 0 drives the right-hand side of row 1 negative.  The full rows
@@ -211,13 +235,11 @@ def test_integer_pivoting_keeps_one_positive_denominator(game):
         for d in dicts:
             assert d.det == 1
         starts = [_full_tableau(d) for d in dicts]
-        pivots = 0
-        for step in lh_steps(dicts, label, None):
-            side = "PQ".index(step.system)
+        path, log = _walk(game, label)
+        for step, (side, after) in zip(path.steps, log):
             entering = labels[side].index(step.dropped)
-            _check_common_denominator(dicts[side], entering, starts[side])
-            pivots += 1
-        assert pivots > 0
+            _check_common_denominator(after[side], entering, starts[side])
+        assert path.steps
 
 
 walk_games = st.one_of(
@@ -232,22 +254,62 @@ walk_games = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(walk_games)
 def test_walk_label_sets_are_the_cobases(game):
-    # the product walk keeps its own label sets: they must be the ones the
-    # dictionaries' cobases carry, and a pivot of one side must leave the
-    # other side's set object as it was
+    # a step's mask is the two dictionaries' cobases, the path decodes it
+    # into the label sets those cobases carry, and it reads as moved the
+    # side whose dictionary pivoted; the sides alternate
     labels = _variable_labels(game.m, game.n)
-    for label in range(1, game.m + game.n + 1):
-        dicts = _slack_dictionaries(game)
-        before = None
-        for step in lh_steps(dicts, label, None):
-            assert step.vertex == tuple(
-                frozenset(side_labels[v] for v in d.cobasis) for side_labels, d in zip(labels, dicts)
+    nvars = game.m + game.n
+    for label in range(1, nvars + 1):
+        path, log = _walk(game, label)
+        for step, vertex, (side, after) in zip(path.steps, path.vertices()[1:], log):
+            p_cobasis, q_cobasis = (d.cobasis for d in after)
+            assert step.bits == sum(1 << v for v in p_cobasis) | sum(1 << nvars + v for v in q_cobasis)
+            assert vertex == tuple(
+                frozenset(side_labels[v] for v in d.cobasis) for side_labels, d in zip(labels, after)
             )
-            if before is not None:
-                kept = 1 if step.system == "P" else 0
-                assert step.system != before.system
-                assert step.vertex[kept] is before.vertex[kept]
-            before = step
+        sides = path.sides()
+        assert sides == ["PQ"[side] for side, _ in log]
+        assert all(a != b for a, b in zip(sides, sides[1:]))
+        assert lh_solve(game, label).path == path
+
+
+def test_walk_from_the_endpoint_retraces_the_path():
+    # lh_path starts at the cobases it is given, with either side first: on
+    # a nondegenerate game, the walk for the same label from the equilibrium
+    # it reached leads back to the origin through the same vertices
+    games = [random_game(m, n, seed) for m, n in ((2, 3), (3, 3), (4, 3), (4, 5)) for seed in range(4)]
+    for game in games:
+        for label in range(1, game.m + game.n + 1):
+            dicts = _slack_dictionaries(game)
+            forward = lh_path(dicts, label, None)
+            back = lh_path(dicts, label, None)
+            assert back.vertices() == forward.vertices()[::-1]
+            assert back.sides() == forward.sides()[::-1]
+            assert back.label_sequence() == [(b, a) for a, b in reversed(forward.label_sequence())]
+
+
+@pytest.mark.parametrize(
+    "walk, build, bound",
+    [
+        (lh_solve, lambda: triple_morris_game(12).to_bimatrix(), 300),
+        (combinatorial_lemke, lambda: morris_polytope(20), 160),
+    ],
+    ids=["lh-triple-morris-12", "gale-morris-20"],
+)
+def test_recorded_walk_keeps_no_vertex_per_step(walk, build, bound):
+    # a recorded step is the driver's two labels and tight mask, decoded on
+    # access; a record with a pair of label sets per step retained about
+    # 1,600 B per step on triple Morris m = 12, label 1, and one with a
+    # GaleString per step about 210 B on Morris m = 20, label 1
+    instance = build()
+    walk(instance, 1)  # caches the game's integer payoffs
+    tracemalloc.start()
+    try:
+        result = walk(instance, 1)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < bound * result.path_length
 
 
 def test_walked_dictionaries_are_enumerated_feasible_bases():
@@ -264,10 +326,8 @@ def test_walked_dictionaries_are_enumerated_feasible_bases():
             for rows, dim in ((b_cols, game.m), (a_rows, game.n))
         ]
         for label in range(1, game.m + game.n + 1):
-            dicts = _slack_dictionaries(game)
-            for step in lh_steps(dicts, label, None):
-                side = "PQ".index(step.system)
-                d = dicts[side]
+            for side, after in _walk(game, label)[1]:
+                d = after[side]
                 assert bases[side][frozenset(d.basis)] == (d.det, d.scaled_point())
                 pivots += 1
     assert pivots > 2000

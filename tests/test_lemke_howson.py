@@ -38,8 +38,7 @@ from conftest import C_DEGENERATE
 
 
 def label_pairs(result):
-    path = result.path
-    return [path.start] + [step.vertex for step in path.steps]
+    return result.path.vertices()
 
 
 WORKED_EXAMPLE_SEQUENCE = [
@@ -55,11 +54,10 @@ WORKED_EXAMPLE_SEQUENCE = [
 ]
 
 
-def test_pivot_step_fields_default_and_repr():
-    step = PivotStep(3, 5, "v")
-    assert (step.dropped, step.picked, step.vertex, step.system) == (3, 5, "v", None)
-    assert repr(step) == "PivotStep(dropped=3, picked=5, vertex='v', system=None)"
-    assert repr(PivotStep(1, 2, (0,), "Q")) == "PivotStep(dropped=1, picked=2, vertex=(0,), system='Q')"
+def test_pivot_step_fields_and_repr():
+    step = PivotStep(3, 5, 0b101)
+    assert (step.dropped, step.picked, step.bits) == (3, 5, 5)
+    assert repr(step) == "PivotStep(dropped=3, picked=5, bits=5)"
 
 
 class TestWorkedExample:
@@ -74,8 +72,7 @@ class TestWorkedExample:
 
     def test_alternation(self, game22):
         result = lh_solve(game22, 1)
-        systems = [step.system for step in result.path.steps]
-        assert systems == ["P", "Q"] * 4
+        assert result.path.sides() == ["P", "Q"] * 4
 
     def test_path_endpoints(self, game22):
         result = lh_solve(game22, 1)
@@ -93,8 +90,7 @@ class TestSmallGames:
         result = lh_solve(game, 1)
         assert result.equilibrium == MixedProfile.of([1], [1])
         assert result.path_length == 2
-        assert result.path.steps[0].system == "P"
-        assert result.path.steps[1].system == "Q"
+        assert result.path.sides() == ["P", "Q"]
 
     def test_swap_permutation_game(self):
         game = permutation_game(PermutationGameSpec.of([2, 1]))
@@ -264,12 +260,12 @@ class TestInvariantsAndErrors:
     def test_almost_complementarity_along_path(self, game22):
         result = lh_solve(game22, 1)
         full = frozenset(range(1, 7))
-        for step in result.path.steps[:-1]:
-            union = step.vertex[0] | step.vertex[1]
+        *middle, final = result.path.vertices()[1:]
+        for vertex in middle:
+            union = vertex[0] | vertex[1]
             assert union == full - {1}
-            overlap = step.vertex[0] & step.vertex[1]
+            overlap = vertex[0] & vertex[1]
             assert len(overlap) == 1
-        final = result.path.steps[-1].vertex
         assert final[0] | final[1] == full
 
     def test_endpoint_count_even_on_small_games(self):
@@ -287,10 +283,10 @@ class TestInvariantsAndErrors:
             full = frozenset(range(1, 9))
             for k in range(1, 9):
                 result = lh_solve(game, k)
-                for step in result.path.steps[:-1]:
-                    assert step.vertex[0] | step.vertex[1] == full - {k}
-                    assert len(step.vertex[0] & step.vertex[1]) == 1
-                last = result.path.steps[-1].vertex
+                *middle, last = result.path.vertices()[1:]
+                for vertex in middle:
+                    assert vertex[0] | vertex[1] == full - {k}
+                    assert len(vertex[0] & vertex[1]) == 1
                 assert last[0] | last[1] == full
 
     def test_negative_payoffs_solved_through_normalization(self):
@@ -327,15 +323,16 @@ class TestImitationWalk:
         u = UnitVectorGame.of(big_m, range(1, big_m + 1), [list(col) for col in zip(*c)])
         walk, lh = lemke_path_on_unit_vector_game(u, k), lh_solve(game, k)
         assert walk.label_sequence() == lh.path.label_sequence()
-        previous = walk.start
-        for step, lh_step in zip(walk.steps, lh.path.steps):
+        vertices = walk.vertices()
+        for previous, vertex, lh_vertex, lh_side in zip(
+            vertices, vertices[1:], lh.path.vertices()[1:], lh.path.sides()
+        ):
             labels = {True: set(), False: set()}
-            for v in step.vertex:
+            for v in vertex:
                 labels[self.in_p(game, v)].add(v - big_m if v > big_m else v)
-            assert (labels[True], labels[False]) == lh_step.vertex
-            (dropped,) = previous - step.vertex
-            assert ("P" if self.in_p(game, dropped) else "Q") == lh_step.system
-            previous = step.vertex
+            assert (labels[True], labels[False]) == lh_vertex
+            (dropped,) = previous - vertex
+            assert ("P" if self.in_p(game, dropped) else "Q") == lh_side
         # the endpoint's tight facets fix z, which splits into the LH equilibrium
         tight = sorted(walk.endpoint)
         rows = [[int(i == v - 1) for i in range(big_m)] if v <= big_m else c[v - big_m - 1] for v in tight]
