@@ -64,12 +64,25 @@ def _parse_m_range(text: str) -> list[int]:
     return list(range(lo, hi + 1, 2))
 
 
+def _refuse_unread(args, name: str, chosen: str, only: dict) -> None:
+    """Refuse, rather than drop, each given option (a flag not given is
+    None) that ``chosen`` does not read; ``only`` names the values that do."""
+    for dest, readers in only.items():
+        if getattr(args, dest) is not None and chosen not in readers.split():
+            raise ValueError(f"--{dest.replace('_', '-')} needs {name} {readers.replace(' ', ' or ')}")
+
+
 # ---------------------------------------------------------------------------
 # gen
 
 
 def cmd_gen(args) -> int:
     family = args.family
+    only = {
+        "pi": "permutation", "shuffle_columns": "morris triple-morris", "no_filter": "random",
+        "m": "morris triple-morris random", "n": "permutation random",
+    }
+    _refuse_unread(args, "family", family, only)
     if family in ("morris", "triple-morris"):
         if args.m is None:
             raise ValueError("--m is required for this family")
@@ -113,9 +126,7 @@ def _load_bimatrix(path: str):
 
 def cmd_solve(args) -> int:
     only = {"missing_label": "lh", "step_cap": "lh", "path_csv": "lh", "seed": "support"}
-    for dest, method in only.items():
-        if getattr(args, dest) is not None and args.method != method:
-            raise ValueError(f"--{dest.replace('_', '-')} needs --method {method}")
+    _refuse_unread(args, "--method", args.method, only)
     game = _load_bimatrix(args.game)
     if args.method == "lh":
         label = 1 if args.missing_label is None else args.missing_label
@@ -144,12 +155,8 @@ def cmd_verify(args) -> int:
     x_labels, y_labels = labels_of_profile(game, profile)
     missing = sorted(set(range(1, game.m + game.n + 1)) - (x_labels | y_labels))
     print("false" if missing else "true")
-    print(
-        "labels "
-        + ",".join(str(v) for v in sorted(x_labels))
-        + " | "
-        + ",".join(str(v) for v in sorted(y_labels))
-    )
+    sides = (",".join(str(v) for v in sorted(labels)) for labels in (x_labels, y_labels))
+    print("labels " + " | ".join(sides))
     if missing:
         print("missing " + ",".join(str(v) for v in missing))
     return EXIT_OK
@@ -278,6 +285,11 @@ def _bench_tasks(args):
     """Check every bench argument and return the ``(function, arguments)``
     tasks of the run, in CSV order.  Nothing is opened or run before the
     checks pass; the exhaustive permutation tasks are a lazy stream of n!."""
+    morris, perm = "morris triple-morris", "permutation"
+    only = {"m": morris, "solver": morris, "labels": morris, "n": perm, "exhaustive": perm}
+    _refuse_unread(args, "family", args.family, only)
+    solver = args.solver or "combinatorial"
+    _refuse_unread(args, "--solver", solver, {"labels": "combinatorial lh"})
     if args.family == "permutation" and args.n is None:
         raise ValueError("--n is required for this family")
     if args.seeds < 1:
@@ -293,17 +305,17 @@ def _bench_tasks(args):
         if args.exhaustive:
             return ((_cycle_task, (n, rank, pi)) for rank, pi in enumerate(permutations(range(1, n + 1))))
         return [(_permutation_task, (n, seed)) for seed in range(args.seeds)]
-    if not args.m_range:
+    if not args.m:
         raise ValueError("--m is required for this family")
     tasks = []
-    for m in _parse_m_range(args.m_range):
-        if args.solver == "support":
+    for m in _parse_m_range(args.m):
+        if solver == "support":
             tasks += [(_support_task, (args.family, m, seed)) for seed in range(args.seeds)]
         else:
-            solver = "lh" if args.solver == "lh" else "combinatorial-lemke"
+            name = "lh" if solver == "lh" else "combinatorial-lemke"
             tasks += [
-                (_path_task, (solver, args.family, m, label, args.step_cap))
-                for label in _bench_labels(m, args.labels)
+                (_path_task, (name, args.family, m, label, args.step_cap))
+                for label in _bench_labels(m, args.labels or "1")
             ]
     return tasks
 
@@ -372,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out")
     gen.add_argument("--shuffle-columns", action="store_true")
     gen.add_argument("--no-filter", action="store_true", help="skip the nondegeneracy filter")
-    gen.set_defaults(func=cmd_gen)
+    gen.set_defaults(func=cmd_gen, shuffle_columns=None, no_filter=None)
 
     solve = sub.add_parser("solve", help="solve a game file")
     solve.add_argument("game")
@@ -390,18 +402,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="measure path lengths or guess counts into CSV")
     bench.add_argument("family", choices=["morris", "triple-morris", "permutation"])
-    bench.add_argument("--m", dest="m_range", help="even range like 4..16")
+    bench.add_argument("--m", help="even range like 4..16")
     bench.add_argument("--n", type=int)
-    bench.add_argument("--labels", choices=["all", "1", "half"], default="1")
+    bench.add_argument("--labels", choices=["all", "1", "half"], help="default: 1")
     bench.add_argument(
-        "--solver", choices=["combinatorial", "lh", "support"], default="combinatorial"
+        "--solver", choices=["combinatorial", "lh", "support"], help="default: combinatorial"
     )
     bench.add_argument("--seeds", type=int, default=100)
     bench.add_argument("--exhaustive", action="store_true")
     bench.add_argument("--jobs", type=int, default=1)
     bench.add_argument("--step-cap", type=int, default=DEFAULT_STEP_CAP)
     bench.add_argument("--out", required=True)
-    bench.set_defaults(func=cmd_bench)
+    bench.set_defaults(func=cmd_bench, exhaustive=None)
 
     return parser
 

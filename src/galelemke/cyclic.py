@@ -4,7 +4,8 @@ The polytope in dimension m with f facets is cut out by the inequalities
 (mu(t_j) - mean)^T x <= 1 where mu(t) = (t, t^2, ..., t^m) and the mean is
 taken over the f curve points; any strictly increasing parameters t work.
 Its vertex-facet incidences are exactly the evenness bitstrings, which the
-tests cross-check against the combinatorial enumeration.
+tests cross-check against the combinatorial enumeration.  The canonical
+form is read off an integer dictionary; nothing here solves over Fractions.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from fractions import Fraction
 from math import comb
 
 from .errors import BudgetExceededError
-from .game import ONE, ZERO, Matrix, as_fraction, transpose
+from .game import Matrix, as_fraction, transpose
 from .gale import GaleString
-from .linalg import scaled_to_integers, solve_square
+from .linalg import bareiss_solve, pivot, scaled_to_integers
 from .polytope import vertices_nonneg_form
 
 MAX_FACET_SUBSETS = 200_000
@@ -106,20 +107,17 @@ class CanonicalForm:
         """Canonical coordinates of the vertex with the given incidence."""
         if s.f != self.geometry.f or s.m != self.m:
             raise ValueError("incidence string does not match this polytope")
-        rows = []
-        rhs = []
+        aug = []
         for p in s.ones():
             if p <= self.m:
-                rows.append([ONE if i == p - 1 else ZERO for i in range(self.m)])
-                rhs.append(ZERO)
+                aug.append([int(i == p - 1) for i in range(self.m)] + [0])
             else:
-                j = p - self.m - 1
-                rows.append([self.b[i][j] for i in range(self.m)])
-                rhs.append(ONE)
-        sol = solve_square(rows, rhs)
-        if sol is None:
+                scale, integers = scaled_to_integers([row[p - self.m - 1] for row in self.b])
+                aug.append([*integers, scale])
+        solved = bareiss_solve(aug)
+        if solved is None:
             raise ValueError(f"{s} does not determine a vertex")
-        return tuple(sol)
+        return tuple(Fraction(v, solved[1]) for v in solved[0])
 
     def incidence_of(self, point) -> GaleString:
         """Tight-facet bitstring of a point in canonical coordinates."""
@@ -136,18 +134,23 @@ def to_canonical_form(geom: CyclicPolytopeGeometry) -> CanonicalForm:
     to the origin and those facets to the coordinate hyperplanes; the last n
     inequalities are normalized to right-hand side 1.
 
-    With G the first m facet normals, x = v - G^-1 z where G v = 1; a later
-    facet g^T x <= 1 becomes -w^T z <= 1 - g^T v with G^T w = g, and
-    g^T v = w^T 1, so each facet costs one exact solve.
+    It is that vertex's integer dictionary, as lrs reads it (Avis 2000):
+    x_c enters on facet c's slack row by ``linalg.pivot``, c < m, so column
+    i holds scale_i * z_i, and B[i][j] is row m+j's entry there times
+    scale_i over its rhs; rhs / det (det may be < 0) is facet m+j's slack at
+    the origin.  For strictly increasing t no ValueError fires.  Pivot c is
+    the leading r-minor of the normals, r = c+1, and is not 0: at the
+    centroid, the monic polynomial with roots t_1..t_r, which is 0 on the
+    hyperplane through the first r curve points, is Σ_{k>r} Π_{i≤r} (t_k -
+    t_i) / f > 0.  The polytope is simple: no later facet holds the origin.
     """
-    leading_t = transpose(geom.rows[: geom.m])
-    columns = []
-    for g in geom.rows[geom.m:]:
-        w = solve_square(leading_t, g)
-        if w is None:
-            raise ValueError("the first m facet normals are linearly dependent")
-        slack = ONE - sum(w)
-        if slack <= 0:
-            raise ValueError("base vertex unexpectedly lies on a later facet")
-        columns.append(tuple(-v / slack for v in w))
-    return CanonicalForm(geom, transpose(tuple(columns)))
+    scaled = [scaled_to_integers(g) for g in geom.rows]
+    rows, det, m = [[*integers, scale] for scale, integers in scaled], 1, geom.m
+    for c in range(m):
+        if rows[c][c] == 0:
+            raise ValueError("a leading minor of the first m facet normals is 0")
+        rows, det = pivot(rows, c, c, det), rows[c][c]
+    if any(row[-1] * det <= 0 for row in rows[m:]):
+        raise ValueError("base vertex unexpectedly lies on a later facet")
+    b = tuple(tuple(Fraction(row[i] * scaled[i][0], row[-1]) for row in rows[m:]) for i in range(m))
+    return CanonicalForm(geom, b)

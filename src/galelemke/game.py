@@ -40,13 +40,19 @@ def as_fraction(value) -> Fraction:
 
 
 def matrix_from(rows) -> Matrix:
-    mat = tuple(tuple(as_fraction(v) for v in row) for row in rows)
+    return tuple(tuple(as_fraction(v) for v in row) for row in rows)
+
+
+def _shape(mat) -> tuple[int, int]:
+    """``(rows, columns)`` of a nonempty rectangular matrix of exact rationals."""
     if not mat or not mat[0]:
         raise ValueError("matrix must be nonempty")
-    width = len(mat[0])
-    if any(len(row) != width for row in mat):
-        raise ValueError("matrix rows must all have the same length")
-    return mat
+    for row in mat:
+        if len(row) != len(mat[0]):
+            raise ValueError("matrix rows must all have the same length")
+        if any(not isinstance(v, (Fraction, int)) for v in row):
+            raise TypeError("payoffs must be exact rationals")
+    return len(mat), len(mat[0])
 
 
 def transpose(mat: Matrix) -> Matrix:
@@ -96,12 +102,8 @@ class BimatrixGame:
     b: Matrix
 
     def __post_init__(self):
-        if len(self.a) != len(self.b) or len(self.a[0]) != len(self.b[0]):
+        if _shape(self.a) != _shape(self.b):
             raise ValueError("A and B must have identical shape")
-        for mat in (self.a, self.b):
-            for row in mat:
-                if any(not isinstance(v, (Fraction, int)) for v in row):
-                    raise TypeError("payoffs must be exact rationals")
 
     @classmethod
     def from_rows(cls, a_rows, b_rows) -> "BimatrixGame":
@@ -372,7 +374,7 @@ def imitation_game(c_rows) -> BimatrixGame:
     of (C, C^T).  C must be square, nonnegative, with no zero column."""
     c = matrix_from(c_rows)
     size = len(c)
-    if len(c[0]) != size:
+    if _shape(c)[1] != size:
         raise ValueError("imitation games need a square matrix")
     if any(v < 0 for row in c for v in row):
         raise ValueError("matrix must be nonnegative (shift payoffs first)")
@@ -403,7 +405,7 @@ class UnitVectorGame:
             raise ValueError("m must be at least 1")
         if any(not 1 <= v <= self.m for v in self.ell):
             raise ValueError("labels must lie in 1..m")
-        if len(self.b) != self.m or len(self.b[0]) != len(self.ell):
+        if _shape(self.b) != (self.m, len(self.ell)):
             raise ValueError("B must be m x len(ell)")
 
     @classmethod

@@ -1,13 +1,12 @@
 """Exact linear algebra on integers: fraction-free (Bareiss) elimination
-and the matching pivot step.
+and the matching pivot step, every exact elimination in the package.
 
-``bareiss_solve`` works on integer systems and returns a common
-denominator; support guessing, which keeps its data as integers, uses it
-directly.  ``solve_square`` is the rational front: it scales each row to
-integers and returns Fractions.  ``pivot`` is the one integer pivot step
-on a compact dictionary and ``ratio_rows`` its one min-ratio test, both
-shared by the Lemke-Howson tableaux and the vertex enumerator, which
-solves no system of its own.
+``bareiss_solve`` solves an integer system and returns a common
+denominator (support guessing, vertices of a cyclic canonical form).
+``pivot`` is the one integer pivot step on a compact dictionary and
+``ratio_rows`` its one min-ratio test, both shared by the Lemke-Howson
+tableaux and the vertex enumerator, which solves no system of its own;
+m pivots also build a cyclic polytope's canonical form.
 
 Singular systems are a normal negative outcome here, not an error: callers
 probing support combinations simply get ``None``.
@@ -15,7 +14,6 @@ probing support combinations simply get ``None``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 
@@ -113,19 +111,3 @@ def ratio_rows(rows, c: int) -> list[int]:
             elif order == 0:
                 tied.append(r)
     return tied
-
-
-def solve_square(matrix, rhs) -> list[Fraction] | None:
-    """Solve the square rational system ``matrix @ x = rhs`` exactly.
-
-    Returns the solution as Fractions, or None if the matrix is singular.
-    """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
-        raise ValueError("solve_square needs an n>=0 square matrix and matching rhs")
-    aug = [list(scaled_to_integers([*row, b])[1]) for row, b in zip(matrix, rhs)]
-    solved = bareiss_solve(aug)
-    if solved is None:
-        return None
-    numerators, denominator = solved
-    return [Fraction(v, denominator) for v in numerators]

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from galelemke import BimatrixGame, MixedProfile, random_game
@@ -24,6 +26,24 @@ C_THREE_EQ = [[0, 3, 0], [2, 2, 2], [4, 0, 0]]
 
 # degenerate variant: the mixed strategy (1/2, 1/2, 0) has three best responses
 C_DEGENERATE = [[0, 4, 0], [2, 2, 2], [4, 0, 0]]
+
+
+def gauss_jordan(matrix, rhs):
+    """The Fraction reference of the exact kernels: the solution of
+    ``matrix @ x = rhs`` by plain Gauss-Jordan, or None if singular."""
+    n = len(matrix)
+    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for k in range(n):
+        p = next((r for r in range(k, n) if aug[r][k] != 0), None)
+        if p is None:
+            return None
+        aug[k], aug[p] = aug[p], aug[k]
+        aug[k] = [v / aug[k][k] for v in aug[k]]
+        for r in range(n):
+            if r != k and aug[r][k] != 0:
+                f = aug[r][k]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[k])]
+    return [row[n] for row in aug]
 
 
 @pytest.fixture(scope="session")

@@ -241,6 +241,23 @@ class TestGen:
         main(["gen", "triple-morris", "--m", "4", "--seed", "5", "--shuffle-columns", "--out", str(mixed)])
         assert plain.read_text() != mixed.read_text()
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["random", "--m", "3", "--n", "3", "--pi", "2 1"], "--pi needs family permutation"),
+            (["random", "--m", "3", "--n", "3", "--shuffle-columns"], "--shuffle-columns needs family morris"),
+            (["morris", "--m", "4", "--no-filter"], "--no-filter needs family random"),
+            (["permutation", "--n", "3", "--m", "4"], "--m needs family morris"),
+            (["morris", "--m", "4", "--n", "9"], "--n needs family permutation"),
+        ],
+    )
+    def test_unread_option_refused(self, tmp_path, capsys, args, message):
+        # an option the family does not read would be dropped in silence
+        out = tmp_path / "game.bgame"
+        assert main(["gen", *args, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolve:
     def test_lh_walkthrough(self, game22_path, capsys):
@@ -401,6 +418,23 @@ class TestBench:
         before = out.read_bytes()
         assert main(["bench", *args, "--out", str(out)]) == 2
         assert out.read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["permutation", "--n", "3", "--m", "4"], "--m needs family morris"),
+            (["permutation", "--n", "3", "--solver", "lh"], "--solver needs family morris"),
+            (["permutation", "--n", "3", "--labels", "all"], "--labels needs family morris"),
+            (["morris", "--m", "4", "--n", "3"], "--n needs family permutation"),
+            (["morris", "--m", "4", "--exhaustive"], "--exhaustive needs family permutation"),
+            (["triple-morris", "--m", "2", "--solver", "support", "--labels", "1"], "--labels needs --solver"),
+        ],
+    )
+    def test_unread_option_refused(self, tmp_path, capsys, args, message):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", *args, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_permutation_without_n_rejected(self, tmp_path, capsys):
         out = tmp_path / "perm.csv"

@@ -3,6 +3,8 @@
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from galelemke import (
     GaleString,
@@ -12,6 +14,29 @@ from galelemke import (
     to_canonical_form,
 )
 from galelemke.errors import BudgetExceededError
+
+from conftest import gauss_jordan
+
+
+@st.composite
+def geometries(draw):
+    """A dual cyclic polytope with m in {2, 4, 6}, up to 5 more facets and
+    strictly increasing rational parameters, negatives included."""
+    m = draw(st.sampled_from([2, 4, 6]))
+    f = draw(st.integers(m + 1, m + 5))
+    t = draw(st.lists(st.fractions(-9, 9, max_denominator=5), min_size=f, max_size=f, unique=True))
+    return cyclic_geometry(m, f, sorted(t))
+
+
+def reference_b(geom):
+    """B by the coordinate change x = v - G^-1 z, G the first m normals and
+    G v = 1: facet g becomes -w . z <= 1 - sum(w) with G^T w = g."""
+    leading_t = [list(col) for col in zip(*geom.rows[: geom.m])]
+    columns = []
+    for g in geom.rows[geom.m:]:
+        w = gauss_jordan(leading_t, g)
+        columns.append([-v / (1 - sum(w)) for v in w])
+    return tuple(zip(*columns))
 
 
 class TestGeometry:
@@ -86,6 +111,20 @@ class TestCanonicalForm:
         # through incidence: scaling any B column would break bit equality
         canon = to_canonical_form(cyclic_geometry(2, 6))
         assert len(canon.b) == 2 and len(canon.b[0]) == 4
+
+    @settings(max_examples=40, deadline=None)
+    @given(geometries())
+    @example(cyclic_geometry(6, 11, t=["-5", "-7/3", "-1/2", "0", "1/4", "2", "3", "9/2", "5", "6", "17/2"]))
+    @example(cyclic_geometry(2, 3, t=["-9", "-8", "9"]))
+    def test_matches_reference_on_any_parameters(self, geom):
+        # no strictly increasing t makes a pivot (a leading minor of the
+        # normals) 0, and B is the coordinate change solved over Fractions
+        canon = to_canonical_form(geom)
+        assert canon.b == reference_b(geom)
+        vertices = list(enumerate_gale_vertices(geom.m, geom.f))
+        assert {s for _, s in geometry_vertex_strings(geom)} == set(vertices)
+        for s in vertices:
+            assert canon.incidence_of(canon.vertex_of(s)) == s
 
     def test_vertices_feasible_in_canonical_coordinates(self):
         canon = to_canonical_form(cyclic_geometry(4, 10))

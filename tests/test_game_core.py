@@ -317,6 +317,37 @@ class TestImitationGame:
         assert symmetric_xs == imitation_xs
 
 
+class TestDirectShape:
+    """Building a game from its fields checks the shape that ``from_rows``
+    and ``UnitVectorGame.of`` check, so no solver meets an empty or ragged
+    payoff matrix."""
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            ((), ()),
+            (((),), ((),)),
+            (((1, 2), (3,)), ((1, 2), (3, 4))),
+            (((1, 2), (3, 4)), ((1, 2), (3,))),
+        ],
+    )
+    def test_bimatrix_game(self, a, b):
+        with pytest.raises(ValueError):
+            BimatrixGame(a, b)
+
+    @pytest.mark.parametrize(
+        "m,ell,b",
+        [
+            (1, (), ((),)),
+            (2, (1, 2), ((1, 2), (3,))),
+            (2, (1, 2), ((1, 2), (3, 4, 5))),
+        ],
+    )
+    def test_unit_vector_game(self, m, ell, b):
+        with pytest.raises(ValueError):
+            UnitVectorGame(m, ell, b)
+
+
 class TestUnitVectorGame:
     def test_worked_example_is_unit_vector_game(self, game22):
         u = UnitVectorGame.of(3, (1, 2, 3), game22.b)

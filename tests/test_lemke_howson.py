@@ -32,9 +32,8 @@ from galelemke.generators import (
     _unit_vector_game_from_polytope,
     permutation_game,
 )
-from galelemke.linalg import solve_square
 
-from conftest import C_DEGENERATE
+from conftest import C_DEGENERATE, gauss_jordan
 
 
 def label_pairs(result):
@@ -336,7 +335,7 @@ class TestImitationWalk:
         # the endpoint's tight facets fix z, which splits into the LH equilibrium
         tight = sorted(walk.endpoint)
         rows = [[int(i == v - 1) for i in range(big_m)] if v <= big_m else c[v - big_m - 1] for v in tight]
-        z = solve_square(rows, [int(v > big_m) for v in tight])
+        z = gauss_jordan(rows, [int(v > big_m) for v in tight])
         assert split_symmetric_profile(game, z) == lh.equilibrium
 
     @settings(max_examples=40, deadline=None)
