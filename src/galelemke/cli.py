@@ -83,13 +83,17 @@ def cmd_gen(args) -> int:
         "m": "morris triple-morris random", "n": "permutation random",
     }
     _refuse_unread(args, "family", family, only)
+    seeded = family == "random" or family == "permutation" and not args.pi or args.shuffle_columns
+    if args.seed is not None and not seeded:
+        raise ValueError("--seed needs family random, permutation without --pi, or --shuffle-columns")
+    seed = args.seed or 0
     if family in ("morris", "triple-morris"):
         if args.m is None:
             raise ValueError("--m is required for this family")
         build = morris_game if family == "morris" else triple_morris_game
         game: UnitVectorGame = build(args.m)
         if args.shuffle_columns:
-            game = shuffle_columns(game, args.seed)
+            game = shuffle_columns(game, seed)
         print(f"labels {gameio.format_label_string(game.ell)}")
         out = args.out or f"{family}-m{args.m}.uvg"
     elif family == "permutation":
@@ -100,14 +104,14 @@ def cmd_gen(args) -> int:
         elif args.n is None:
             raise ValueError("--n is required for this family")
         else:
-            spec = random_permutation(args.n, args.seed)
+            spec = random_permutation(args.n, seed)
         game = permutation_game(spec)
         out = args.out or f"permutation-n{spec.n}.bgame"
     else:
         if args.m is None or args.n is None:
             raise ValueError("--m and --n are required for this family")
-        game = random_game(args.m, args.n, args.seed, filter_degenerate=not args.no_filter)
-        out = args.out or f"random-{args.m}x{args.n}-s{args.seed}.bgame"
+        game = random_game(args.m, args.n, seed, filter_degenerate=not args.no_filter)
+        out = args.out or f"random-{args.m}x{args.n}-s{seed}.bgame"
     gameio.save_game(out, game)
     print(out)
     return EXIT_OK
@@ -292,10 +296,17 @@ def _bench_tasks(args):
     _refuse_unread(args, "--solver", solver, {"labels": "combinatorial lh"})
     if args.family == "permutation" and args.n is None:
         raise ValueError("--n is required for this family")
-    if args.seeds < 1:
+    sampled = not args.exhaustive if args.family == "permutation" else solver == "support"
+    if args.seeds is not None and not sampled:
+        raise ValueError("--seeds needs --solver support, or family permutation without --exhaustive")
+    if args.step_cap is not None and (solver == "support" or args.family == "permutation"):
+        raise ValueError("--step-cap needs --solver combinatorial or lh")
+    seeds = 100 if args.seeds is None else args.seeds
+    step_cap = DEFAULT_STEP_CAP if args.step_cap is None else args.step_cap
+    if seeds < 1:
         raise ValueError("--seeds must be at least 1")
-    if args.step_cap < 0:
-        raise ValueError(f"step cap must be nonnegative, got {args.step_cap}")
+    if step_cap < 0:
+        raise ValueError(f"step cap must be nonnegative, got {step_cap}")
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
     if args.family == "permutation":
@@ -304,17 +315,17 @@ def _bench_tasks(args):
             raise ValueError("n must be at least 1")
         if args.exhaustive:
             return ((_cycle_task, (n, rank, pi)) for rank, pi in enumerate(permutations(range(1, n + 1))))
-        return [(_permutation_task, (n, seed)) for seed in range(args.seeds)]
+        return [(_permutation_task, (n, seed)) for seed in range(seeds)]
     if not args.m:
         raise ValueError("--m is required for this family")
     tasks = []
     for m in _parse_m_range(args.m):
         if solver == "support":
-            tasks += [(_support_task, (args.family, m, seed)) for seed in range(args.seeds)]
+            tasks += [(_support_task, (args.family, m, seed)) for seed in range(seeds)]
         else:
             name = "lh" if solver == "lh" else "combinatorial-lemke"
             tasks += [
-                (_path_task, (name, args.family, m, label, args.step_cap))
+                (_path_task, (name, args.family, m, label, step_cap))
                 for label in _bench_labels(m, args.labels or "1")
             ]
     return tasks
@@ -379,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("family", choices=["morris", "triple-morris", "permutation", "random"])
     gen.add_argument("--m", type=int)
     gen.add_argument("--n", type=int)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=int, help="default: 0")
     gen.add_argument("--pi", help="explicit permutation, space-separated")
     gen.add_argument("--out")
     gen.add_argument("--shuffle-columns", action="store_true")
@@ -408,10 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--solver", choices=["combinatorial", "lh", "support"], help="default: combinatorial"
     )
-    bench.add_argument("--seeds", type=int, default=100)
+    bench.add_argument("--seeds", type=int, help="default: 100")
     bench.add_argument("--exhaustive", action="store_true")
     bench.add_argument("--jobs", type=int, default=1)
-    bench.add_argument("--step-cap", type=int, default=DEFAULT_STEP_CAP)
+    bench.add_argument("--step-cap", type=int, help=f"default: {DEFAULT_STEP_CAP}")
     bench.add_argument("--out", required=True)
     bench.set_defaults(func=cmd_bench, exhaustive=None)
 

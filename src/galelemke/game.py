@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from operator import mul
+from functools import cached_property, reduce
+from operator import and_, mul
 
 from .errors import BudgetExceededError
 from .linalg import scaled_to_integers
@@ -124,9 +124,9 @@ class BimatrixGame:
                 f"match game {self.m}x{self.n}"
             )
 
-    # Derived payoffs are computed once per instance and kept in its
-    # __dict__ (cached_property writes there directly, so this works on a
-    # frozen dataclass and leaves ==, hash and repr alone).
+    # Derived payoffs and the vertex tables are computed once per instance
+    # and kept in its __dict__ (cached_property writes there directly, so
+    # this works on a frozen dataclass and leaves ==, hash and repr alone).
 
     @cached_property
     def normalized(self) -> tuple[Matrix, Matrix, Fraction, Fraction]:
@@ -164,6 +164,16 @@ class BimatrixGame:
         """``dominance_masks`` of ``a_rows`` and of ``b_cols``, built at
         the first support guess on this game."""
         return tuple(map(dominance_masks, self.integer_payoffs))
+
+    @cached_property
+    def _vertices(self) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+        """P's and Q's vertices, tight mask -> point times det of the first basis met
+        (``Dictionary.tight_point``): one walk per polytope for both readers."""
+        tables = ({}, {})
+        for table, int_rows, dim in zip(tables, self.integer_payoffs[::-1], (self.m, self.n)):
+            for d in feasible_bases(int_rows, dim):
+                table.setdefault(*d.tight_point())
+        return tables
 
 
 def dominance_masks(scaled):
@@ -281,45 +291,41 @@ def equilibria_by_vertex_enumeration(game: BimatrixGame) -> list[MixedProfile]:
     """Equilibria via exhaustive P x Q vertex enumeration (oracle path): one
     per completely labeled vertex pair other than the origin pair.
 
-    The Q vertices are indexed by label, so each P vertex meets only the Q
-    vertices that hold every label it misses.  A P vertex always misses
-    one: only the origin has every coordinate label, and it has no row
-    label.
+    Pairs are read off the game's vertex tables as label masks, bit l for
+    label l + 1: P's tight masks, and Q's with y_j moved to m + j and row i
+    to i.  Q's vertices are indexed by label, and each P vertex meets only
+    those that hold every label it misses (one at least: the origin has no
+    row label); ``simplex_scaled`` cancels det.
     """
-    full = frozenset(range(1, game.m + game.n + 1))
-    qs = list(q_vertices(game))
-    holders: dict[int, set[int]] = {label: set() for label in full}
-    for k, (_, y_labels) in enumerate(qs):
-        for label in y_labels:
-            holders[label].add(k)
+    m, n = game.m, game.n
+    p_table, q_table = game._vertices
+    qs = list(q_table.values())
+    q_labels = [(t & (1 << n) - 1) << m | t >> n for t in q_table]
+    holders = [sum(1 << k for k, t in enumerate(q_labels) if t >> label & 1) for label in range(m + n)]
     found = set()
-    for x_point, x_labels in p_vertices(game):
-        for k in set.intersection(*(holders[label] for label in full - x_labels)):
-            y_point = qs[k][0]
-            if any(x_point) or any(y_point):
-                found.add(MixedProfile(simplex_scaled(x_point), simplex_scaled(y_point)))
+    for s, x_point in p_table.items():
+        both = reduce(and_, (holders[label] for label in range(m + n) if not s >> label & 1))
+        while both:
+            k = both.bit_length() - 1
+            both ^= 1 << k
+            if any(x_point) or any(qs[k]):
+                found.add(MixedProfile(simplex_scaled(x_point), simplex_scaled(qs[k])))
     return sorted(found, key=lambda p: (p.x, p.y))
 
 
 def is_nondegenerate(game: BimatrixGame) -> bool:
-    """Exact nondegeneracy check on the feasible bases of P and Q.
+    """Exact nondegeneracy check on the game's vertex tables of P and Q.
 
-    True iff no feasible basis of P or Q has a zero right-hand side entry,
-    that is iff every vertex of P lies on exactly m binding inequalities
-    and every vertex of Q on exactly n.  Returns False at the first such
-    basis.  Refuses games with m+n beyond NONDEGENERACY_MAX_LABELS; past
-    that budget callers must rely on lexicographic tie-breaking instead.
+    True iff every vertex of P lies on exactly m binding inequalities and
+    every vertex of Q on exactly n (no feasible basis has a zero right-hand
+    side).  Refuses m+n beyond NONDEGENERACY_MAX_LABELS; past that budget
+    callers must rely on lexicographic tie-breaking instead.
     """
     if game.m + game.n > NONDEGENERACY_MAX_LABELS:
         raise BudgetExceededError(
             f"nondegeneracy check refused for m+n={game.m + game.n} > {NONDEGENERACY_MAX_LABELS}"
         )
-    a_rows, b_cols = game.integer_payoffs
-    for int_rows, dim in ((b_cols, game.m), (a_rows, game.n)):
-        for d in feasible_bases(int_rows, dim):
-            if any(row[-1] == 0 for row in d.rows):
-                return False
-    return True
+    return all(t.bit_count() == dim for table, dim in zip(game._vertices, (game.m, game.n)) for t in table)
 
 
 # ---------------------------------------------------------------------------

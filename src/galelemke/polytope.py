@@ -70,6 +70,12 @@ class Dictionary(NamedTuple):
                 z[var] = row[-1]
         return z
 
+    def tight_point(self) -> tuple[int, list[int]]:
+        """``(tight, scaled_point())``, tight with bit v set for each variable v cobasic or at 0."""
+        rows, basis, cobasis, _ = self
+        tight = sum(1 << v for v in cobasis) + sum(1 << v for v, row in zip(basis, rows) if not row[-1])
+        return tight, self.scaled_point()
+
 
 def feasible_bases(int_rows, dim):
     """Every feasible basis of ``{z >= 0, R z <= 1}`` as a ``Dictionary``,
@@ -113,20 +119,18 @@ def vertices_nonneg_form(int_rows, dim):
     the set of cobasic rows of a feasible basis of the vertex with |S|
     cobasic rows, and the walk visits every feasible basis.
     """
-    found = {}  # tight positions -> (S, point)
-    first_rows = {}  # tight positions -> T, the least cobasic rows of size |S| so far
+    found = {}  # tight mask -> (S, point)
+    first_rows = {}  # tight mask -> T, the least cobasic rows of size |S| so far
     for d in feasible_bases(int_rows, dim):
-        rows, basis, cobasis, det = d
-        tight = frozenset([v + 1 for v in cobasis] + [v + 1 for v, row in zip(basis, rows) if row[-1] == 0])
+        tight, scaled = d.tight_point()
         if tight not in found:
-            scaled = d.scaled_point()
-            point = tuple(Fraction(v, det) if v else ZERO for v in scaled)
+            point = tuple(Fraction(v, d.det) if v else ZERO for v in scaled)
             found[tight] = (tuple(i for i in range(dim) if scaled[i]), point)
         # the cobasic slacks: rows shifted by dim, which keeps their order
-        cobasic_rows = tuple(sorted(v for v in cobasis if v >= dim))
+        cobasic_rows = tuple(sorted(v for v in d.cobasis if v >= dim))
         if len(cobasic_rows) == len(found[tight][0]):
             first_rows[tight] = min(cobasic_rows, first_rows.get(tight, cobasic_rows))
     if len(first_rows) < len(found):
         raise InvariantError("vertex without a feasible basis on its support")
     for tight in sorted(found, key=lambda k: (len(found[k][0]), found[k][0], first_rows[k])):
-        yield found[tight][1], tight
+        yield found[tight][1], frozenset(v + 1 for v in range(tight.bit_length()) if tight >> v & 1)

@@ -249,6 +249,8 @@ class TestGen:
             (["morris", "--m", "4", "--no-filter"], "--no-filter needs family random"),
             (["permutation", "--n", "3", "--m", "4"], "--m needs family morris"),
             (["morris", "--m", "4", "--n", "9"], "--n needs family permutation"),
+            (["morris", "--m", "4", "--seed", "5"], "--seed needs family random"),
+            (["permutation", "--pi", "2 1", "--seed", "5"], "--seed needs family random"),
         ],
     )
     def test_unread_option_refused(self, tmp_path, capsys, args, message):
@@ -257,6 +259,10 @@ class TestGen:
         assert main(["gen", *args, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_seed_read_by_shuffled_columns(self, tmp_path):
+        out = tmp_path / "m.uvg"
+        assert main(["gen", "morris", "--m", "4", "--shuffle-columns", "--seed", "5", "--out", str(out)]) == 0
 
 
 class TestSolve:
@@ -428,6 +434,10 @@ class TestBench:
             (["morris", "--m", "4", "--n", "3"], "--n needs family permutation"),
             (["morris", "--m", "4", "--exhaustive"], "--exhaustive needs family permutation"),
             (["triple-morris", "--m", "2", "--solver", "support", "--labels", "1"], "--labels needs --solver"),
+            (["morris", "--m", "4", "--seeds", "3"], "--seeds needs --solver support"),
+            (["permutation", "--n", "3", "--exhaustive", "--seeds", "3"], "--seeds needs --solver support"),
+            (["permutation", "--n", "3", "--step-cap", "5"], "--step-cap needs --solver combinatorial"),
+            (["morris", "--m", "4", "--solver", "support", "--step-cap", "5"], "--step-cap needs --solver"),
         ],
     )
     def test_unread_option_refused(self, tmp_path, capsys, args, message):
@@ -500,6 +510,11 @@ class TestBench:
         assert len(rows) == 10
         assert all(r["solver"] == "support" for r in rows)
         assert all(1 <= int(r["guesses"]) <= 13 for r in rows)
+
+    def test_seeds_read_by_support(self, tmp_path):
+        out = tmp_path / "support.csv"
+        assert main(["bench", "morris", "--m", "4", "--solver", "support", "--seeds", "3", "--out", str(out)]) == 0
+        assert len(list(csv.DictReader(out.open()))) == 3
 
     def test_support_wall_time_is_the_search_time(self, tmp_path):
         out = tmp_path / "support.csv"

@@ -1,6 +1,7 @@
 """Game representation, labels, verification, and reductions."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from galelemke.game import (
     simplex_scaled,
     unit_vector_completely_labeled_points,
 )
+from galelemke.polytope import feasible_bases, vertices_nonneg_form
 
 from conftest import C_DEGENERATE, C_THREE_EQ
 
@@ -417,3 +419,74 @@ class TestVertexOracle:
             degenerate += not is_nondegenerate(game)
             assert equilibria_by_vertex_enumeration(game) == _all_pairs_equilibria(game)
         assert degenerate
+
+
+# Degenerate: support enumeration misses the two equilibria with x = (1/3, 0, 2/3).
+DEGENERATE_3X4 = ([[2, 1, 1, 2], [0, 0, 2, 0], [2, 1, 2, 0]], [[2, 0, 0, 2], [0, 1, 0, 1], [1, 2, 2, 1]])
+
+
+@st.composite
+def small_payoffs(draw):
+    """A and B rows, m and n in 1..4 with payoffs 0..2, where degeneracy is common."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    matrix = st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=m, max_size=m)
+    return draw(matrix), draw(matrix)
+
+
+def _both_readers(game, oracle_first):
+    """``(is_nondegenerate, equilibria_by_vertex_enumeration)``, called in either order."""
+    if oracle_first:
+        equilibria = equilibria_by_vertex_enumeration(game)
+        return is_nondegenerate(game), equilibria
+    return is_nondegenerate(game), equilibria_by_vertex_enumeration(game)
+
+
+class TestVertexTables:
+    """``is_nondegenerate`` and the vertex oracle share one walk of P and of Q."""
+
+    @pytest.mark.parametrize("oracle_first", [False, True])
+    def test_one_walk_per_polytope(self, monkeypatch, oracle_first):
+        drawn = random_game(3, 4, 7)
+        game = BimatrixGame(drawn.a, drawn.b)  # a fresh instance, whose polytopes no call has walked yet
+        walks = []
+
+        def spy(int_rows, dim):
+            walks.append((tuple(int_rows), dim))
+            return feasible_bases(*walks[-1])
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("galelemke") and getattr(module, "feasible_bases", None) is feasible_bases:
+                monkeypatch.setattr(module, "feasible_bases", spy)
+        first = _both_readers(game, oracle_first)
+        assert first[0]
+        assert _both_readers(game, not oracle_first) == first
+        a_rows, b_cols = game.integer_payoffs
+        assert sorted(walks) == sorted([(b_cols, 3), (a_rows, 4)])
+
+    def test_tables_hold_only_integers(self):
+        # a table of Dictionary objects would keep every basis's rows alive with the game
+        game = BimatrixGame.from_rows(*DEGENERATE_3X4)
+        equilibria_by_vertex_enumeration(game)
+        tables = game.__dict__["_vertices"]
+        assert type(tables) is tuple and len(tables) == 2
+        a_rows, b_cols = game.integer_payoffs
+        for table, (rows, dim) in zip(tables, ((b_cols, game.m), (a_rows, game.n))):
+            assert type(table) is dict
+            for mask, point in table.items():
+                assert type(mask) is int
+                assert type(point) in (tuple, list) and len(point) == dim
+                assert all(type(v) is int for v in point)
+            tight_sets = [sum(1 << v - 1 for v in tight) for _, tight in vertices_nonneg_form(rows, dim)]
+            assert sorted(table) == sorted(tight_sets)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_payoffs(), st.booleans())
+    @example(DEGENERATE_3X4, False)
+    @example(DEGENERATE_3X4, True)
+    def test_readers_match_their_definitions(self, payoffs, oracle_first):
+        game = BimatrixGame.from_rows(*payoffs)
+        a_rows, b_cols = game.integer_payoffs
+        bases = [d for rows, dim in ((b_cols, game.m), (a_rows, game.n)) for d in feasible_bases(rows, dim)]
+        nondegenerate, equilibria = _both_readers(game, oracle_first)
+        assert nondegenerate == (not any(row[-1] == 0 for d in bases for row in d.rows))
+        assert equilibria == _all_pairs_equilibria(game)
