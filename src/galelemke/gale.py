@@ -5,16 +5,16 @@ exactly the length-f bitstrings with m ones in which every maximal cyclic
 run of ones has even length.  Dropping one facet of a vertex leaves m-1
 fixed facets that admit exactly two completions, which makes edge-following
 a purely combinatorial operation: no arithmetic, a few bit scans per pivot.
-A vertex is its set of tight facets; the walk driver ``_lemke_pivots``,
-shared with both Lemke-Howson walks, keeps it as one bit mask, which is
-what a recorded path keeps.
+A vertex is its set of tight facets; the walk driver ``_lemke_pivots``, a
+plain loop shared with both Lemke-Howson walks, keeps it as one bit mask and
+records a step only into a list it is given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
+from itertools import count
 
 from .errors import BudgetExceededError, DegenerateGameError, InvariantError, StepCapExceededError
 from .paths import PivotPath, PivotStep
@@ -167,12 +167,15 @@ def _gale_step(f: int):
     vertex) or extending the odd fragment at its far end, so the traversed
     edge is unique.  On the doubled ring, ``down`` counts the ones from p0
     downwards; if it is even the odd fragment lies below p0 and the zero
-    under it enters, otherwise the first zero above p0 enters.
+    under it enters, otherwise the first zero above p0 enters.  The ring's
+    window below p0 depends on (f, p0) alone and is tabled once per walk.
     """
+    windows = [(p0 + f + 1, (1 << (p0 + f + 1)) - 1) for p0 in range(f)]
+
     def step(bits: int, p0: int) -> int:
         ring = bits | bits << f
-        window = (1 << (p0 + f + 1)) - 1
-        down = p0 + f + 1 - (ring & window ^ window).bit_length()
+        top, window = windows[p0]
+        down = top - (ring & window ^ window).bit_length()
         if down % 2:
             x = ring >> p0
             return (p0 + (~x & (x + 1)).bit_length() - 1) % f
@@ -240,16 +243,17 @@ def completely_labeled_strings(poly: LabeledGalePolytope) -> list[GaleString]:
     return [s for s in enumerate_gale_vertices(poly.m, poly.f) if poly.labels_of(s) == full]
 
 
-def _lemke_pivots(labels, start: int, missing_label: int, step, cap: int | None):
-    """Generate (dropped_label, picked_label, new_bits) pivots, the fields
-    of ``PivotStep``, of the label-forced walk for the missing label: the
-    one walk of the Gale engine and of both Lemke-Howson walks.  ``start``
-    is the bit mask of the tight 0-based positions, which carry labels
-    1..start.bit_count(), and ``labels[q]`` is q's label.  The walk first
-    drops the start position with the missing label; after picking up label
-    l it drops the other tight position with label l, by the pivot
-    ``step(bits, p)``, which returns the entered position; only the driver
-    updates the mask.
+def _lemke_pivots(labels, start: int, missing_label: int, step, cap: int | None, steps=None) -> tuple[int, int]:
+    """Walk the label-forced path for the missing label and return its
+    length and end mask: the one walk of the Gale engine and of both
+    Lemke-Howson walks.  ``start`` is the bit mask of the tight 0-based
+    positions, which carry labels 1..start.bit_count(), and ``labels[q]``
+    is q's label.  The walk first drops the start position with the missing
+    label; after picking up label l it drops the other tight position with
+    label l, by the pivot ``step(bits, p)``, which returns the entered
+    position; only the driver updates the mask.  Given a list ``steps``, it
+    appends each ``PivotStep(dropped, picked, bits)`` and raises
+    InvariantError at the first revisited mask; without one it keeps nothing.
 
     The walk takes at most ``cap`` pivots (``None``: no cap).  If it has
     not ended by then, it raises StepCapExceededError with ``steps_taken ==
@@ -263,14 +267,19 @@ def _lemke_pivots(labels, start: int, missing_label: int, step, cap: int | None)
     masks = [0] * (k + 1)  # masks[lab]: the positions carrying label lab
     for q, lab in enumerate(labels):
         masks[lab] |= 1 << q
+    visited = {start}
     bits, p0 = start, (start & masks[missing_label]).bit_length() - 1
-    for _ in repeat(None) if cap is None else repeat(None, cap):
+    for length in count(1) if cap is None else range(1, cap + 1):
         q0 = step(bits, p0)
         bits ^= 1 << p0 | 1 << q0
-        dropped, picked = labels[p0], labels[q0]
-        yield dropped, picked, bits
+        picked = labels[q0]
+        if steps is not None:
+            if bits in visited:
+                raise InvariantError(f"pivoting revisited the tight positions {bits:#b}")
+            visited.add(bits)
+            steps.append(PivotStep(labels[p0], picked, bits))
         if picked == missing_label:
-            return
+            return length, bits
         holders = bits & masks[picked]
         if holders.bit_count() != 2:
             raise DegenerateGameError(
@@ -290,34 +299,23 @@ def combinatorial_lemke(
     completely labeled vertex; the path's vertices are GaleStrings.
     Unbounded by default; with a ``step_cap`` the path may take exactly that
     many pivots, and a longer one raises StepCapExceededError with
-    ``steps_taken == step_cap``.  Every vertex is checked against the ones
-    visited before it.
+    ``steps_taken == step_cap``.  A revisited vertex raises InvariantError.
     """
     start, f = (1 << poly.m) - 1, poly.f
     steps: list[PivotStep] = []
-    visited = {start}
-    pivots = _lemke_pivots(poly.position_labels(), start, missing_label, _gale_step(f), step_cap)
-    for dropped, picked, bits in pivots:
-        if bits in visited:
-            raise InvariantError(f"pivoting revisited vertex {_gale_string(f, bits)}")
-        visited.add(bits)
-        steps.append(PivotStep(dropped, picked, bits))
+    _lemke_pivots(poly.position_labels(), start, missing_label, _gale_step(f), step_cap, steps)
     return PivotPath(missing_label, start, tuple(steps), partial(_gale_string, f))
 
 
 def lemke_path_length(
     poly: LabeledGalePolytope, missing_label: int, step_cap: int | None = None
 ) -> tuple[int, GaleString]:
-    """Length (edge count) and endpoint of the path, without recording it.
-
-    Memory-light variant for benchmark runs on exponentially long paths.
-    The step cap works as in ``combinatorial_lemke``.
+    """Length (edge count) and endpoint of the path, keeping no step: for
+    exponentially long paths.  The step cap works as in ``combinatorial_lemke``.
     """
-    start = (1 << poly.m) - 1
-    pivots = _lemke_pivots(poly.position_labels(), start, missing_label, _gale_step(poly.f), step_cap)
-    for length, pivot in enumerate(pivots, 1):
-        pass
-    return length, _gale_string(poly.f, pivot[2])
+    start, f = (1 << poly.m) - 1, poly.f
+    length, bits = _lemke_pivots(poly.position_labels(), start, missing_label, _gale_step(f), step_cap)
+    return length, _gale_string(f, bits)
 
 
 # ---------------------------------------------------------------------------

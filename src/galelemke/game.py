@@ -167,12 +167,13 @@ class BimatrixGame:
 
     @cached_property
     def _vertices(self) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-        """P's and Q's vertices, tight mask -> point times det of the first basis met
-        (``Dictionary.tight_point``): one walk per polytope for both readers."""
+        """P's and Q's vertices, ``Dictionary.tight`` mask -> point times det of the
+        first basis met: one walk per polytope for both readers."""
         tables = ({}, {})
         for table, int_rows, dim in zip(tables, self.integer_payoffs[::-1], (self.m, self.n)):
             for d in feasible_bases(int_rows, dim):
-                table.setdefault(*d.tight_point())
+                if (tight := d.tight()) not in table:
+                    table[tight] = d.scaled_point()
         return tables
 
 

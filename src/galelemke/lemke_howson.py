@@ -5,14 +5,14 @@ alternates pivots between the two systems until that label is picked up
 again, at which point the basic solution is an equilibrium.  On a
 unit-vector game the Q moves are forced by the labels, so that walk pivots
 P alone.  Both walks run on the label-forced loop ``gale._lemke_pivots``,
-which also stops them at their step cap, and keep what it yields as their
-path.  Each system is a ``polytope.Dictionary``, numbered as the vertex
-enumerator numbers it (in Q, y_j is variable j-1 and the slack of row i of
-A is n+i-1), and every pivot is a fraction-free Bareiss step, as in the
-integer pivoting of lrsnash (Avis, Rosenberg, Savani and von Stengel
-2010).  Ratio-test ties are always broken lexicographically, which keeps
-the right-hand side nonnegative and rules out cycling even on degenerate
-inputs.
+which stops them at their step cap, appends their steps to the path and
+raises InvariantError at a revisited tight set.  Each system is a
+``polytope.Dictionary``, numbered as the vertex enumerator numbers it (in
+Q, y_j is variable j-1 and the slack of row i of A is n+i-1), and every
+pivot is a fraction-free Bareiss step, as in the integer pivoting of
+lrsnash (Avis, Rosenberg, Savani and von Stengel 2010).  Ratio-test ties
+are always broken lexicographically, which keeps the right-hand side
+nonnegative and rules out cycling even on degenerate inputs.
 """
 
 from __future__ import annotations
@@ -118,8 +118,9 @@ def lh_path(dicts: list[Dictionary], missing_label: int, step_cap: int | None) -
         dicts[side], leaving, _ = _pivot(dicts[side], p - base)
         return base + leaving
 
-    steps = tuple(map(PivotStep._make, _lemke_pivots(labels, start, missing_label, step, step_cap)))
-    return PivotPath(missing_label, start, steps, partial(_label_sets, labels), ((1 << nvars) - 1) << nvars)
+    steps: list[PivotStep] = []
+    _lemke_pivots(labels, start, missing_label, step, step_cap, steps)
+    return PivotPath(missing_label, start, tuple(steps), partial(_label_sets, labels), ((1 << nvars) - 1) << nvars)
 
 
 def lh_solve(
@@ -192,5 +193,6 @@ def lemke_path_on_unit_vector_game(
             raise DegenerateGameError("ratio-test tie on a game expected to be nondegenerate")
         return q
 
-    steps = tuple(map(PivotStep._make, _lemke_pivots(labels, (1 << m) - 1, target, step, step_cap)))
-    return PivotPath(target, (1 << m) - 1, steps, partial(tight_set, range(1, len(labels) + 1)))
+    steps: list[PivotStep] = []
+    _lemke_pivots(labels, (1 << m) - 1, target, step, step_cap, steps)
+    return PivotPath(target, (1 << m) - 1, tuple(steps), partial(tight_set, range(1, len(labels) + 1)))

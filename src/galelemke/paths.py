@@ -3,9 +3,9 @@
 A path starts at a completely labeled vertex, drops the missing label, and
 pivots along almost-complementary edges until the missing label is picked
 up again.  Every walk runs on the one label-forced loop
-``gale._lemke_pivots``, and what it yields is the record: per step the
-label dropped, the label picked up and the bit mask of the tight positions
-reached.  The path decodes a mask into its walk's vertex only on access.
+``gale._lemke_pivots``, and the steps it appends are the record: per step
+the label dropped, the label picked up and the bit mask of the tight
+positions reached.  The path decodes a mask into its vertex on access.
 """
 
 from __future__ import annotations

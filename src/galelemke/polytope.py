@@ -70,11 +70,10 @@ class Dictionary(NamedTuple):
                 z[var] = row[-1]
         return z
 
-    def tight_point(self) -> tuple[int, list[int]]:
-        """``(tight, scaled_point())``, tight with bit v set for each variable v cobasic or at 0."""
+    def tight(self) -> int:
+        """The vertex's tight set: bit v for each variable v cobasic or at 0."""
         rows, basis, cobasis, _ = self
-        tight = sum(1 << v for v in cobasis) + sum(1 << v for v, row in zip(basis, rows) if not row[-1])
-        return tight, self.scaled_point()
+        return sum(1 << v for v in cobasis) + sum(1 << v for v, row in zip(basis, rows) if not row[-1])
 
 
 def feasible_bases(int_rows, dim):
@@ -122,10 +121,10 @@ def vertices_nonneg_form(int_rows, dim):
     found = {}  # tight mask -> (S, point)
     first_rows = {}  # tight mask -> T, the least cobasic rows of size |S| so far
     for d in feasible_bases(int_rows, dim):
-        tight, scaled = d.tight_point()
-        if tight not in found:
-            point = tuple(Fraction(v, d.det) if v else ZERO for v in scaled)
-            found[tight] = (tuple(i for i in range(dim) if scaled[i]), point)
+        tight = d.tight()
+        if tight not in found:  # a degenerate vertex's later bases give the same point
+            point = tuple(Fraction(v, d.det) if v else ZERO for v in d.scaled_point())
+            found[tight] = (tuple(i for i, v in enumerate(point) if v), point)
         # the cobasic slacks: rows shifted by dim, which keeps their order
         cobasic_rows = tuple(sorted(v for v in d.cobasis if v >= dim))
         if len(cobasic_rows) == len(found[tight][0]):

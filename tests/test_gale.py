@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -22,8 +23,9 @@ from galelemke import (
     morris_polytope,
     triple_morris_polytope,
 )
-from galelemke.errors import BudgetExceededError, DegenerateGameError, StepCapExceededError
+from galelemke.errors import BudgetExceededError, DegenerateGameError, InvariantError, StepCapExceededError
 from galelemke.gale import _gale_step, _lemke_pivots
+from galelemke.paths import PivotStep
 
 
 def brute_force_gale(m, f):
@@ -287,10 +289,12 @@ class TestPivotDriver:
 
     def test_driver_applies_each_pivot_to_the_mask(self):
         step, calls = scripted_step([2, 3])
-        pivots = list(_lemke_pivots(self.LABELS, 0b0011, 1, step, None))
+        steps = []
         # drop 0 (label 1), enter 2 (label 2); drop 1, the other tight 2; enter 3 (label 1)
+        assert _lemke_pivots(self.LABELS, 0b0011, 1, step, None, steps) == (2, 0b1100)
         assert calls == [(0b0011, 0), (0b0110, 1)]
-        assert pivots == [(1, 2, 0b0011 ^ 1 << 0 | 1 << 2), (2, 1, 0b0110 ^ 1 << 1 | 1 << 3)]
+        assert steps == [(1, 2, 0b0011 ^ 1 << 0 | 1 << 2), (2, 1, 0b0110 ^ 1 << 1 | 1 << 3)]
+        assert all(type(s) is PivotStep for s in steps)
 
     @pytest.mark.parametrize(
         "labels, start, entered, holders",
@@ -301,20 +305,47 @@ class TestPivotDriver:
     )
     def test_label_without_two_tight_holders_is_degenerate(self, labels, start, entered, holders):
         step, _ = scripted_step([entered])
-        pivots = _lemke_pivots(labels, start, 1, step, None)
-        assert next(pivots)[1] == 2
+        steps = []
         with pytest.raises(DegenerateGameError, match=f"held by {holders} tight"):
-            next(pivots)
+            _lemke_pivots(labels, start, 1, step, None, steps)
+        assert [s.picked for s in steps] == [2]
 
     @pytest.mark.parametrize("cap", [0, 1])
     def test_cap_stops_the_walk_before_pivot_cap_plus_one(self, cap):
         step, calls = scripted_step([2, 3])
+        steps = []
         with pytest.raises(StepCapExceededError) as info:
-            list(_lemke_pivots(self.LABELS, 0b0011, 1, step, cap))
+            _lemke_pivots(self.LABELS, 0b0011, 1, step, cap, steps)
         assert info.value.steps_taken == cap
-        assert len(calls) == cap
+        assert len(calls) == len(steps) == cap
         step, calls = scripted_step([2, 3])
-        assert len(list(_lemke_pivots(self.LABELS, 0b0011, 1, step, 2))) == 2
+        assert _lemke_pivots(self.LABELS, 0b0011, 1, step, 2) == (2, 0b1100)
+
+    @pytest.mark.parametrize("cap", [None, 10])
+    def test_recorded_walk_raises_at_a_revisited_mask(self, cap):
+        # labels 1, 2, 3, 2, 3 with 0..2 tight; the script swaps labels 2 and
+        # 3 around the ring and is back at the first step's mask 0b01110 at
+        # pivot 5; without the check it would run out at pivot 6
+        step, calls = scripted_step([3, 4, 1, 2, 3])
+        steps = []
+        with pytest.raises(InvariantError, match="revisited"):
+            _lemke_pivots((1, 2, 3, 2, 3), 0b00111, 1, step, cap, steps)
+        assert len(calls) == 5
+        assert [s.bits for s in steps] == [0b01110, 0b11100, 0b11010, 0b10110]
+
+    def test_walk_without_steps_keeps_nothing(self):
+        # a streamed walk holds no memory per pivot: 8,118 pivots under a
+        # small fixed bound (a recorded step retains about 112 B)
+        poly = morris_polytope(20)
+        args = (poly.position_labels(), (1 << poly.m) - 1, 1, _gale_step(poly.f), None)
+        tracemalloc.start()
+        try:
+            length, _ = _lemke_pivots(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert length == 8118
+        assert peak < 8 * 1024
 
 
 def test_labels_of_rejects_a_string_of_another_length():

@@ -31,7 +31,7 @@ from galelemke.game import (
     simplex_scaled,
     unit_vector_completely_labeled_points,
 )
-from galelemke.polytope import feasible_bases, vertices_nonneg_form
+from galelemke.polytope import Dictionary, feasible_bases, vertices_nonneg_form
 
 from conftest import C_DEGENERATE, C_THREE_EQ
 
@@ -462,6 +462,20 @@ class TestVertexTables:
         assert _both_readers(game, not oracle_first) == first
         a_rows, b_cols = game.integer_payoffs
         assert sorted(walks) == sorted([(b_cols, 3), (a_rows, 4)])
+
+    def test_points_are_built_once_per_vertex(self, monkeypatch):
+        # this degenerate game has 29 feasible bases for P's 9 vertices and 31
+        # for Q's 9; a point is built for a vertex's first basis only
+        drawn = random_game(4, 4, 3, payoff_range=(0, 2), filter_degenerate=False)
+        game = BimatrixGame(drawn.a, drawn.b)
+        built = []
+        scaled_point = Dictionary.scaled_point
+        monkeypatch.setattr(Dictionary, "scaled_point", lambda d: built.append(d) or scaled_point(d))
+        assert [len(table) for table in game._vertices] == [9, 9]
+        assert len(built) == 18
+        built.clear()
+        assert len(list(p_vertices(game))) == 9
+        assert len(built) == 9
 
     def test_tables_hold_only_integers(self):
         # a table of Dictionary objects would keep every basis's rows alive with the game

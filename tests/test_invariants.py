@@ -34,7 +34,7 @@ from galelemke.errors import (
 from galelemke.game import UnitVectorGame
 from galelemke.generators import random_game
 from galelemke.lemke_howson import _leaving_row, _pivot, lh_path
-from galelemke.linalg import bareiss_solve
+from galelemke.linalg import bareiss_solve, ratio_rows
 from galelemke.polytope import Dictionary, feasible_bases
 
 ENTRY_POINTS = {
@@ -169,6 +169,19 @@ def test_pivot_off_the_ratio_test_raises(monkeypatch):
     monkeypatch.setattr(lemke_howson, "_leaving_row", lambda d, c: (0, False))
     with pytest.raises(InvariantError, match="nonnegativity"):
         _pivot(d, 0)
+
+
+@pytest.mark.parametrize("m, seed, label", [(3, 372, 2), (4, 148, 3), (4, 223, 4), (5, 19, 7), (5, 24, 10)])
+def test_cycling_walk_raises_at_its_first_repeated_mask(monkeypatch, m, seed, label):
+    # the games that test_golden marks as cycling when a ratio-test tie goes
+    # to the first tied row; every recorded walk checks its masks, so the
+    # walk stops at its first repeated basis pair instead of keeping steps
+    # up to the cap (the finite cap makes a walk without the check fail, not hang)
+    game = random_game(m, m, seed, payoff_range=(0, 2), filter_degenerate=False)
+    lh_solve(game, label, step_cap=2000)  # the lexicographic rule ends the walk
+    monkeypatch.setattr(lemke_howson, "_leaving_row", lambda d, c: (ratio_rows(d.rows, c)[0], False))
+    with pytest.raises(InvariantError, match="revisited"):
+        lh_solve(game, label, step_cap=2000)
 
 
 def test_entering_a_basic_variable_raises():
@@ -334,8 +347,9 @@ def test_walked_dictionaries_are_enumerated_feasible_bases():
 
 
 def test_no_assert_in_package_sources():
+    # python -O strips assert statements; invariants raise typed errors instead
     offenders = []
-    for source in sorted(Path(galelemke.__file__).parent.glob("*.py")):
+    for source in sorted(Path(galelemke.__file__).parent.rglob("*.py")):
         for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Assert):
                 offenders.append(f"{source.name}:{node.lineno} assert")
