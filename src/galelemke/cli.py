@@ -64,34 +64,16 @@ def _parse_m_range(text: str) -> list[int]:
     return list(range(lo, hi + 1, 2))
 
 
-def _refuse_unread(args, name: str, chosen: str, only: dict) -> None:
-    """Refuse, rather than drop, each given option (a flag not given is
-    None) that ``chosen`` does not read; ``only`` names the values that do."""
-    for dest, readers in only.items():
-        if getattr(args, dest) is not None and chosen not in readers.split():
-            raise ValueError(f"--{dest.replace('_', '-')} needs {name} {readers.replace(' ', ' or ')}")
-
-
 # ---------------------------------------------------------------------------
 # gen
 
 
 def cmd_gen(args) -> int:
-    family = args.family
-    only = {
-        "pi": "permutation", "shuffle_columns": "morris triple-morris", "no_filter": "random",
-        "m": "morris triple-morris random", "n": "permutation random",
-    }
-    _refuse_unread(args, "family", family, only)
-    seeded = family == "random" or family == "permutation" and not args.pi or args.shuffle_columns
-    if args.seed is not None and not seeded:
-        raise ValueError("--seed needs family random, permutation without --pi, or --shuffle-columns")
-    seed = args.seed or 0
+    family, seed = args.family, args.seed or 0
     if family in ("morris", "triple-morris"):
-        if args.m is None:
-            raise ValueError("--m is required for this family")
-        build = morris_game if family == "morris" else triple_morris_game
-        game: UnitVectorGame = build(args.m)
+        if args.seed is not None and not args.shuffle_columns:
+            raise ValueError("--seed needs family random, permutation without --pi, or --shuffle-columns")
+        game: UnitVectorGame = (morris_game if family == "morris" else triple_morris_game)(args.m)
         if args.shuffle_columns:
             game = shuffle_columns(game, seed)
         print(f"labels {gameio.format_label_string(game.ell)}")
@@ -102,14 +84,12 @@ def cmd_gen(args) -> int:
             if args.n not in (None, spec.n):
                 raise ValueError(f"--n {args.n} disagrees with --pi of length {spec.n}")
         elif args.n is None:
-            raise ValueError("--n is required for this family")
+            raise ValueError("--n or --pi is required for family permutation")
         else:
             spec = random_permutation(args.n, seed)
         game = permutation_game(spec)
         out = args.out or f"permutation-n{spec.n}.bgame"
     else:
-        if args.m is None or args.n is None:
-            raise ValueError("--m and --n are required for this family")
         game = random_game(args.m, args.n, seed, filter_degenerate=not args.no_filter)
         out = args.out or f"random-{args.m}x{args.n}-s{seed}.bgame"
     gameio.save_game(out, game)
@@ -129,8 +109,12 @@ def _load_bimatrix(path: str):
 
 
 def cmd_solve(args) -> int:
-    only = {"missing_label": "lh", "step_cap": "lh", "path_csv": "lh", "seed": "support"}
-    _refuse_unread(args, "--method", args.method, only)
+    if args.method == "support":
+        for dest in ("missing_label", "step_cap", "path_csv"):
+            if getattr(args, dest) is not None:
+                raise ValueError(f"--{dest.replace('_', '-')} needs --method lh")
+    elif args.seed is not None:
+        raise ValueError("--seed needs --method support")
     game = _load_bimatrix(args.game)
     if args.method == "lh":
         label = 1 if args.missing_label is None else args.missing_label
@@ -289,41 +273,34 @@ def _bench_tasks(args):
     """Check every bench argument and return the ``(function, arguments)``
     tasks of the run, in CSV order.  Nothing is opened or run before the
     checks pass; the exhaustive permutation tasks are a lazy stream of n!."""
-    morris, perm = "morris triple-morris", "permutation"
-    only = {"m": morris, "solver": morris, "labels": morris, "n": perm, "exhaustive": perm}
-    _refuse_unread(args, "family", args.family, only)
-    solver = args.solver or "combinatorial"
-    _refuse_unread(args, "--solver", solver, {"labels": "combinatorial lh"})
-    if args.family == "permutation" and args.n is None:
-        raise ValueError("--n is required for this family")
-    sampled = not args.exhaustive if args.family == "permutation" else solver == "support"
-    if args.seeds is not None and not sampled:
+    permutation = args.family == "permutation"
+    if not permutation and args.labels is not None and args.solver == "support":
+        raise ValueError("--labels needs --solver combinatorial or lh")
+    if args.seeds is not None and (args.exhaustive if permutation else args.solver != "support"):
         raise ValueError("--seeds needs --solver support, or family permutation without --exhaustive")
-    if args.step_cap is not None and (solver == "support" or args.family == "permutation"):
+    if not permutation and args.step_cap is not None and args.solver == "support":
         raise ValueError("--step-cap needs --solver combinatorial or lh")
     seeds = 100 if args.seeds is None else args.seeds
-    step_cap = DEFAULT_STEP_CAP if args.step_cap is None else args.step_cap
     if seeds < 1:
         raise ValueError("--seeds must be at least 1")
-    if step_cap < 0:
-        raise ValueError(f"step cap must be nonnegative, got {step_cap}")
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
-    if args.family == "permutation":
+    if permutation:
         n = args.n
         if n < 1:
             raise ValueError("n must be at least 1")
         if args.exhaustive:
             return ((_cycle_task, (n, rank, pi)) for rank, pi in enumerate(permutations(range(1, n + 1))))
         return [(_permutation_task, (n, seed)) for seed in range(seeds)]
-    if not args.m:
-        raise ValueError("--m is required for this family")
+    step_cap = DEFAULT_STEP_CAP if args.step_cap is None else args.step_cap
+    if step_cap < 0:
+        raise ValueError(f"step cap must be nonnegative, got {step_cap}")
     tasks = []
     for m in _parse_m_range(args.m):
-        if solver == "support":
+        if args.solver == "support":
             tasks += [(_support_task, (args.family, m, seed)) for seed in range(seeds)]
         else:
-            name = "lh" if solver == "lh" else "combinatorial-lemke"
+            name = "lh" if args.solver == "lh" else "combinatorial-lemke"
             tasks += [
                 (_path_task, (name, args.family, m, label, step_cap))
                 for label in _bench_labels(m, args.labels or "1")
@@ -386,16 +363,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate an instance file")
-    gen.add_argument("family", choices=["morris", "triple-morris", "permutation", "random"])
-    gen.add_argument("--m", type=int)
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--seed", type=int, help="default: 0")
-    gen.add_argument("--pi", help="explicit permutation, space-separated")
-    gen.add_argument("--out")
-    gen.add_argument("--shuffle-columns", action="store_true")
-    gen.add_argument("--no-filter", action="store_true", help="skip the nondegeneracy filter")
-    gen.set_defaults(func=cmd_gen, shuffle_columns=None, no_filter=None)
+    gen = sub.add_parser("gen", help="generate an instance file").add_subparsers(dest="family", required=True)
+    for family in ("morris", "triple-morris"):
+        unit = gen.add_parser(family, help=f"the {family} unit-vector game of size m")
+        unit.add_argument("--m", type=int, required=True)
+        unit.add_argument("--shuffle-columns", action="store_true")
+        unit.add_argument("--seed", type=int, help="column shuffle seed, default: 0")
+    permutation = gen.add_parser("permutation", help="the n x n game of a permutation")
+    permutation.add_argument("--n", type=int, help="default: the length of --pi")
+    pick = permutation.add_mutually_exclusive_group()
+    pick.add_argument("--pi", help="explicit permutation, space-separated")
+    pick.add_argument("--seed", type=int, help="random permutation seed, default: 0")
+    rand = gen.add_parser("random", help="a random m x n game")
+    rand.add_argument("--m", type=int, required=True)
+    rand.add_argument("--n", type=int, required=True)
+    rand.add_argument("--seed", type=int, help="default: 0")
+    rand.add_argument("--no-filter", action="store_true", help="skip the nondegeneracy filter")
+    for family in gen.choices.values():
+        family.add_argument("--out")
+        family.set_defaults(func=cmd_gen)
 
     solve = sub.add_parser("solve", help="solve a game file")
     solve.add_argument("game")
@@ -412,19 +398,21 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     bench = sub.add_parser("bench", help="measure path lengths or guess counts into CSV")
-    bench.add_argument("family", choices=["morris", "triple-morris", "permutation"])
-    bench.add_argument("--m", help="even range like 4..16")
-    bench.add_argument("--n", type=int)
-    bench.add_argument("--labels", choices=["all", "1", "half"], help="default: 1")
-    bench.add_argument(
-        "--solver", choices=["combinatorial", "lh", "support"], help="default: combinatorial"
-    )
-    bench.add_argument("--seeds", type=int, help="default: 100")
-    bench.add_argument("--exhaustive", action="store_true")
-    bench.add_argument("--jobs", type=int, default=1)
-    bench.add_argument("--step-cap", type=int, help=f"default: {DEFAULT_STEP_CAP}")
-    bench.add_argument("--out", required=True)
-    bench.set_defaults(func=cmd_bench, exhaustive=None)
+    bench = bench.add_subparsers(dest="family", required=True)
+    for family in ("morris", "triple-morris"):
+        walks = bench.add_parser(family, help="Lemke path lengths, or support guesses with --solver support")
+        walks.add_argument("--m", required=True, help="even range like 4..16")
+        walks.add_argument("--solver", choices=["combinatorial", "lh", "support"], default="combinatorial")
+        walks.add_argument("--labels", choices=["all", "1", "half"], help="default: 1")
+        walks.add_argument("--step-cap", type=int, help=f"default: {DEFAULT_STEP_CAP}")
+    permutation = bench.add_parser("permutation", help="support guesses, or equilibrium counts with --exhaustive")
+    permutation.add_argument("--n", type=int, required=True)
+    permutation.add_argument("--exhaustive", action="store_true")
+    for family in bench.choices.values():
+        family.add_argument("--seeds", type=int, help="default: 100")
+        family.add_argument("--jobs", type=int, default=1)
+        family.add_argument("--out", required=True)
+        family.set_defaults(func=cmd_bench)
 
     return parser
 

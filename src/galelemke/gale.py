@@ -13,7 +13,7 @@ records a step only into a list it is given.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import count
 
 from .errors import BudgetExceededError, DegenerateGameError, InvariantError, StepCapExceededError
@@ -158,6 +158,7 @@ def enumerate_gale_vertices(m: int, f: int) -> list[GaleString]:
     return out
 
 
+@cache
 def _gale_step(f: int):
     """The Gale pivot on strings of length f: ``step(bits, p0)`` drops bit
     p0 of a Gale-even string with a zero and returns the bit that enters.
@@ -168,7 +169,7 @@ def _gale_step(f: int):
     edge is unique.  On the doubled ring, ``down`` counts the ones from p0
     downwards; if it is even the odd fragment lies below p0 and the zero
     under it enters, otherwise the first zero above p0 enters.  The ring's
-    window below p0 depends on (f, p0) alone and is tabled once per walk.
+    window below p0 depends on (f, p0) alone and is tabled once per f.
     """
     windows = [(p0 + f + 1, (1 << (p0 + f + 1)) - 1) for p0 in range(f)]
 

@@ -9,6 +9,7 @@ jointly cover 1..m+n.  All arithmetic is exact; floats are rejected.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -27,15 +28,21 @@ ONE = Fraction(1)
 
 NONDEGENERACY_MAX_LABELS = 20
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, strings like "2/3", and Fractions; floats are refused."""
+    """Coerce ints, Fractions and strings "p" or "p/q" (ASCII digits, a
+    minus sign only on p, q > 0); floats are refused.  Text has no exponent,
+    so a value grows only with its length, which ``int`` bounds."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        if not (match := _RATIONAL.fullmatch(value)):
+            raise ValueError(f"bad rational {value!r}")
+        return Fraction(int(match[1]), int(match[2] or 1))
     raise TypeError(f"expected an exact rational, got {type(value).__name__}: {value!r}")
 
 

@@ -2,7 +2,7 @@
 
 ".bgame": line 1 "m n"; m rows of n rationals (A); blank line; m rows of n
 rationals (B).  ".uvg": line 1 "m n"; line 2 the n labels; m rows of n
-rationals (B).  Rationals are written "p" or "p/q".
+rationals (B).  Rationals are written "p" or "p/q" (``game.as_fraction``).
 """
 
 from __future__ import annotations
@@ -11,12 +11,12 @@ import re
 from fractions import Fraction
 
 from .errors import GameFormatError
-from .game import BimatrixGame, MixedProfile, UnitVectorGame, matrix_from
+from .game import BimatrixGame, MixedProfile, UnitVectorGame, as_fraction, matrix_from
 
 
 def _parse_rational(token: str, line: int, column: int) -> Fraction:
     try:
-        return Fraction(int(token)) if token.isdecimal() else Fraction(token)  # int skips Fraction's regex
+        return Fraction(int(token)) if token.isdecimal() and token.isascii() else as_fraction(token)
     except (ValueError, ZeroDivisionError):
         raise GameFormatError(f"bad rational {token!r}", line, column) from None
 

@@ -2,6 +2,7 @@
 
 import csv
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -19,6 +20,7 @@ from galelemke import (
     GaleString,
     MixedProfile,
     UnitVectorGame,
+    as_fraction,
     enumerate_gale_vertices,
     triple_morris_game,
 )
@@ -79,12 +81,29 @@ def mixed_strategies(size: int):
     return weights.map(lambda w: [Fraction(v, sum(w)) for v in w])
 
 
-# digits of any script (Nd), signs, separators and superscripts, which are
-# digits to str.isdigit but not to int or Fraction
+# digits of any script (Nd), signs, separators, exponents and superscripts,
+# which are digits to str.isdigit but not to int or Fraction
 rational_tokens = st.text(
-    st.one_of(st.sampled_from("0123456789+-_/.\u00b9\u00b2\u00b3"), st.characters(categories=["Nd"])),
+    st.one_of(st.sampled_from("0123456789+-_/.eE\u00b9\u00b2\u00b3"), st.characters(categories=["Nd"])),
     max_size=10,
 )
+
+
+def exit_code(argv) -> int:
+    """What ``galelemke argv`` exits with: main's return value, or the code
+    of the SystemExit with which argparse refuses a command line."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def states_refusal(err: str, rule: str) -> bool:
+    """Whether the error line of ``err`` states ``rule`` itself or argparse's
+    refusal of the option the rule names first."""
+    line, option = err.splitlines()[-1], rule.split()[0]
+    return rule in line or f"unrecognized arguments: {option}" in line or f"argument {option}:" in line
+
 
 profiles = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
     lambda mn: st.builds(MixedProfile.of, mixed_strategies(mn[0]), mixed_strategies(mn[1]))
@@ -174,15 +193,28 @@ class TestFormats:
     @example("1_000/3_0")
     @example("\u00b2")
     @example("1/0")
+    @example("1e1000000")  # 9 bytes that Fraction reads as a 3.3-million-bit integer
+    @example("0.5")
+    @example("1_0")
+    @example("+3")
+    @example("-07/010")
     def test_parse_rational_is_fraction_of_the_token(self, token):
-        try:
-            expected = Fraction(token)
-        except (ValueError, ZeroDivisionError):
-            with pytest.raises(GameFormatError):
-                _parse_rational(token, 1, 1)
+        # the documented grammar "p" or "p/q": ASCII digits, a minus only on p, q > 0
+        expected = None
+        if re.fullmatch(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?", token):
+            try:
+                expected = Fraction(token)
+            except ValueError:  # past int's digit limit
+                pass
+        if expected is None:
+            with pytest.raises(GameFormatError) as info:
+                _parse_rational(token, 4, 7)
+            assert (info.value.line, info.value.column) == (4, 7)
+            with pytest.raises((ValueError, ZeroDivisionError)):
+                as_fraction(token)  # the Python API reads text with the same grammar
         else:
-            value = _parse_rational(token, 1, 1)
-            assert type(value) is Fraction and value == expected
+            value = _parse_rational(token, 4, 7)
+            assert type(value) is Fraction and value == expected == as_fraction(token)
 
 
 class TestGen:
@@ -254,15 +286,23 @@ class TestGen:
         ],
     )
     def test_unread_option_refused(self, tmp_path, capsys, args, message):
-        # an option the family does not read would be dropped in silence
+        # an option the family does not read would be dropped in silence:
+        # the family's parser refuses it, or a check states the rule
         out = tmp_path / "game.bgame"
-        assert main(["gen", *args, "--out", str(out)]) == 2
-        assert message in capsys.readouterr().err
+        assert exit_code(["gen", *args, "--out", str(out)]) == 2
+        assert states_refusal(capsys.readouterr().err, message)
         assert not out.exists()
 
     def test_seed_read_by_shuffled_columns(self, tmp_path):
         out = tmp_path / "m.uvg"
         assert main(["gen", "morris", "--m", "4", "--shuffle-columns", "--seed", "5", "--out", str(out)]) == 0
+
+    def test_labels_past_nine_are_comma_separated(self, tmp_path, capsys):
+        out = tmp_path / "m10.uvg"
+        assert main(["gen", "morris", "--m", "10", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()[0]
+        assert printed == "labels " + ",".join(out.read_text().splitlines()[1].split())
+        assert printed.startswith("labels 10,")
 
 
 class TestSolve:
@@ -283,6 +323,30 @@ class TestSolve:
         bad.write_text("3 3\n1 0\n")
         assert main(["solve", str(bad)]) == 2
         assert "line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, text, profile, message, where",
+        [
+            ("g.bgame", "x 3\n", None, "bad integer 'x'", "(line 1, column 1)"),
+            ("g.bgame", "2 2\n1 0\n", None, "unexpected end of file, expected a row of A", "(line 3)"),
+            ("g.bgame", "2 2\n\n1 0\n", None, "expected a row of A, got a blank line", "(line 2)"),
+            ("g.bgame", "1 1\n1\n2\n1\n", None, "expected a blank line between A and B", "(line 3)"),
+            ("g.bgame", "0 2\n", None, "m and n must be positive", "(line 1)"),
+            ("g.bgame", "1 1\n1e1000000\n\n1\n", None, "bad rational '1e1000000'", "(line 2, column 1)"),
+            ("g.uvg", "2 2\n1 3\n1 0\n0 1\n", None, "label 3 out of range 1..2", "(line 2, column 3)"),
+            ("g.bgame", GAME22_TEXT, "1 0 ; 1 0 0", "expected 3 + 3 rationals, got 2 + 3", "(line 1)"),
+            ("g.bgame", GAME22_TEXT, "1 1 0 ; 1 0 0", "x must sum to 1, got 2", "(line 1)"),
+        ],
+    )
+    def test_format_error_names_its_line(self, tmp_path, capsys, name, text, profile, message, where):
+        # the column is named where one token is at fault
+        path = tmp_path / name
+        path.write_text(text)
+        argv = ["solve", str(path)] if profile is None else ["verify", str(path), "--profile", profile]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"parse error: {message} {where}\n"
+        assert captured.out == ""
 
     def test_path_csv_dump(self, game22_path, tmp_path, capsys):
         out = tmp_path / "path.csv"
@@ -417,12 +481,12 @@ class TestBench:
     )
     def test_rejected_run_leaves_out_alone(self, tmp_path, capsys, args):
         out = tmp_path / "bench.csv"
-        assert main(["bench", *args, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert exit_code(["bench", *args, "--out", str(out)]) == 2
+        assert "error: " in capsys.readouterr().err.splitlines()[-1]
         assert not out.exists()
         main(["bench", "morris", "--m", "4", "--out", str(out)])
         before = out.read_bytes()
-        assert main(["bench", *args, "--out", str(out)]) == 2
+        assert exit_code(["bench", *args, "--out", str(out)]) == 2
         assert out.read_bytes() == before
 
     @pytest.mark.parametrize(
@@ -442,14 +506,14 @@ class TestBench:
     )
     def test_unread_option_refused(self, tmp_path, capsys, args, message):
         out = tmp_path / "bench.csv"
-        assert main(["bench", *args, "--out", str(out)]) == 2
-        assert message in capsys.readouterr().err
+        assert exit_code(["bench", *args, "--out", str(out)]) == 2
+        assert states_refusal(capsys.readouterr().err, message)
         assert not out.exists()
 
     def test_permutation_without_n_rejected(self, tmp_path, capsys):
         out = tmp_path / "perm.csv"
-        assert main(["bench", "permutation", "--out", str(out)]) == 2
-        assert "--n is required for this family" in capsys.readouterr().err
+        assert exit_code(["bench", "permutation", "--out", str(out)]) == 2
+        assert "the following arguments are required: --n" in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_seeds_rejected(self, tmp_path, capsys):
@@ -545,21 +609,54 @@ class TestBench:
         assert "growth m=6:" in printed
 
 
+@pytest.mark.parametrize(
+    "command, family, runs",
+    [
+        ("gen", "morris", [["--m", "4", "--shuffle-columns", "--seed", "5"]]),
+        ("gen", "triple-morris", [["--m", "4", "--shuffle-columns", "--seed", "5"]]),
+        ("gen", "permutation", [["--n", "3", "--pi", "2 3 1"], ["--n", "3", "--seed", "2"]]),
+        ("gen", "random", [["--m", "3", "--n", "2", "--seed", "1", "--no-filter"]]),
+        ("bench", "morris", [
+            ["--m", "4", "--solver", "lh", "--labels", "all", "--step-cap", "99", "--jobs", "1"],
+            ["--m", "2..4", "--solver", "support", "--seeds", "2"],
+        ]),
+        ("bench", "triple-morris", [
+            ["--m", "4", "--solver", "combinatorial", "--labels", "half", "--step-cap", "99", "--jobs", "1"],
+            ["--m", "2..4", "--solver", "support", "--seeds", "2"],
+        ]),
+        ("bench", "permutation", [["--n", "3", "--seeds", "2", "--jobs", "1"], ["--n", "3", "--exhaustive"]]),
+    ],
+)
+def test_each_family_runs_with_every_option_it_lists(tmp_path, capsys, command, family, runs):
+    # a code path that read an option its family's namespace lacks would
+    # escape main as an AttributeError
+    assert exit_code([command, family, "-h"]) == 0
+    listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
+    assert listed == {word for run in runs for word in run if word.startswith("--")} | {"--out"}
+    for k, run in enumerate(runs):
+        out = tmp_path / f"run{k}.out"
+        assert main([command, family, *run, "--out", str(out)]) == 0
+        assert out.exists()
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
-        out = tmp_path / "cli.uvg"
-        # the child finds the package where this process found it
+        # the documented exit codes, end to end through the console entry point
         src = str(Path(galelemke.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        result = subprocess.run(
-            [sys.executable, "-m", "galelemke.cli", "gen", "morris", "--m", "4", "--out", str(out)],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert result.returncode == 0
-        assert out.exists()
+        env = {**os.environ, "PYTHONPATH": path}  # the child finds the package where this process did
+        tm8 = tmp_path / "tm8.uvg"
+        for argv, code in [
+            (["gen", "triple-morris", "--m", "8", "--out", str(tm8)], 0),
+            (["gen", "morris", "--m", "4", "--n", "3"], 2),
+            (["solve", str(tmp_path / "absent.bgame")], 3),
+            (["solve", str(tm8), "--method", "support"], 4),
+        ]:
+            result = subprocess.run(
+                [sys.executable, "-m", "galelemke.cli", *argv], capture_output=True, text=True, env=env
+            )
+            assert result.returncode == code, result.stderr
+        assert tm8.exists()
 
     def test_parallel_bench_matches_serial(self, tmp_path):
         serial = tmp_path / "serial.csv"

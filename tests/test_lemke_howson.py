@@ -27,6 +27,7 @@ from galelemke import (
     verify_equilibrium,
 )
 from galelemke.errors import DegenerateGameError, StepCapExceededError
+from galelemke.game import simplex_scaled
 from galelemke.generators import (
     PermutationGameSpec,
     _unit_vector_game_from_polytope,
@@ -357,3 +358,66 @@ class TestImitationWalk:
                 except DegenerateGameError:
                     raised += 1
         assert raised == 190
+
+
+def table_walk(game, label, start=None):
+    """Lemke-Howson for ``label`` read off ``game._vertices``, with no pivot.
+
+    Vertices are label masks, bit l - 1 for label l (Q's y_j is label m + j
+    and its row slack i label i).  Dropping a label from a vertex leads to
+    the one other vertex of the same table that keeps its other tight
+    labels; on a nondegenerate game that is the edge the pivot follows.
+    Starts at the completely labeled pair ``start``, by default the
+    artificial one, and returns the number of moves and the end pair.
+    """
+    m, n = game.m, game.n
+    pair = list(start or ((1 << m) - 1, (1 << m + n) - (1 << m)))
+    tables = label_tables(game)
+    missing = drop = 1 << label - 1
+    side, length = (0 if pair[0] & missing else 1), 0
+    while True:
+        keep = pair[side] & ~drop
+        (pair[side],) = (t for t in tables[side] if t & keep == keep and t != pair[side])
+        length += 1
+        drop = pair[side] & ~keep
+        if drop == missing:
+            return length, tuple(pair)
+        side ^= 1
+
+
+def label_tables(game):
+    """P's and Q's vertex tables keyed by label mask: mask -> point."""
+    m, n = game.m, game.n
+    p_table, q_table = game._vertices
+    return p_table, {(t & (1 << n) - 1) << m | t >> n: point for t, point in q_table.items()}
+
+
+class TestVertexTableGraph:
+    """The LH graph of a nondegenerate game read off its vertex tables, an
+    oracle that shares no pivot, ratio test or walk driver with ``lh_solve``."""
+
+    @pytest.mark.parametrize("m, n", [(3, 3), (3, 4), (4, 4), (4, 5)])
+    def test_table_walk_matches_lh_solve(self, m, n):
+        for seed in range(60):
+            game = random_game(m, n, seed)
+            assert is_nondegenerate(game)
+            tables = label_tables(game)
+            for label in range(1, m + n + 1):
+                length, (u, v) = table_walk(game, label)
+                result = lh_solve(game, label)
+                assert result.path_length == length
+                assert result.equilibrium == MixedProfile(*map(simplex_scaled, (tables[0][u], tables[1][v])))
+
+    @pytest.mark.parametrize("m, n", [(3, 3), (3, 4), (4, 4), (4, 5)])
+    def test_walks_pair_the_equilibria_perfectly(self, m, n):
+        # Shapley (1974): for each label the LH paths match the equilibria
+        # and the artificial one in pairs
+        full = (1 << m + n) - 1
+        for seed in range(60):
+            game = random_game(m, n, seed)
+            p_table, q_table = label_tables(game)
+            ends = [(u, v) for u in p_table for v in q_table if u | v == full]
+            assert len(ends) % 2 == 0
+            for label in range(1, m + n + 1):
+                partner = {end: table_walk(game, label, end)[1] for end in ends}
+                assert all(partner[end] != end and partner[partner[end]] == end for end in ends)
