@@ -1,6 +1,6 @@
 """Command-line front end: generate instances, solve, verify, benchmark.
 
-Exit codes: 0 ok, 2 parse error, 3 solver failure, 4 budget exceeded.
+Exit codes: 0 ok, 2 parse error, 3 solver or file failure, 4 budget exceeded.
 """
 
 from __future__ import annotations
@@ -49,6 +49,12 @@ EXIT_PARSE = 2
 EXIT_SOLVER = 3
 EXIT_BUDGET = 4
 
+# family -> (the unit-vector game of size m, the polytope its Gale walk reads)
+UNIT_VECTOR_FAMILIES = {
+    "morris": (morris_game, morris_polytope),
+    "triple-morris": (triple_morris_game, triple_morris_polytope),
+}
+
 
 def _parse_m_range(text: str) -> list[int]:
     """"4..16" -> even values 4, 6, ..., 16; a single value stands alone."""
@@ -70,10 +76,10 @@ def _parse_m_range(text: str) -> list[int]:
 
 def cmd_gen(args) -> int:
     family, seed = args.family, args.seed or 0
-    if family in ("morris", "triple-morris"):
+    if family in UNIT_VECTOR_FAMILIES:
         if args.seed is not None and not args.shuffle_columns:
             raise ValueError("--seed needs family random, permutation without --pi, or --shuffle-columns")
-        game: UnitVectorGame = (morris_game if family == "morris" else triple_morris_game)(args.m)
+        game: UnitVectorGame = UNIT_VECTOR_FAMILIES[family][0](args.m)
         if args.shuffle_columns:
             game = shuffle_columns(game, seed)
         print(f"labels {gameio.format_label_string(game.ell)}")
@@ -187,86 +193,49 @@ def _csv_cell(value):
     return value
 
 
-def _bench_labels(m: int, choice: str) -> list[int]:
-    if choice == "all":
-        return list(range(1, m + 1))
-    return [1] if choice == "1" else [m // 2]
+def _timed(run, instance: str, m: int, n: int, solver: str, **fields) -> BenchRecord:
+    """The record of one measurement: ``wall_time`` covers ``run()`` alone,
+    the measured call, which returns the metric fields it measured."""
+    start = time.perf_counter()
+    measured = run()
+    return BenchRecord(instance, m, n, solver, wall_time=time.perf_counter() - start, **fields, **measured)
 
 
 def _path_task(solver: str, family: str, m: int, label: int, cap: int):
     """Walk one label with the combinatorial engine or the tableau solver
     (``solver`` is the record's name for it); a capped walk is marked
     truncated with the pivots it was allowed."""
-    morris = family == "morris"
-    if solver == "lh":
-        instance = (morris_game(m) if morris else triple_morris_game(m)).to_bimatrix()
-    else:
-        instance = morris_polytope(m) if morris else triple_morris_polytope(m)
-    start = time.perf_counter()
-    try:
-        if solver == "lh":
-            length = lh_solve(instance, label, step_cap=cap).path_length
-        else:
-            length, _ = lemke_path_length(instance, label, step_cap=cap)
-        truncated = False
-    except StepCapExceededError as exc:
-        length, truncated = exc.steps_taken, True
-    return BenchRecord(
-        instance=f"{family}-m{m}",
-        m=m,
-        n=instance.n,
-        solver=solver,
-        missing_label=label,
-        path_length=length,
-        wall_time=time.perf_counter() - start,
-        truncated=truncated,
-    )
+    game, polytope = UNIT_VECTOR_FAMILIES[family]
+    instance = game(m).to_bimatrix() if solver == "lh" else polytope(m)
+
+    def walk():
+        try:
+            if solver == "lh":
+                return {"path_length": lh_solve(instance, label, step_cap=cap).path_length}
+            return {"path_length": lemke_path_length(instance, label, step_cap=cap)[0]}
+        except StepCapExceededError as exc:
+            return {"path_length": exc.steps_taken, "truncated": True}
+
+    return _timed(walk, f"{family}-m{m}", m, instance.n, solver, missing_label=label)
 
 
 def _support_task(family: str, m: int, seed: int):
-    game = (morris_game if family == "morris" else triple_morris_game)(m).to_bimatrix()
-    start = time.perf_counter()
-    _, stats = randomized_support_search(game, AllColumnSubsets(game), seed)
-    return BenchRecord(
-        instance=f"{family}-m{m}",
-        m=game.m,
-        n=game.n,
-        solver="support",
-        seed=seed,
-        guesses=stats.guesses,
-        wall_time=time.perf_counter() - start,
-    )
+    game = UNIT_VECTOR_FAMILIES[family][0](m).to_bimatrix()
+    search = lambda: {"guesses": randomized_support_search(game, AllColumnSubsets(game), seed)[1].guesses}
+    return _timed(search, f"{family}-m{m}", game.m, game.n, "support", seed=seed)
 
 
 def _permutation_task(n: int, seed: int):
     game = permutation_game(random_permutation(n, seed))
-    start = time.perf_counter()
-    _, guesses = search_equal_supports(game, seed=seed)
-    return BenchRecord(
-        instance=f"permutation-n{n}",
-        m=n,
-        n=n,
-        solver="support",
-        seed=seed,
-        guesses=guesses,
-        wall_time=time.perf_counter() - start,
-    )
+    search = lambda: {"guesses": search_equal_supports(game, seed=seed)[1]}
+    return _timed(search, f"permutation-n{n}", n, n, "support", seed=seed)
 
 
 def _cycle_task(n: int, rank: int, pi: tuple[int, ...]):
     """Count the equilibria of one permutation game, 2^cycles - 1."""
     spec = PermutationGameSpec(n, pi)
-    start = time.perf_counter()
-    equilibria = (1 << len(spec.cycles())) - 1
-    return BenchRecord(
-        instance=f"permutation-n{n}",
-        m=n,
-        n=n,
-        solver="support",
-        seed=rank,
-        equilibria=equilibria,
-        wall_time=time.perf_counter() - start,
-    )
+    count = lambda: {"equilibria": (1 << len(spec.cycles())) - 1}
+    return _timed(count, f"permutation-n{n}", n, n, "support", seed=rank)
 
 
 def _bench_tasks(args):
@@ -301,10 +270,8 @@ def _bench_tasks(args):
             tasks += [(_support_task, (args.family, m, seed)) for seed in range(seeds)]
         else:
             name = "lh" if args.solver == "lh" else "combinatorial-lemke"
-            tasks += [
-                (_path_task, (name, args.family, m, label, step_cap))
-                for label in _bench_labels(m, args.labels or "1")
-            ]
+            labels = {"all": range(1, m + 1), "1": [1], "half": [m // 2]}[args.labels or "1"]
+            tasks += [(_path_task, (name, args.family, m, label, step_cap)) for label in labels]
     return tasks
 
 
@@ -352,19 +319,27 @@ def cmd_bench(args) -> int:
 # argument parsing and dispatch
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads an option only as spelled in full, never a prefix as the option
+    it starts; ``add_subparsers`` gives it sub-parsers of the same class."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``galelemke`` parser, built on the first call and shared by every
     later one: ``parse_args`` returns a fresh namespace each time and
     leaves the parser as it was."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="galelemke",
         description="Exact equilibrium solvers and hard-instance generators for bimatrix games",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate an instance file").add_subparsers(dest="family", required=True)
-    for family in ("morris", "triple-morris"):
+    for family in UNIT_VECTOR_FAMILIES:
         unit = gen.add_parser(family, help=f"the {family} unit-vector game of size m")
         unit.add_argument("--m", type=int, required=True)
         unit.add_argument("--shuffle-columns", action="store_true")
@@ -399,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="measure path lengths or guess counts into CSV")
     bench = bench.add_subparsers(dest="family", required=True)
-    for family in ("morris", "triple-morris"):
+    for family in UNIT_VECTOR_FAMILIES:
         walks = bench.add_parser(family, help="Lemke path lengths, or support guesses with --solver support")
         walks.add_argument("--m", required=True, help="even range like 4..16")
         walks.add_argument("--solver", choices=["combinatorial", "lh", "support"], default="combinatorial")

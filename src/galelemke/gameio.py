@@ -2,7 +2,8 @@
 
 ".bgame": line 1 "m n"; m rows of n rationals (A); blank line; m rows of n
 rationals (B).  ".uvg": line 1 "m n"; line 2 the n labels; m rows of n
-rationals (B).  Rationals are written "p" or "p/q" (``game.as_fraction``).
+rationals (B).  Rationals are written "p" or "p/q" (``game.as_fraction``),
+and m, n and the labels as ASCII integers "-?[0-9]+".
 """
 
 from __future__ import annotations
@@ -22,10 +23,13 @@ def _parse_rational(token: str, line: int, column: int) -> Fraction:
 
 
 def _parse_int(token: str, line: int, column: int) -> int:
+    """ASCII "-?[0-9]+", the integer half of ``as_fraction``'s grammar."""
     try:
-        return int(token)
-    except ValueError:
-        raise GameFormatError(f"bad integer {token!r}", line, column) from None
+        if token.isascii() and token.removeprefix("-").isdecimal():
+            return int(token)
+    except ValueError:  # past int's digit limit
+        pass
+    raise GameFormatError(f"bad integer {token!r}", line, column)
 
 
 def _tokens(line: str) -> list[tuple[str, int]]:

@@ -1,12 +1,14 @@
 """Command-line behaviour: formats, exit codes, determinism."""
 
 import csv
+import io
 import os
 import re
 import subprocess
 import sys
 import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,8 +26,10 @@ from galelemke import (
     enumerate_gale_vertices,
     triple_morris_game,
 )
+from galelemke import cli
 from galelemke.cli import build_parser, main
 from galelemke.gameio import (
+    _parse_int,
     _parse_rational,
     format_profile,
     load_game,
@@ -68,9 +72,9 @@ def bimatrix_games(draw):
 
 
 @st.composite
-def unit_vector_games(draw):
+def unit_vector_games(draw, max_n=6):
     """A label string over 1..m and a B with negative and p/q payoffs."""
-    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, max_n))
     ell = draw(st.lists(st.integers(1, m), min_size=n, max_size=n))
     b = draw(st.lists(st.lists(payoffs, min_size=n, max_size=n), min_size=m, max_size=m))
     return UnitVectorGame.of(m, ell, b)
@@ -216,6 +220,30 @@ class TestFormats:
             value = _parse_rational(token, 4, 7)
             assert type(value) is Fraction and value == expected == as_fraction(token)
 
+    @settings(max_examples=400)
+    @given(rational_tokens)
+    @example("1" * 4301)
+    @example("1_0")
+    @example("\u0662")
+    @example("+1")
+    @example("-07")
+    @example("--1")
+    @example("-")
+    def test_parse_int_reads_the_integer_grammar(self, token):
+        # m, n and the labels: ASCII "-?[0-9]+", the integer half of the payoff grammar
+        expected = None
+        if re.fullmatch(r"-?[0-9]+", token):
+            try:
+                expected = int(token)
+            except ValueError:  # past int's digit limit
+                pass
+        if expected is None:
+            with pytest.raises(GameFormatError, match="bad integer") as info:
+                _parse_int(token, 4, 7)
+            assert (info.value.line, info.value.column) == (4, 7)
+        else:
+            assert _parse_int(token, 4, 7) == expected
+
 
 class TestGen:
     def test_triple_morris_labels(self, tmp_path):
@@ -328,6 +356,8 @@ class TestSolve:
         "name, text, profile, message, where",
         [
             ("g.bgame", "x 3\n", None, "bad integer 'x'", "(line 1, column 1)"),
+            ("g.bgame", "1_0 1\n1\n\n1\n", None, "bad integer '1_0'", "(line 1, column 1)"),
+            ("g.uvg", "2 2\n1 \u0662\n1 0\n0 1\n", None, "bad integer '\u0662'", "(line 2, column 3)"),
             ("g.bgame", "2 2\n1 0\n", None, "unexpected end of file, expected a row of A", "(line 3)"),
             ("g.bgame", "2 2\n\n1 0\n", None, "expected a row of A, got a blank line", "(line 2)"),
             ("g.bgame", "1 1\n1\n2\n1\n", None, "expected a blank line between A and B", "(line 3)"),
@@ -589,6 +619,30 @@ class TestBench:
         assert len(times) == 3
         assert min(times) >= 0 and sum(times) <= elapsed
 
+    def test_wall_time_leaves_out_building_the_instance(self, tmp_path, monkeypatch):
+        # each function that makes a task's instance sleeps first: permutation_game,
+        # and the triple-Morris entries of the table, which holds its own references
+        def slow(build):
+            def built(*args):
+                time.sleep(0.2)
+                return build(*args)
+            return built
+
+        game, polytope = cli.UNIT_VECTOR_FAMILIES["triple-morris"]
+        monkeypatch.setitem(cli.UNIT_VECTOR_FAMILIES, "triple-morris", (slow(game), slow(polytope)))
+        monkeypatch.setattr(cli, "permutation_game", slow(cli.permutation_game))
+        out = tmp_path / "bench.csv"
+        for run in (
+            ["triple-morris", "--m", "2", "--solver", "lh"],
+            ["triple-morris", "--m", "2", "--solver", "combinatorial"],
+            ["triple-morris", "--m", "2", "--solver", "support", "--seeds", "1"],
+            ["permutation", "--n", "2", "--seeds", "1"],
+        ):
+            assert main(["bench", *run, "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.open()))
+        assert [row["solver"] for row in rows] == ["lh", "combinatorial-lemke", "support", "support"]
+        assert all(float(row["wall_time"]) < 0.2 for row in rows)
+
     def test_lh_solver_mode(self, tmp_path):
         out = tmp_path / "lh.csv"
         main(
@@ -637,6 +691,81 @@ def test_each_family_runs_with_every_option_it_lists(tmp_path, capsys, command, 
         out = tmp_path / f"run{k}.out"
         assert main([command, family, *run, "--out", str(out)]) == 0
         assert out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "permutation", "--n", "3", "--seed", "2", "--out", "{out}"],  # not --seeds
+        ["bench", "morris", "--m", "4", "--step", "5", "--out", "{out}"],
+        ["bench", "morris", "--m", "4", "--ou", "{out}"],
+        ["gen", "random", "--m", "2", "--n", "2", "--no", "--out", "{out}"],
+        ["gen", "morris", "--m", "4", "--shuffle", "--out", "{out}"],
+        ["solve", "{game}", "--path", "{out}"],
+        ["solve", "{game}", "--step", "5", "--path-csv", "{out}"],
+    ],
+)
+def test_options_are_spelled_in_full(tmp_path, capsys, game22_path, argv):
+    # argparse would read a prefix as the option it starts, and run
+    out = tmp_path / "out.csv"
+    argv = [word.format(out=out, game=game22_path) for word in argv]
+    assert exit_code(argv) == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert re.search(r"error: (unrecognized arguments|the following arguments are required): --", err)
+    assert not out.exists()
+
+
+@st.composite
+def mutated_game_files(draw):
+    """``(suffix, text)``: a valid ``.bgame`` or ``.uvg`` file of a game of at
+    most 4 x 4 with one slice of at most two characters replaced by at most
+    two others, or one line dropped, moved or repeated."""
+    suffix = draw(st.sampled_from([".bgame", ".uvg"]))
+    text = write_bgame(draw(bimatrix_games())) if suffix == ".bgame" else write_uvg(draw(unit_vector_games(4)))
+    if draw(st.booleans()):
+        start = draw(st.integers(0, len(text)))
+        stop = draw(st.integers(start, min(start + 2, len(text))))
+        return suffix, text[:start] + draw(st.text("0123456789 -/\n+._eEx\u0662", max_size=2)) + text[stop:]
+    lines = text.splitlines(keepends=True)
+    k, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines)))
+    line = lines[k] if draw(st.booleans()) else lines.pop(k)
+    if draw(st.booleans()):
+        lines.insert(min(j, len(lines)), line)
+    return suffix, "".join(lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_game_files())
+def test_mutated_file_exits_with_a_documented_code(mutated):
+    # a broken file is refused, a still valid one solved or failed with a
+    # code; nothing escapes main as an exception
+    suffix, text = mutated
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"g{suffix}"
+        path.write_text(text, encoding="utf-8")
+        for method in ("lh", "support"):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                assert main(["solve", str(path), "--method", method]) in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("method", ["lh", "support"])
+@pytest.mark.parametrize(
+    "family, name",
+    [
+        (["morris", "--m", "4"], "g.uvg"),
+        (["triple-morris", "--m", "4", "--shuffle-columns"], "g.uvg"),
+        (["permutation", "--n", "4", "--seed", "3"], "g.bgame"),
+        (["random", "--m", "3", "--n", "4", "--seed", "2"], "g.bgame"),
+    ],
+)
+def test_generated_game_solution_verifies(tmp_path, capsys, family, name, method):
+    path = str(tmp_path / name)
+    assert main(["gen", *family, "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["solve", path, "--method", method]) == 0
+    profile = capsys.readouterr().out.splitlines()[0]
+    assert main(["verify", path, "--profile", profile]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "true"
 
 
 class TestEntryPoint:

@@ -360,6 +360,16 @@ def test_no_assert_in_package_sources():
     assert offenders == []
 
 
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10: syntax a later version
+    # added, such as except* (3.11), must not reach the package or its tests
+    sources = [*Path(galelemke.__file__).parent.rglob("*.py"), *Path(__file__).parent.rglob("*.py")]
+    for source in sorted(sources):
+        ast.parse(source.read_text(encoding="utf-8"), str(source), feature_version=(3, 10))
+    with pytest.raises(SyntaxError):  # the check does see a later version's syntax
+        ast.parse("try: pass\nexcept* ValueError: pass", feature_version=(3, 10))
+
+
 def test_no_environment_reads_in_package_sources():
     # every setting is an argument or a flag, never a hidden knob
     knobs = {"environ", "environb", "getenv"}
