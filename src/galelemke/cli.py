@@ -56,18 +56,19 @@ UNIT_VECTOR_FAMILIES = {
 }
 
 
-def _parse_m_range(text: str) -> list[int]:
-    """"4..16" -> even values 4, 6, ..., 16; a single value stands alone."""
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(text)
-    if lo % 2 or hi % 2 or lo < 2:
-        raise ValueError("m range must cover even values >= 2")
-    if lo > hi:
-        raise ValueError(f"m range {text!r} is empty")
-    return list(range(lo, hi + 1, 2))
+def _integer(text: str) -> int:
+    """The argparse type of every integer option: ASCII "-?[0-9]+", the
+    integer grammar of game files."""
+    if not (text.isascii() and text.removeprefix("-").isdecimal()):
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    return int(text)
+
+
+def _m_range(text: str) -> tuple[int, int]:
+    """The argparse type of bench's ``--m``: "4..16" -> (4, 16); a single
+    value stands alone."""
+    lo, dots, hi = text.partition("..")
+    return _integer(lo), _integer(hi if dots else lo)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +265,13 @@ def _bench_tasks(args):
     step_cap = DEFAULT_STEP_CAP if args.step_cap is None else args.step_cap
     if step_cap < 0:
         raise ValueError(f"step cap must be nonnegative, got {step_cap}")
+    lo, hi = args.m
+    if lo % 2 or hi % 2 or lo < 2:
+        raise ValueError("m range must cover even values >= 2")
+    if lo > hi:
+        raise ValueError(f"m range {lo}..{hi} is empty")
     tasks = []
-    for m in _parse_m_range(args.m):
+    for m in range(lo, hi + 1, 2):
         if args.solver == "support":
             tasks += [(_support_task, (args.family, m, seed)) for seed in range(seeds)]
         else:
@@ -341,18 +347,18 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate an instance file").add_subparsers(dest="family", required=True)
     for family in UNIT_VECTOR_FAMILIES:
         unit = gen.add_parser(family, help=f"the {family} unit-vector game of size m")
-        unit.add_argument("--m", type=int, required=True)
+        unit.add_argument("--m", type=_integer, required=True)
         unit.add_argument("--shuffle-columns", action="store_true")
-        unit.add_argument("--seed", type=int, help="column shuffle seed, default: 0")
+        unit.add_argument("--seed", type=_integer, help="column shuffle seed, default: 0")
     permutation = gen.add_parser("permutation", help="the n x n game of a permutation")
-    permutation.add_argument("--n", type=int, help="default: the length of --pi")
+    permutation.add_argument("--n", type=_integer, help="default: the length of --pi")
     pick = permutation.add_mutually_exclusive_group()
     pick.add_argument("--pi", help="explicit permutation, space-separated")
-    pick.add_argument("--seed", type=int, help="random permutation seed, default: 0")
+    pick.add_argument("--seed", type=_integer, help="random permutation seed, default: 0")
     rand = gen.add_parser("random", help="a random m x n game")
-    rand.add_argument("--m", type=int, required=True)
-    rand.add_argument("--n", type=int, required=True)
-    rand.add_argument("--seed", type=int, help="default: 0")
+    rand.add_argument("--m", type=_integer, required=True)
+    rand.add_argument("--n", type=_integer, required=True)
+    rand.add_argument("--seed", type=_integer, help="default: 0")
     rand.add_argument("--no-filter", action="store_true", help="skip the nondegeneracy filter")
     for family in gen.choices.values():
         family.add_argument("--out")
@@ -361,9 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve a game file")
     solve.add_argument("game")
     solve.add_argument("--method", choices=["lh", "support"], default="lh")
-    solve.add_argument("--missing-label", type=int)
-    solve.add_argument("--seed", type=int)
-    solve.add_argument("--step-cap", type=int)
+    solve.add_argument("--missing-label", type=_integer)
+    solve.add_argument("--seed", type=_integer)
+    solve.add_argument("--step-cap", type=_integer)
     solve.add_argument("--path-csv", help="dump the pivot path as CSV")
     solve.set_defaults(func=cmd_solve)
 
@@ -376,16 +382,16 @@ def build_parser() -> argparse.ArgumentParser:
     bench = bench.add_subparsers(dest="family", required=True)
     for family in UNIT_VECTOR_FAMILIES:
         walks = bench.add_parser(family, help="Lemke path lengths, or support guesses with --solver support")
-        walks.add_argument("--m", required=True, help="even range like 4..16")
+        walks.add_argument("--m", type=_m_range, required=True, help="even range like 4..16")
         walks.add_argument("--solver", choices=["combinatorial", "lh", "support"], default="combinatorial")
         walks.add_argument("--labels", choices=["all", "1", "half"], help="default: 1")
-        walks.add_argument("--step-cap", type=int, help=f"default: {DEFAULT_STEP_CAP}")
+        walks.add_argument("--step-cap", type=_integer, help=f"default: {DEFAULT_STEP_CAP}")
     permutation = bench.add_parser("permutation", help="support guesses, or equilibrium counts with --exhaustive")
-    permutation.add_argument("--n", type=int, required=True)
+    permutation.add_argument("--n", type=_integer, required=True)
     permutation.add_argument("--exhaustive", action="store_true")
     for family in bench.choices.values():
-        family.add_argument("--seeds", type=int, help="default: 100")
-        family.add_argument("--jobs", type=int, default=1)
+        family.add_argument("--seeds", type=_integer, help="default: 100")
+        family.add_argument("--jobs", type=_integer, default=1)
         family.add_argument("--out", required=True)
         family.set_defaults(func=cmd_bench)
 

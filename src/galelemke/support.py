@@ -3,18 +3,20 @@
 Guessing a pair of equal-size supports reduces equilibrium finding to two
 square linear systems (equal payoffs on the opponent's support, probabilities
 summing to one) plus best-response checks outside the supports; a guess that
-either player's dominance masks reject costs no solve.  Singular or
-infeasible systems are normal negative outcomes.
+either player's dominance masks reject costs no solve.  A search's column
+supports are bit masks until player 1's masks pass them, which most never do.
+Singular or infeasible systems are normal negative outcomes.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property, partial
+from itertools import accumulate, combinations, repeat
 from math import comb, prod
 
 from .errors import BudgetExceededError, InvariantError, NoEquilibriumError
@@ -24,23 +26,33 @@ from .linalg import bareiss_solve
 MAX_SUPPORT_PAIRS = 1 << 22
 
 
-def _rejected(masks, own, other) -> bool:
+def _members(mask: int) -> tuple[int, ...]:
+    """The members of a bit mask, ascending."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(members)
+
+
+def _rejected(masks, own, other: int) -> bool:
     """True iff ``masks``, the ``dominance_masks`` of the opponent's payoff
-    vectors, beat a row i of ``own`` on ``other``: some row k, in ``own`` or
-    not, is >= i on every column of ``other`` and > i on one (checked first,
-    as the cheap case: i is zero there while another row of ``own`` is not).
+    vectors, beat a row i of ``own`` on the bit mask ``other``: some row k,
+    in ``own`` or not, is >= i on every column of ``other`` and > i on one
+    (checked first, as the cheap case: i is zero there while another row of
+    ``own`` is not).
     Exact for ``_opponent_mix``: against weights positive on ``other``, k
     earns more than i, so if k is in ``own`` any indifferent solution has a
     weight <= 0, and if k is not, ``_beaten`` rejects the weights.
     """
-    support = sum(1 << j for j in other)
     nonzero, beaten_by = masks
-    hit = [nonzero[i - 1] & support != 0 for i in own]
+    hit = [nonzero[i - 1] & other != 0 for i in own]
     if any(hit) != all(hit):
         return True
     for i in own:
         for lt, gt in beaten_by[i - 1]:
-            if not support & lt and support & gt:
+            if not other & lt and other & gt:
                 return True
     return False
 
@@ -98,16 +110,17 @@ def solve_support(game: BimatrixGame, s1, s2) -> MixedProfile | None:
         raise ValueError("supports must be nonempty and of equal size")
     if s1[0] < 1 or s2[0] < 1 or s1[-1] > game.m or s2[-1] > game.n:
         raise ValueError("support indices out of range")
+    if _rejected(game._dominance[0], s1, sum(1 << j for j in s2)):
+        return None
     return _solve_support(game, s1, s2)
 
 
 def _solve_support(game: BimatrixGame, s1, s2) -> MixedProfile | None:
-    """``solve_support`` on supports that are already ascending, in range
-    and of equal size, as every support search builds them.  Both players'
-    dominance masks are checked before either system is built; then player
-    2's mix is solved, and player 1's only if it holds."""
-    a_masks, b_masks = game._dominance
-    if _rejected(a_masks, s1, s2) or _rejected(b_masks, s2, s1):
+    """``solve_support`` on supports that are ascending, in range, of equal
+    size and passed by player 1's dominance masks, as every search hands them
+    on.  Player 2's masks are checked before either system is built; then
+    player 2's mix is solved, and player 1's only if it holds."""
+    if _rejected(game._dominance[1], s2, sum(1 << i for i in s1)):
         return None
     a_rows, b_cols = game.integer_payoffs
     y_sol = _opponent_mix(a_rows, s1, s2)
@@ -127,36 +140,46 @@ def _opponent_mix(scaled, own, other):
 
 
 def _hits(game: BimatrixGame, pairs):
-    """``(guess number, profile)`` for each support pair of ``pairs`` that
-    carries an equilibrium; guesses count from 1 over all pairs tried."""
-    for guess, (s1, s2) in enumerate(pairs, start=1):
-        profile = _solve_support(game, s1, s2)
-        if profile is not None:
-            yield guess, profile
+    """``(guess number, profile)`` for each pair of ascending rows and a
+    column mask of ``pairs`` that carries an equilibrium, guesses counted
+    from 1; the column tuple is built only if player 1's masks pass."""
+    a_masks = game._dominance[0]
+    for guess, (s1, columns) in enumerate(pairs, start=1):
+        if not _rejected(a_masks, s1, columns):
+            profile = _solve_support(game, s1, _members(columns))
+            if profile is not None:
+                yield guess, profile
 
 
-def _unrank(n: int, k: int, index: int) -> tuple[int, ...]:
-    """The index'th k-subset of 1..n in lexicographic order, ascending."""
-    chosen = []
-    value = 1
-    while k:
-        skip = comb(n - value, k - 1)
-        if index < skip:
-            chosen.append(value)
-            k -= 1
-        else:
-            index -= skip
-        value += 1
-    return tuple(chosen)
+def _unranker(n: int, top: int):
+    """The unchecked map from ``(k, index)``, k <= top, to the bit mask of
+    the index'th k-subset of 1..n in lexicographic order.  Row c from the
+    end of its table holds C(n - v, c) for v = 0..n: the subsets passed over
+    by skipping value v with c + 1 members still to choose."""
+    table = [[comb(n - v, c) for v in range(n + 1)] for c in reversed(range(top))]
+
+    def unrank(k: int, index: int) -> int:
+        mask, value = 0, 1
+        for row in table[top - k :]:
+            while index >= (skip := row[value]):
+                index -= skip
+                value += 1
+            mask |= 1 << value
+            value += 1
+        return mask
+
+    return unrank
 
 
 def _equal_pairs(m: int, n: int, seed: int | None = None):
-    """Stream every equal-size support pair of an m x n game: size-ascending
-    and lexicographic, or in the order of a seeded shuffle of that list.
+    """Stream every equal-size support pair of an m x n game, as ascending
+    rows and a column mask: size-ascending and lexicographic, or in the
+    order of a seeded shuffle of that list.
 
     Raises BudgetExceededError, before building any pair, when there are
     more than MAX_SUPPORT_PAIRS of them.  A shuffled pair is unranked from
-    its position when it is reached; only the permutation is stored.
+    its position when it is reached; only the permutation and the row
+    supports drawn so far are stored.
     """
     sizes = range(1, min(m, n) + 1)
     counts = [comb(m, k) * comb(n, k) for k in sizes]
@@ -164,22 +187,25 @@ def _equal_pairs(m: int, n: int, seed: int | None = None):
     if total > MAX_SUPPORT_PAIRS:
         raise BudgetExceededError(f"{total} support pairs exceed the budget {MAX_SUPPORT_PAIRS}")
     if seed is None:
+        bits = [1 << j for j in range(1, n + 1)]
         return (
-            (s1, s2)
+            (s1, columns)
             for k in sizes
-            for s1 in itertools.combinations(range(1, m + 1), k)
-            for s2 in itertools.combinations(range(1, n + 1), k)
+            for s1 in combinations(range(1, m + 1), k)
+            for columns in map(sum, combinations(bits, k))
         )
     # shuffle draws depend only on the length: the same permutation as
     # shuffling the list of pairs itself
     order = array("q", range(total))
     random.Random(seed).shuffle(order)
-    starts = list(itertools.accumulate(counts, initial=0))
+    starts = list(accumulate(counts, initial=0))
+    rows, columns = _unranker(m, len(sizes)), _unranker(n, len(sizes))
+    row_set = cache(lambda k, i1: _members(rows(k, i1)))  # each recurs in C(n, k) pairs
 
     def pair(rank: int):
         k = bisect_right(starts, rank)
         i1, i2 = divmod(rank - starts[k - 1], comb(n, k))
-        return _unrank(m, k, i1), _unrank(n, k, i2)
+        return row_set(k, i1), columns(k, i2)
 
     return map(pair, order)
 
@@ -206,7 +232,8 @@ def search_equal_supports(game: BimatrixGame, seed: int | None = None) -> tuple[
 
 
 class AllColumnSubsets:
-    """Universe of all size-m subsets of the n columns."""
+    """Universe of all size-m subsets of the n columns, in lexicographic
+    order."""
 
     name = "all-m-subsets"
 
@@ -221,11 +248,16 @@ class AllColumnSubsets:
     def __len__(self) -> int:
         return comb(self.n, self.m)
 
+    @cached_property
+    def mask(self):
+        """The unchecked map from index to the column mask of its support."""
+        return partial(_unranker(self.n, self.m), self.m)
+
     def support(self, index: int) -> tuple[int, ...]:
         """Lexicographic unranking of the index'th m-subset of 1..n."""
         if not 0 <= index < len(self):
             raise IndexError(index)
-        return _unrank(self.n, self.m, index)
+        return _members(self.mask(index))
 
 
 class OnePerLabelClass:
@@ -244,14 +276,18 @@ class OnePerLabelClass:
     def __len__(self) -> int:
         return prod(len(cols) for cols in self.classes)
 
+    def mask(self, index: int) -> int:
+        """The column mask of the index'th support, unchecked."""
+        mask = 0
+        for cols in reversed(self.classes):
+            index, pos = divmod(index, len(cols))
+            mask |= 1 << cols[pos]
+        return mask
+
     def support(self, index: int) -> tuple[int, ...]:
         if not 0 <= index < len(self):
             raise IndexError(index)
-        chosen = []
-        for cols in reversed(self.classes):
-            index, pos = divmod(index, len(cols))
-            chosen.append(cols[pos])
-        return tuple(sorted(chosen))
+        return _members(self.mask(index))
 
 
 @dataclass(frozen=True)
@@ -274,9 +310,8 @@ def _lazy_shuffle(size: int, rng: random.Random):
 
 
 def _full_row_pairs(game: BimatrixGame, universe, indices):
-    """The universe's supports at ``indices``, each against all rows."""
-    rows = tuple(range(1, game.m + 1))
-    return ((rows, universe.support(index)) for index in indices)
+    """The universe's column masks at ``indices``, each against all rows."""
+    return zip(repeat(tuple(range(1, game.m + 1))), map(universe.mask, indices))
 
 
 def count_equilibrium_supports(game: BimatrixGame, universe) -> int:
@@ -301,9 +336,7 @@ def randomized_support_search(
         if not verify_equilibrium(game, profile):
             raise InvariantError("support solution fails the label cover")
         return profile, SearchStats(guesses, size)
-    raise NoEquilibriumError(
-        f"no equilibrium among the {size} supports of universe {universe.name!r}"
-    )
+    raise NoEquilibriumError(f"no equilibrium among the {size} supports of universe {universe.name!r}")
 
 
 def expected_guesses(universe_size: int, equilibrium_count: int) -> Fraction:

@@ -715,6 +715,32 @@ def test_options_are_spelled_in_full(tmp_path, capsys, game22_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["gen", "morris", "--m", "1_0", "--out", "{out}"], "--m"),
+        (["gen", "random", "--m", "2", "--n", "+2", "--out", "{out}"], "--n"),
+        (["gen", "random", "--m", "2", "--n", "2", "--seed", "0x1", "--out", "{out}"], "--seed"),
+        (["gen", "permutation", "--n", "٣", "--out", "{out}"], "--n"),
+        (["bench", "morris", "--m", "٤..6", "--out", "{out}"], "--m"),
+        (["bench", "morris", "--m", "4..", "--out", "{out}"], "--m"),
+        (["bench", "morris", "--m", " 4", "--out", "{out}"], "--m"),
+        (["bench", "triple-morris", "--m", "2", "--solver", "support", "--seeds", "٣", "--out", "{out}"], "--seeds"),
+        (["bench", "permutation", "--n", "3", "--jobs", "1.0", "--out", "{out}"], "--jobs"),
+        (["solve", "{game}", "--missing-label", "１", "--path-csv", "{out}"], "--missing-label"),
+        (["solve", "{game}", "--step-cap", "1e3", "--path-csv", "{out}"], "--step-cap"),
+    ],
+)
+def test_integer_options_read_the_integer_grammar(tmp_path, capsys, game22_path, argv, option):
+    # every integer option reads ASCII "-?[0-9]+", as game files do: int()
+    # alone would read "1_0" as 10 and non-ASCII digits as their values
+    out = tmp_path / "out.csv"
+    argv = [word.format(out=out, game=game22_path) for word in argv]
+    assert exit_code(argv) == 2
+    assert f"error: argument {option}: invalid integer" in capsys.readouterr().err.splitlines()[-1]
+    assert not out.exists()
+
+
 @st.composite
 def mutated_game_files(draw):
     """``(suffix, text)``: a valid ``.bgame`` or ``.uvg`` file of a game of at

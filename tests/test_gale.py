@@ -255,6 +255,28 @@ class TestLemkePaths:
         assert lemke_path_length(morris_polytope(4), 1)[0] == 6
         assert lemke_path_length(morris_polytope(4), 2)[0] == 4
 
+    def test_morris_lengths_in_closed_form(self):
+        # Morris (1994): label k <= m/2 walks L(m - 2j) + L(2j) pivots with
+        # j = k // 2, L(0) = 0 and L(m) = H_{m/2+1} - 1 over the
+        # half-companion Pell numbers H = 1, 1, 3, 7, 17, 41, ...; the list
+        # over labels is symmetric under k <-> m+1-k, and triple Morris
+        # walks the same list
+        pell = [1, 1]
+        while len(pell) < 12:
+            pell.append(2 * pell[-1] + pell[-2])
+
+        def whole(m):
+            return pell[m // 2 + 1] - 1 if m else 0
+
+        for m in range(4, 21, 2):
+            lengths = [lemke_path_length(morris_polytope(m), k)[0] for k in range(1, m + 1)]
+            halves = [(m - 2 * (k // 2), 2 * (k // 2)) for k in range(1, m // 2 + 1)]
+            assert lengths[: m // 2] == [whole(a) + whole(b) for a, b in halves]
+            assert lengths == lengths[::-1]
+            if m <= 12:
+                triple = [lemke_path_length(triple_morris_polytope(m), k)[0] for k in range(1, m + 1)]
+                assert triple == lengths
+
     def test_step_cap(self):
         with pytest.raises(StepCapExceededError) as info:
             lemke_path_length(morris_polytope(10), 1, step_cap=5)

@@ -53,6 +53,11 @@ def indifference_systems(draw):
     return scaled, own, other
 
 
+def _bits(support):
+    """The bit mask of a support, as ``dominance_masks`` numbers columns."""
+    return sum(1 << j for j in support)
+
+
 def _plain_solve(scaled, own, other):
     """Bareiss on the indifference system of ``own`` against ``other``."""
     aug = [[scaled[i - 1][1][j - 1] for j in other] + [-scaled[i - 1][0], 0] for i in own]
@@ -151,7 +156,8 @@ class TestSolveSupport:
         # the mask rules reject exactly the guesses where some row is >= a
         # row i of own on every column of other and > on one (a zero row
         # beside a nonzero one is such a case), compared as payoffs
-        # integers / scale; the guesses they reject never change the mix
+        # integers / scale; the guesses they reject never change the mix.
+        # The opponent's support reaches the rules as a bit mask.
         scaled, own, other = system
         masks = dominance_masks(scaled)
         payoffs = [[Fraction(entries[j - 1], scale) for j in other] for scale, entries in scaled]
@@ -160,14 +166,15 @@ class TestSolveSupport:
             for i in own
             for row in payoffs
         )
-        rejected = _rejected(masks, own, other)
+        rejected = _rejected(masks, own, _bits(other))
         assert rejected == dominated
         assert _indifference_solution(scaled, own, other) == _plain_solve(scaled, own, other)
         assert (None if rejected else _opponent_mix(scaled, own, other)) == _plain_mix(scaled, own, other)
 
     def test_both_players_masks_come_before_any_solve(self, monkeypatch):
         # a guess that either player's masks reject costs no Bareiss solve,
-        # and every other guess solves player 2's system at least
+        # and every other guess solves player 2's system at least; each
+        # rule sees the opponent's support as a bit mask
         solves = []
         monkeypatch.setattr(support, "bareiss_solve", lambda system: solves.append(1) or bareiss_solve(system))
         games = [random_game(k, k, seed) for k in (3, 4, 5) for seed in range(4)]
@@ -180,7 +187,7 @@ class TestSolveSupport:
                     for s2 in combinations(range(1, game.n + 1), k):
                         solves.clear()
                         solve_support(game, s1, s2)
-                        y_rejects, x_rejects = _rejected(a_masks, s1, s2), _rejected(b_masks, s2, s1)
+                        y_rejects, x_rejects = _rejected(a_masks, s1, _bits(s2)), _rejected(b_masks, s2, _bits(s1))
                         only_x_rejects += x_rejects and not y_rejects
                         assert bool(solves) != (y_rejects or x_rejects), (game, s1, s2)
         assert only_x_rejects > 0
@@ -248,6 +255,18 @@ class TestUniverses:
         assert len(supports) == 15
         assert all(len(s) == 2 for s in supports)
 
+    def test_unranking_follows_lexicographic_order(self):
+        # guess counts depend on the order, not only on the set of supports
+        for n in range(11):
+            for k in range(n + 1):
+                universe = AllColumnSubsets((k, n))
+                unrank = support._unranker(n, n)
+                subsets = list(combinations(range(1, n + 1), k))
+                assert len(universe) == len(subsets)
+                for i, subset in enumerate(subsets):
+                    assert universe.support(i) == subset
+                    assert unrank(k, i) == _bits(subset)
+
     def test_unranking_is_a_bijection(self):
         universe = AllColumnSubsets((3, 7))
         supports = {universe.support(i) for i in range(len(universe))}
@@ -314,6 +333,20 @@ class TestRandomizedSearch:
         first = randomized_support_search(game, universe, seed=9)
         second = randomized_support_search(game, universe, seed=9)
         assert first == second
+
+    def test_timed_searches_do_pinned_work(self, monkeypatch):
+        # the benchmark's timed triple Morris searches: a faster search must
+        # make the same guesses and the same Bareiss solves
+        solves = []
+        monkeypatch.setattr(support, "bareiss_solve", lambda system: solves.append(1) or bareiss_solve(system))
+        work = {}
+        for m, seeds in ((8, [0]), (6, range(20))):
+            game = triple_morris_game(m).to_bimatrix()
+            universe = AllColumnSubsets(game)
+            solves.clear()
+            guesses = sum(randomized_support_search(game, universe, seed)[1].guesses for seed in seeds)
+            work[m] = guesses, len(solves)
+        assert work == {8: (5583, 76), 6: (11916, 994)}
 
     def test_monte_carlo_mean_matches_expectation(self):
         game = triple_morris_game(2).to_bimatrix()
