@@ -10,9 +10,14 @@ raises InvariantError at a revisited tight set.  Each system is a
 ``polytope.Dictionary``, numbered as the vertex enumerator numbers it (in
 Q, y_j is variable j-1 and the slack of row i of A is n+i-1), and every
 pivot is a fraction-free Bareiss step, as in the integer pivoting of
-lrsnash (Avis, Rosenberg, Savani and von Stengel 2010).  Ratio-test ties
-are always broken lexicographically, which keeps the right-hand side
-nonnegative and rules out cycling even on degenerate inputs.
+lrsnash (Avis, Rosenberg, Savani and von Stengel 2010).  A system with at
+least twice as many rows as coordinates, such as P of an m x 3m
+unit-vector game, keeps only its coordinate rows
+(``polytope.walk_dictionary``); the walks read either form through the
+same methods, so one ratio test and one lexicographic rule serve both.
+Ratio-test ties are always broken lexicographically, which keeps the
+right-hand side nonnegative and rules out cycling even on degenerate
+inputs.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .gale import _lemke_pivots
 from .game import BimatrixGame, LabelSet, MixedProfile, UnitVectorGame, simplex_scaled
 from .linalg import ratio_rows
 from .paths import PivotPath, PivotStep, tight_set
-from .polytope import Dictionary
+from .polytope import Dictionary, walk_dictionary
 
 DEFAULT_STEP_CAP = 10_000_000
 
@@ -34,7 +39,8 @@ def _leaving_row(d: Dictionary, c: int) -> tuple[int, bool]:
     """Row of the leaving variable when column c enters, by the
     lexico-minimum ratio, and whether the ratio test tied.
 
-    ``linalg.ratio_rows`` gives the rows at the minimum ratio.  A tie goes
+    ``d.ratio_test``, ``linalg.ratio_rows`` on column c as the row form of
+    d reads it, gives the rows at the minimum ratio.  A tie goes
     to the lexicographic rule: the same test over the tied rows, on each
     column of the starting slack basis in turn, until one row is left.
     Those columns hold the inverse of the basis, whose rows are
@@ -43,20 +49,20 @@ def _leaving_row(d: Dictionary, c: int) -> tuple[int, bool]:
     a positive entry, so P and Q are bounded and every entering column has
     a positive entry.
     """
-    tied = ratio_rows(d.rows, c)
+    tied = d.ratio_test(c)
     if len(tied) == 1:
         return tied[0], False
     if not tied:
         raise InvariantError("entering column has no positive coefficient")
-    rows, basis, cobasis, det = d
-    for var in range(len(cobasis), len(cobasis) + len(rows)):
+    basis, cobasis, det = d.basis, d.cobasis, d.det
+    for var in range(len(cobasis), len(cobasis) + len(basis)):
         if var in cobasis:
             other = cobasis.index(var)
-            lex = [[rows[r][c], rows[r][other]] for r in tied]
+            lex = [[d.entry(r, c), d.entry(r, other)] for r in tied]
         else:
             # a basic column is det > 0 in its own row and 0 elsewhere
             home = basis.index(var)
-            lex = [[rows[r][c], det * (r == home)] for r in tied]
+            lex = [[d.entry(r, c), det * (r == home)] for r in tied]
         tied = [tied[i] for i in ratio_rows(lex, 0)]
         if len(tied) == 1:
             break
@@ -72,7 +78,7 @@ def _pivot(d: Dictionary, entering: int) -> tuple[Dictionary, int, bool]:
         raise InvariantError(f"entering variable {entering} is already basic") from None
     r, tied = _leaving_row(d, c)
     new = d.pivoted(r, c)
-    if any(row[-1] < 0 for row in new.rows):
+    if min(new.rhs) < 0:
         raise InvariantError("pivot broke right-hand side nonnegativity")
     return new, d.basis[r], tied
 
@@ -123,6 +129,13 @@ def lh_path(dicts: list[Dictionary], missing_label: int, step_cap: int | None) -
     return PivotPath(missing_label, start, tuple(steps), partial(_label_sets, labels), ((1 << nvars) - 1) << nvars)
 
 
+def _slack_dictionaries(game: BimatrixGame) -> list[Dictionary]:
+    """The ``[P, Q]`` dictionaries at the origin, each in the row form
+    ``polytope.walk_dictionary`` picks for its shape."""
+    a_rows, b_cols = game.integer_payoffs
+    return [walk_dictionary(b_cols, game.m), walk_dictionary(a_rows, game.n)]
+
+
 def lh_solve(
     game: BimatrixGame,
     missing_label: int,
@@ -136,8 +149,7 @@ def lh_solve(
     StepCapExceededError with ``steps_taken == step_cap`` before pivot
     ``step_cap + 1`` is computed.
     """
-    a_rows, b_cols = game.integer_payoffs
-    dicts = [Dictionary.slack(b_cols, game.m), Dictionary.slack(a_rows, game.n)]
+    dicts = _slack_dictionaries(game)
     path = lh_path(dicts, missing_label, step_cap)
     profile = MixedProfile(*(simplex_scaled(d.scaled_point()) for d in dicts))
     return LhResult(profile, path)
@@ -184,7 +196,7 @@ def lemke_path_on_unit_vector_game(
     if not 1 <= missing_label <= len(labels):
         raise ValueError(f"missing label {missing_label} out of range 1..{len(labels)}")
     target = labels[missing_label - 1]
-    d = Dictionary.slack(u.to_bimatrix().integer_payoffs[1], m)
+    d = walk_dictionary(u.to_bimatrix().integer_payoffs[1], m)
 
     def step(bits: int, p: int) -> int:
         nonlocal d

@@ -26,7 +26,7 @@ from galelemke import (
     enumerate_gale_vertices,
     triple_morris_game,
 )
-from galelemke import cli
+from galelemke import cli, polytope
 from galelemke.cli import build_parser, main
 from galelemke.gameio import (
     _parse_int,
@@ -461,6 +461,15 @@ class TestSolve:
         main(["gen", "triple-morris", "--m", "8", "--out", str(out)])
         assert main(["solve", str(out), "--method", "support"]) == 4
         assert "budget" in capsys.readouterr().err
+
+    def test_feasible_bases_budget_exit_code(self, tmp_path, capsys, monkeypatch):
+        # gen random checks nondegeneracy on the vertex tables, which walk
+        # every feasible basis of P and Q
+        monkeypatch.setattr(polytope, "MAX_BASES", 2)
+        out = tmp_path / "r.bgame"
+        assert main(["gen", "random", "--m", "3", "--n", "3", "--out", str(out)]) == 4
+        assert "more than 2 feasible bases" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerify:

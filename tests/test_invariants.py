@@ -23,7 +23,7 @@ from galelemke import (
     triple_morris_game,
     triple_morris_polytope,
 )
-from galelemke import gale, lemke_howson, support
+from galelemke import gale, lemke_howson, polytope, support
 from galelemke.cli import main
 from galelemke.errors import (
     DegenerateGameError,
@@ -33,9 +33,9 @@ from galelemke.errors import (
 )
 from galelemke.game import UnitVectorGame
 from galelemke.generators import random_game
-from galelemke.lemke_howson import _leaving_row, _pivot, lh_path
+from galelemke.lemke_howson import _leaving_row, _pivot, _slack_dictionaries, lh_path
 from galelemke.linalg import bareiss_solve, ratio_rows
-from galelemke.polytope import Dictionary, feasible_bases
+from galelemke.polytope import CoordinateDictionary, Dictionary, feasible_bases
 
 ENTRY_POINTS = {
     "combinatorial_lemke": lambda cap: combinatorial_lemke(
@@ -125,12 +125,6 @@ def test_cli_maps_a_broken_invariant_to_solver_exit(monkeypatch, tmp_path, capsy
     assert "label cover" in capsys.readouterr().err
 
 
-def _slack_dictionaries(game):
-    """The [P, Q] dictionaries a product walk on the game starts from."""
-    a_rows, b_cols = game.integer_payoffs
-    return [Dictionary.slack(b_cols, game.m), Dictionary.slack(a_rows, game.n)]
-
-
 def _variable_labels(m, n):
     """Each side's label of each variable: P numbers x, then the slacks of
     B's columns; Q numbers y, then the slacks of A's rows."""
@@ -150,10 +144,17 @@ class _LoggedDictionaries(list):
         self.log.append((side, list(self)))
 
 
-def _walk(game, label):
-    """``lh_path`` from the game's slack dictionaries: the path, and for each
-    step the side whose dictionary it replaced and the [P, Q] after it."""
-    dicts = _LoggedDictionaries(_slack_dictionaries(game))
+def _full_row_dictionaries(game):
+    """The [P, Q] slack dictionaries with every row kept."""
+    a_rows, b_cols = game.integer_payoffs
+    return [Dictionary.slack(b_cols, game.m), Dictionary.slack(a_rows, game.n)]
+
+
+def _walk(game, label, start=_slack_dictionaries):
+    """``lh_path`` from the game's slack dictionaries (those ``lh_solve``
+    builds, unless ``start`` builds others): the path, and for each step the
+    side whose dictionary it replaced and the [P, Q] after it."""
+    dicts = _LoggedDictionaries(start(game))
     path = lh_path(dicts, label, None)
     assert len(dicts.log) == path.path_length
     return path, dicts.log
@@ -203,10 +204,12 @@ def test_entering_column_without_positive_entry_raises():
 
 def _full_tableau(d):
     """The full tableau a compact dictionary stands for: the column of
-    every variable, then the right-hand side."""
+    every variable, then the right-hand side, each row read through the
+    dictionary's own row reader."""
     nvars = len(d.basis) + len(d.cobasis)
     full = []
-    for var, row in zip(d.basis, d.rows):
+    for r, var in enumerate(d.basis):
+        row = d.row(r)
         entries = [d.det if v == var else 0 for v in range(nvars)] + [row[-1]]
         for c, v in enumerate(d.cobasis):
             entries[v] = row[c]
@@ -331,7 +334,12 @@ def test_walked_dictionaries_are_enumerated_feasible_bases():
     # side, with the same basis set, determinant and point
     games = [random_game(m, n, seed) for m, n in ((2, 3), (3, 3), (3, 4), (4, 4), (4, 5)) for seed in range(10)]
     games += [random_game(3, 3, seed, payoff_range=(0, 2), filter_degenerate=False) for seed in range(60)]
-    pivots = 0
+    # tall games, whose P walks keep only their coordinate rows
+    games += [random_game(m, n, seed) for m, n in ((2, 4), (2, 6), (3, 6), (3, 8)) for seed in range(5)]
+    games += [
+        random_game(m, 3 * m, seed, payoff_range=(0, 2), filter_degenerate=False) for m in (2, 3) for seed in range(10)
+    ]
+    pivots = coordinate_pivots = 0
     for game in games:
         a_rows, b_cols = game.integer_payoffs
         bases = [
@@ -343,7 +351,77 @@ def test_walked_dictionaries_are_enumerated_feasible_bases():
                 d = after[side]
                 assert bases[side][frozenset(d.basis)] == (d.det, d.scaled_point())
                 pivots += 1
+                coordinate_pivots += isinstance(d, CoordinateDictionary)
     assert pivots > 2000
+    assert coordinate_pivots > 500
+
+
+def _tall_games():
+    """Triple Morris at m = 4 and 6, and tall degenerate games whose P walks
+    break ratio-test ties in the coordinate-row form."""
+    games = [triple_morris_game(m).to_bimatrix() for m in (4, 6)]
+    games += [
+        random_game(m, n, seed, payoff_range=(0, 2), filter_degenerate=False)
+        for m in (2, 3)
+        for n in range(2 * m, 3 * m + 1)
+        for seed in range(6)
+    ]
+    return games
+
+
+def test_coordinate_rows_read_as_the_full_dictionary(monkeypatch):
+    # after every pivot, each entry and right-hand side the coordinate-row
+    # form reads equals that of the full-row dictionary of the same basis,
+    # and every walk takes the same path to the same equilibrium
+    leaving_row = lemke_howson._leaving_row
+    coordinate_ties = []
+
+    def spy(d, c):
+        r, tied = leaving_row(d, c)
+        if tied and isinstance(d, CoordinateDictionary):
+            coordinate_ties.append(r)
+        return r, tied
+
+    monkeypatch.setattr(lemke_howson, "_leaving_row", spy)
+    for game in _tall_games():
+        assert isinstance(_slack_dictionaries(game)[0], CoordinateDictionary)
+        for label in range(1, game.m + game.n + 1):
+            path, log = _walk(game, label)
+            full_path, full_log = _walk(game, label, _full_row_dictionaries)
+            assert path == full_path
+            for (side, after), (_, full_after) in zip(log, full_log):
+                d, full = after[side], full_after[side]
+                assert (d.basis, d.cobasis, d.det, d.rhs) == (full.basis, full.cobasis, full.det, full.rhs)
+                assert [d.row(r) for r in range(len(d.basis))] == full.rows
+                for c in range(len(d.cobasis)):
+                    assert [d.entry(r, c) for r in range(len(d.basis))] == [row[c] for row in full.rows]
+                    if isinstance(d, CoordinateDictionary):
+                        assert d.column(c) == [[row[c], row[-1]] for row in full.rows]
+    assert len(coordinate_ties) > 20
+    solved = [lh_solve(game, label) for game in _tall_games() for label in range(1, game.m + game.n + 1)]
+    monkeypatch.setattr(lemke_howson, "walk_dictionary", Dictionary.slack)
+    assert [lh_solve(game, label) for game in _tall_games() for label in range(1, game.m + game.n + 1)] == solved
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_unit_vector_walk_on_coordinate_rows_matches_full_rows(monkeypatch, m):
+    u = triple_morris_game(m)
+    paths = [lemke_path_on_unit_vector_game(u, label) for label in range(1, 4 * m + 1)]
+    monkeypatch.setattr(lemke_howson, "walk_dictionary", Dictionary.slack)
+    assert [lemke_path_on_unit_vector_game(u, label) for label in range(1, 4 * m + 1)] == paths
+
+
+def test_tall_polytope_pivots_update_at_most_its_coordinate_rows(monkeypatch):
+    # P of triple Morris m = 8 has 24 rows in 8 coordinates: a pivot on every
+    # row Bareiss-updates 23 of them, one on the kept coordinate rows at most 8
+    m = 8
+    pivot = polytope.pivot
+    updated = []
+    spy = lambda rows, r, c, det: updated.append(len(rows) - 1) or pivot(rows, r, c, det)
+    monkeypatch.setattr(polytope, "pivot", spy)
+    result = lh_solve(triple_morris_game(m).to_bimatrix(), 1)
+    assert len(updated) == result.path_length
+    assert max(updated) <= m
 
 
 def test_no_assert_in_package_sources():

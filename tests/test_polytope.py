@@ -5,11 +5,13 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from galelemke import BimatrixGame, is_nondegenerate, random_game
+from galelemke import BimatrixGame, is_nondegenerate, polytope, random_game
 from galelemke.cyclic import cyclic_geometry, to_canonical_form
+from galelemke.errors import BudgetExceededError
 from galelemke.game import transpose
 from galelemke.linalg import bareiss_solve, scaled_to_integers
 from galelemke.polytope import feasible_bases, vertices_nonneg_form
@@ -150,6 +152,18 @@ def assert_feasible_bases_exact(int_rows, dim):
 def test_feasible_bases_are_exactly_the_feasible_bases(system):
     dim, rows, scales = system
     assert_feasible_bases_exact([(s, tuple(s * v for v in row)) for s, row in zip(scales, rows)], dim)
+
+
+def test_feasible_bases_refuse_the_basis_past_the_budget(monkeypatch):
+    b_cols = random_game(3, 3, 0).integer_payoffs[1]
+    count = len(list(feasible_bases(b_cols, 3)))
+    monkeypatch.setattr(polytope, "MAX_BASES", count)
+    assert len(list(feasible_bases(b_cols, 3))) == count
+    monkeypatch.setattr(polytope, "MAX_BASES", count - 1)
+    walked = []
+    with pytest.raises(BudgetExceededError, match=f"more than {count - 1} feasible bases"):
+        walked.extend(feasible_bases(b_cols, 3))
+    assert len(walked) == count - 1
 
 
 def test_feasible_bases_are_exactly_the_feasible_bases_on_degenerate_games():
