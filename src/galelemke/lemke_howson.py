@@ -10,14 +10,13 @@ raises InvariantError at a revisited tight set.  Each system is a
 ``polytope.Dictionary``, numbered as the vertex enumerator numbers it (in
 Q, y_j is variable j-1 and the slack of row i of A is n+i-1), and every
 pivot is a fraction-free Bareiss step, as in the integer pivoting of
-lrsnash (Avis, Rosenberg, Savani and von Stengel 2010).  A system with at
-least twice as many rows as coordinates, such as P of an m x 3m
-unit-vector game, keeps only its coordinate rows
-(``polytope.walk_dictionary``); the walks read either form through the
-same methods, so one ratio test and one lexicographic rule serve both.
-Ratio-test ties are always broken lexicographically, which keeps the
-right-hand side nonnegative and rules out cycling even on degenerate
-inputs.
+lrsnash (Avis, Rosenberg, Savani and von Stengel 2010).  A walk starts at
+``Dictionary.walk_origin``, which keeps only the coordinate rows of a
+system with at least twice as many rows as coordinates, such as P of an
+m x 3m unit-vector game; one ratio test and one lexicographic rule read
+either row policy.  Ratio-test ties are always broken lexicographically,
+which keeps the right-hand side nonnegative and rules out cycling even on
+degenerate inputs.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .gale import _lemke_pivots
 from .game import BimatrixGame, LabelSet, MixedProfile, UnitVectorGame, simplex_scaled
 from .linalg import ratio_rows
 from .paths import PivotPath, PivotStep, tight_set
-from .polytope import Dictionary, walk_dictionary
+from .polytope import Dictionary
 
 DEFAULT_STEP_CAP = 10_000_000
 
@@ -39,12 +38,12 @@ def _leaving_row(d: Dictionary, c: int) -> tuple[int, bool]:
     """Row of the leaving variable when column c enters, by the
     lexico-minimum ratio, and whether the ratio test tied.
 
-    ``d.ratio_test``, ``linalg.ratio_rows`` on column c as the row form of
-    d reads it, gives the rows at the minimum ratio.  A tie goes
-    to the lexicographic rule: the same test over the tied rows, on each
-    column of the starting slack basis in turn, until one row is left.
-    Those columns hold the inverse of the basis, whose rows are
-    independent, so one always is.
+    ``d.ratio_test``, ``linalg.ratio_rows`` on column c whichever rows d
+    keeps, gives the rows at the minimum ratio.  A tie goes to the
+    lexicographic rule, read through ``d.entry``: the same test over the
+    tied rows, on each column of the starting slack basis in turn, until
+    one row is left.  Those columns hold the inverse of the basis, whose
+    rows are independent, so one always is.
     ``BimatrixGame.normalized`` gives every column of A and every row of B
     a positive entry, so P and Q are bounded and every entering column has
     a positive entry.
@@ -130,10 +129,10 @@ def lh_path(dicts: list[Dictionary], missing_label: int, step_cap: int | None) -
 
 
 def _slack_dictionaries(game: BimatrixGame) -> list[Dictionary]:
-    """The ``[P, Q]`` dictionaries at the origin, each in the row form
-    ``polytope.walk_dictionary`` picks for its shape."""
+    """The ``[P, Q]`` dictionaries at the origin, each keeping the rows
+    ``Dictionary.walk_origin`` picks for its shape."""
     a_rows, b_cols = game.integer_payoffs
-    return [walk_dictionary(b_cols, game.m), walk_dictionary(a_rows, game.n)]
+    return [Dictionary.walk_origin(b_cols, game.m), Dictionary.walk_origin(a_rows, game.n)]
 
 
 def lh_solve(
@@ -196,7 +195,7 @@ def lemke_path_on_unit_vector_game(
     if not 1 <= missing_label <= len(labels):
         raise ValueError(f"missing label {missing_label} out of range 1..{len(labels)}")
     target = labels[missing_label - 1]
-    d = walk_dictionary(u.to_bimatrix().integer_payoffs[1], m)
+    d = Dictionary.walk_origin(u.to_bimatrix().integer_payoffs[1], m)
 
     def step(bits: int, p: int) -> int:
         nonlocal d

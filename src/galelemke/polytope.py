@@ -16,13 +16,13 @@ grouped by that set: a degenerate vertex, which has several, is reported
 once, and its order key is read off those bases without solving anything
 else.
 
-The dictionary has two row policies on one kernel.  ``Dictionary`` keeps
-every row, which the enumerator reads in full at every basis.
-``CoordinateDictionary`` keeps only the rows of basic coordinates and
-reads a basic slack's row off its constraint when a walk needs it; on a
-polytope with many more constraints than coordinates, such as P of the
-m x 3m triple Morris game, that spares most of each pivot's row updates.
-``walk_dictionary`` picks the policy once per walk, from the shape.
+The dictionary has two row policies on one kernel, fixed at the origin.
+``Dictionary.slack`` keeps every row, which the enumerator reads in full at
+every basis.  ``Dictionary.walk_origin``, the start of a Lemke-Howson
+walk, keeps only the rows of basic coordinates on a polytope with at least
+twice as many constraints as coordinates, such as P of the m x 3m triple
+Morris game, and reads a basic slack's row off its constraint when the
+walk needs it; that spares most of each pivot's row updates.
 """
 
 from __future__ import annotations
@@ -48,42 +48,105 @@ class Dictionary(NamedTuple):
     entry is an integer over that common denominator.  Variable v < dim is
     z_v and variable dim + j the slack of row j, where dim is the length
     of the cobasis.  A walk reads it through ``ratio_test``, ``entry``,
-    ``row``, ``rhs`` and ``pivoted``, which ``CoordinateDictionary`` has
-    too.
+    ``row``, ``rhs`` and ``pivoted``, whichever rows it keeps.
+
+    When ``int_rows`` holds the constraints ``(scale, a)``, a basic slack's
+    row is only ``[rhs]``.  Slack j is ``scale - a . z``: times det, with
+    each basic z_u replaced by its row, that is ``det * a[v]`` in the
+    column of a cobasic z_v minus ``a[u] * rows[u]`` summed over the basic
+    z_u.  So a pivot Bareiss-updates at most dim kept rows (one
+    ``linalg.pivot``) and one integer per slack row, and a slack's entries
+    are read only where a walk needs them: the entering column, the pivot
+    row and the lexicographic columns of tied rows (Dantzig and Orchard-Hays
+    1954 keep the basis inverse for the same reason).
     """
 
     rows: list[list[int]]
     basis: list[int]
     cobasis: list[int]
     det: int
+    int_rows: list | None = None  # the constraints when a basic slack's row is [rhs]
+    columns: dict | None = None  # with int_rows: c -> ``column(c)``, each read once
 
     @classmethod
     def slack(cls, int_rows, dim: int) -> "Dictionary":
-        """The origin: rows ``(scale, integers)`` read ``integers . z + s =
-        scale``, so the slack basis has det 1; positive row scales leave the
-        ratio test, its ties and the lexicographic order unchanged."""
+        """The origin with every row kept: rows ``(scale, integers)`` read
+        ``integers . z + s = scale``, so the slack basis has det 1; positive
+        row scales leave the ratio test, its ties and the lexicographic order
+        unchanged."""
         rows = [[*integers, b] for b, integers in int_rows]
         return cls(rows, list(range(dim, dim + len(rows))), list(range(dim)), 1)
+
+    @classmethod
+    def walk_origin(cls, int_rows, dim: int) -> "Dictionary":
+        """The origin a Lemke-Howson walk pivots: as ``slack``, but with
+        only the coordinate rows kept when there are at least twice as many
+        rows as coordinates, where most basic variables are slacks."""
+        if len(int_rows) < 2 * dim:
+            return cls.slack(int_rows, dim)
+        return cls([[b] for b, _ in int_rows], list(range(dim, dim + len(int_rows))), list(range(dim)), 1, int_rows, {})
 
     def pivoted(self, r: int, c: int) -> "Dictionary":
         """The dictionary after ``cobasis[c]`` enters on row r (one
         ``linalg.pivot``); this one is left unchanged."""
-        rows, basis, cobasis, det = self
+        rows, basis, cobasis, det, int_rows, _ = self
         basis, cobasis = list(basis), list(cobasis)
         basis[r], cobasis[c] = cobasis[c], basis[r]
-        # tuple.__new__ skips the NamedTuple's Python-level __new__: one call less per pivot
-        return tuple.__new__(Dictionary, (pivot(rows, r, c, det), basis, cobasis, rows[r][c]))
+        if int_rows is None:
+            # tuple.__new__ skips the NamedTuple's Python-level __new__: one call less per pivot
+            return tuple.__new__(Dictionary, (pivot(rows, r, c, det), basis, cobasis, rows[r][c], None, None))
+        # the kept rows and the pivot row go through one linalg.pivot, and each
+        # slack row's right-hand side takes the same Bareiss step on column c
+        dim, column = len(cobasis), self.column(c)
+        p, b = column[r]
+        at = [i for i, var in enumerate(basis) if var < dim and i != r]
+        kept = pivot([*(rows[i] for i in at), self.row(r)], len(at), c, det)
+        out = [None if var < dim else [(x * p - e * b) // det] for var, (e, x) in zip(basis, column)]
+        for i, row in zip(at, kept):
+            out[i] = row
+        out[r] = kept[-1] if basis[r] < dim else [b]
+        return tuple.__new__(Dictionary, (out, basis, cobasis, p, int_rows, {}))
+
+    def column(self, c: int) -> list[list[int]]:
+        """``[entry, rhs]`` of every row in column c, with ``int_rows`` set."""
+        if (out := self.columns.get(c)) is None:
+            # column c on the coordinates, with -det at a cobasic z_v whose
+            # column it is: a slack's entry is then -a . w
+            dim, int_rows = len(self.cobasis), self.int_rows
+            w = [0] * dim
+            for var, row in zip(self.basis, self.rows):
+                if var < dim:
+                    w[var] = row[c]
+            if (v := self.cobasis[c]) < dim:
+                w[v] = -self.det
+            out = self.columns[c] = [
+                [row[c], row[-1]] if var < dim else [-sum(map(mul, int_rows[var - dim][1], w)), row[0]]
+                for var, row in zip(self.basis, self.rows)
+            ]
+        return out
 
     def ratio_test(self, c: int) -> list[int]:
         """``linalg.ratio_rows`` on column c."""
-        return ratio_rows(self.rows, c)
+        if self.int_rows is None:
+            return ratio_rows(self.rows, c)
+        return ratio_rows(self.column(c), 0)
 
     def entry(self, r: int, c: int) -> int:
-        return self.rows[r][c]
+        row = self.rows[r]
+        return row[c] if len(row) > 1 else self.column(c)[r][0]
 
     def row(self, r: int) -> list[int]:
-        """Row r: its cobasic columns, then its right-hand side."""
-        return self.rows[r]
+        """Row r in full: its cobasic columns, then its right-hand side."""
+        if len(row := self.rows[r]) > 1:
+            return row
+        dim, det = len(self.cobasis), self.det
+        a = self.int_rows[self.basis[r] - dim][1]
+        out = [det * a[v] if v < dim else 0 for v in self.cobasis]
+        for var, kept in zip(self.basis, self.rows):
+            if var < dim and (f := a[var]):
+                out = [x - f * y for x, y in zip(out, kept)]
+        out.append(row[0])
+        return out
 
     @property
     def rhs(self) -> list[int]:
@@ -100,120 +163,7 @@ class Dictionary(NamedTuple):
 
     def tight(self) -> int:
         """The vertex's tight set: bit v for each variable v cobasic or at 0."""
-        rows, basis, cobasis, _ = self
-        return sum(1 << v for v in cobasis) + sum(1 << v for v, row in zip(basis, rows) if not row[-1])
-
-
-class CoordinateDictionary:
-    """``Dictionary`` in its coordinate-row form, for a tall polytope: it
-    keeps the rows of the basic coordinates and the right-hand side of
-    every row, and reads a basic slack's row off its constraint.
-
-    Slack j of the row ``(scale, a)`` is ``scale - a . z``.  Times det,
-    with each basic z_u replaced by its row, that is the slack's row of the
-    full dictionary: ``det * a[v]`` in the column of a cobasic z_v, minus
-    ``a[u] * row`` summed over the basic z_u (and ``det * scale`` minus the
-    same sum on the right-hand side).  So a pivot Bareiss-updates at most
-    ``dim`` kept rows (one ``linalg.pivot``) and one integer per
-    right-hand side, and a slack's entries, small constraint integers times
-    kept ones, are read only where a walk needs them: the entering column,
-    the pivot row and the lexicographic columns of tied rows (Dantzig and
-    Orchard-Hays 1954 keep the basis inverse for the same reason).
-    ``rows[r]`` is None where ``basis[r]`` is a slack; the other fields
-    are as in ``Dictionary``.
-    """
-
-    __slots__ = ("rows", "rhs", "basis", "cobasis", "det", "int_rows", "_columns")
-
-    def __init__(self, rows, rhs, basis, cobasis, det, int_rows):
-        self.rows, self.rhs, self.basis, self.cobasis, self.det = rows, rhs, basis, cobasis, det
-        self.int_rows = int_rows
-        self._columns = {}  # c -> column(c), each read once
-
-    @classmethod
-    def slack(cls, int_rows, dim: int) -> "CoordinateDictionary":
-        """The origin, as ``Dictionary.slack``: no coordinate is basic."""
-        basis = list(range(dim, dim + len(int_rows)))
-        return cls([None] * len(basis), [b for b, _ in int_rows], basis, list(range(dim)), 1, int_rows)
-
-    def column(self, c: int) -> list[list[int]]:
-        """``[entry, rhs]`` of every row in column c."""
-        if (out := self._columns.get(c)) is None:
-            # column c on the coordinates, with -det at a cobasic z_v whose
-            # column it is: a slack's entry is then -a . w
-            dim = len(self.cobasis)
-            w = [0] * dim
-            for var, row in zip(self.basis, self.rows):
-                if row is not None:
-                    w[var] = row[c]
-            if (v := self.cobasis[c]) < dim:
-                w[v] = -self.det
-            out = self._columns[c] = [
-                [-sum(map(mul, self.int_rows[var - dim][1], w)) if row is None else row[c], b]
-                for var, row, b in zip(self.basis, self.rows, self.rhs)
-            ]
-        return out
-
-    def ratio_test(self, c: int) -> list[int]:
-        """``linalg.ratio_rows`` on column c."""
-        return ratio_rows(self.column(c), 0)
-
-    def entry(self, r: int, c: int) -> int:
-        return self.column(c)[r][0]
-
-    def row(self, r: int) -> list[int]:
-        """Row r as ``Dictionary`` holds it: its cobasic columns, then its
-        right-hand side."""
-        if (row := self.rows[r]) is not None:
-            return row
-        dim, det = len(self.cobasis), self.det
-        a = self.int_rows[self.basis[r] - dim][1]
-        out = [det * a[v] if v < dim else 0 for v in self.cobasis]
-        for var, row in zip(self.basis, self.rows):
-            if row is not None and (f := a[var]):
-                out = [x - f * y for x, y in zip(out, row)]
-        out.append(self.rhs[r])
-        return out
-
-    def pivoted(self, r: int, c: int) -> "CoordinateDictionary":
-        """As ``Dictionary.pivoted``: the kept rows and the pivot row go
-        through one ``linalg.pivot``, and each right-hand side takes the
-        same Bareiss step on the entering column."""
-        det, column = self.det, self.column(c)
-        basis, cobasis = list(self.basis), list(self.cobasis)
-        basis[r], cobasis[c] = cobasis[c], basis[r]
-        at = [i for i, row in enumerate(self.rows) if row is not None and i != r]
-        kept = pivot([*(self.rows[i] for i in at), self.row(r)], len(at), c, det)
-        rows = [None] * len(basis)
-        for i, row in zip(at, kept):
-            rows[i] = row
-        if basis[r] < len(cobasis):
-            rows[r] = kept[-1]
-        p, b = column[r]
-        rhs = [(x * p - e * b) // det for e, x in column]
-        rhs[r] = b
-        return CoordinateDictionary(rows, rhs, basis, cobasis, p, self.int_rows)
-
-    def scaled_point(self) -> list[int]:
-        """As ``Dictionary.scaled_point``."""
-        dim = len(self.cobasis)
-        z = [0] * dim
-        for var, b in zip(self.basis, self.rhs):
-            if var < dim:
-                z[var] = b
-        return z
-
-    def tight(self) -> int:
-        """As ``Dictionary.tight``."""
-        return sum(1 << v for v in self.cobasis) + sum(1 << v for v, b in zip(self.basis, self.rhs) if not b)
-
-
-def walk_dictionary(int_rows, dim):
-    """The slack dictionary a Lemke-Howson walk pivots, its row form chosen
-    once from the shape: ``CoordinateDictionary`` when there are at least
-    twice as many rows as coordinates, where most basic variables are
-    slacks, and ``Dictionary`` otherwise."""
-    return (CoordinateDictionary if len(int_rows) >= 2 * dim else Dictionary).slack(int_rows, dim)
+        return sum(1 << v for v in self.cobasis) + sum(1 << v for v, row in zip(self.basis, self.rows) if not row[-1])
 
 
 def feasible_bases(int_rows, dim):
@@ -234,7 +184,7 @@ def feasible_bases(int_rows, dim):
             return
         d, mask = stack.pop()
         yield d
-        rows, basis, cobasis, _ = d
+        rows, basis, cobasis, _, _, _ = d
         for c, entering in enumerate(cobasis):
             for r in ratio_rows(rows, c):
                 key = mask ^ (1 << entering) ^ (1 << basis[r])

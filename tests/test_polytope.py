@@ -137,7 +137,7 @@ def brute_force_bases(int_rows, dim):
 
 
 def assert_feasible_bases_exact(int_rows, dim):
-    walked = [(frozenset(basis), basis, rows, det) for rows, basis, _, det in feasible_bases(int_rows, dim)]
+    walked = [(frozenset(d.basis), d.basis, d.rows, d.det) for d in feasible_bases(int_rows, dim)]
     expected = brute_force_bases(int_rows, dim)
     assert len({key for key, *_ in walked}) == len(walked)
     assert {key for key, *_ in walked} == set(expected)
