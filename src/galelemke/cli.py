@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -292,9 +293,10 @@ def cmd_bench(args) -> int:
     chunksize = 256 if args.family == "permutation" and args.exhaustive else 1
     label_one = {}  # m -> uncapped label-1 path length, for the growth lines
     equilibria = games = 0
+    workers = min(args.jobs, os.cpu_count() or 1)  # CPU-bound; the pool starts every worker at once
     with (
         open(args.out, "a", encoding="utf-8", newline="") as handle,
-        ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else nullcontext() as pool,
+        ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool,
     ):
         writer = csv.writer(handle)
         if handle.tell() == 0:

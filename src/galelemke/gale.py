@@ -2,19 +2,25 @@
 
 Vertices of a dual cyclic polytope in even dimension m with f facets are
 exactly the length-f bitstrings with m ones in which every maximal cyclic
-run of ones has even length.  Dropping one facet of a vertex leaves m-1
-fixed facets that admit exactly two completions, which makes edge-following
-a purely combinatorial operation: no arithmetic, a few bit scans per pivot.
-A vertex is its set of tight facets; the walk driver ``_lemke_pivots``, a
-plain loop shared with both Lemke-Howson walks, keeps it as one bit mask and
-records a step only into a list it is given.
+run of ones has even length.  As f > m leaves a zero, such ones split in
+one way only into m/2 disjoint pairs of cyclically adjacent positions: the
+vertex enumeration, the evenness check and the matchings of the tour
+multigraph run on these pairs as bit masks, with no recursion.  Dropping
+one facet of a vertex leaves m-1 fixed facets that admit exactly two
+completions, which makes edge-following a purely combinatorial operation:
+no arithmetic, a few bit scans per pivot.  A vertex is its set of tight
+facets; the walk driver ``_lemke_pivots``, a plain loop shared with both
+Lemke-Howson walks, keeps it as one bit mask and records a step only into
+a list it is given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import count
+from itertools import combinations, count
+from math import comb
+from operator import getitem
 
 from .errors import BudgetExceededError, DegenerateGameError, InvariantError, StepCapExceededError
 from .paths import PivotPath, PivotStep
@@ -91,20 +97,19 @@ def _parse_bits(text: str) -> tuple[int, int]:
 
 
 def _cyclic_runs_even(bits: int, f: int) -> bool:
-    if bits == 0:
-        return True
-    if bits == (1 << f) - 1:
+    """Whether the ones split into disjoint cyclically adjacent pairs.
+    Rotated to start just after a zero, the string has no run across the
+    wrap, so its lowest one must pair with the one above it."""
+    full = (1 << f) - 1
+    if bits == full:
         return True  # single cyclic run covering everything; popcount checked elsewhere
-    zero = next(i for i in range(f) if not bits >> i & 1)
-    run = 0
-    for offset in range(1, f + 1):
-        i = (zero + offset) % f
-        if bits >> i & 1:
-            run += 1
-        else:
-            if run % 2:
-                return False
-            run = 0
+    start = (~bits & (bits + 1)).bit_length()  # just after the lowest zero
+    bits = (bits >> start | bits << (f - start)) & full
+    while bits:
+        low = bits & -bits
+        if not bits & low << 1:
+            return False
+        bits ^= low * 3
     return True
 
 
@@ -126,36 +131,29 @@ def is_gale_even(text: str, m: int) -> bool:
 def enumerate_gale_vertices(m: int, f: int) -> list[GaleString]:
     """All valid vertex bitstrings of length f with m ones, in lexicographic
     order of their text form.  Requires even m and f > m; refuses more than
-    MAX_ENUMERATED of them."""
+    MAX_ENUMERATED of them before building any.
+
+    A vertex string is k = m/2 disjoint cyclically adjacent pairs (t, t+1):
+    the starts c_i + i of a k-subset c of 0..f-k, less those with both the
+    pairs at 0 and f-1; f/(f-k) * C(f-k, k) of them in all."""
     if m % 2 != 0 or m < 2:
         raise ValueError("m must be even and at least 2")
     if f <= m:
         raise ValueError("f must exceed m")
-    out: list[GaleString] = []
-
-    # Depth-first over positions; a run closed by an interior zero must be
-    # even, and the initial and terminal runs must have an even sum.
-    def extend(idx: int, ones_left: int, run: int, lead: int | None, bits: int):
-        if ones_left > f - idx:
-            return
-        if idx == f:
-            if ones_left == 0 and (lead + run) % 2 == 0:
-                if len(out) >= MAX_ENUMERATED:
-                    raise BudgetExceededError(
-                        f"more than {MAX_ENUMERATED} vertex strings for ({m}, {f})"
-                    )
-                out.append(_gale_string(f, bits))
-            return
-        # zero branch first: lexicographically ascending output
-        if lead is None:
-            extend(idx + 1, ones_left, 0, run, bits)
-        elif run % 2 == 0:
-            extend(idx + 1, ones_left, 0, lead, bits)
-        if ones_left > 0:
-            extend(idx + 1, ones_left - 1, run + 1, lead, bits | 1 << idx)
-
-    extend(0, m, 0, None, 0)
-    return out
+    k = m // 2
+    total = f * comb(f - k, k) // (f - k)
+    if total > MAX_ENUMERATED:
+        raise BudgetExceededError(f"{total} vertex strings for ({m}, {f}), more than {MAX_ENUMERATED}")
+    pairs = [3 << t for t in range(f - 1)] + [1 | 1 << (f - 1)]
+    shifted = [pairs[i:] for i in range(k)]  # shifted[i][c] is the pair at c + i
+    mirrored = pairs[-2::-1] + pairs[-1:]  # position 0 as the top bit: numeric order is text order
+    keys = [mirrored[i:] for i in range(k)]
+    by_text = {
+        sum(map(getitem, keys, c)): sum(map(getitem, shifted, c))
+        for c in combinations(range(f - k + 1), k)
+        if c[0] or c[-1] < f - k
+    }
+    return [_gale_string(f, by_text[key]) for key in sorted(by_text)]
 
 
 @cache
@@ -331,39 +329,23 @@ def euler_matchings(poly: LabeledGalePolytope) -> list[frozenset[int]]:
     with the completely labeled strings.  Refuses more than MAX_ENUMERATED
     of them."""
     tour, m, f = poly.position_labels(), poly.m, poly.f
-    edges = [(tour[t], tour[(t + 1) % f]) for t in range(f)]
-    incident: dict[int, list[int]] = {node: [] for node in range(1, m + 1)}
-    for t, (u, v) in enumerate(edges):
-        if u == v:
-            continue  # a loop cannot cover its node exactly once
-        incident[u].append(t)
-        incident[v].append(t)
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(m + 1)]
+    for t in range(f):
+        u, v = tour[t], tour[(t + 1) % f]
+        if u != v:  # a loop cannot cover its node exactly once
+            incident[u].append((1 << u | 1 << v, t + 1))
+            incident[v].append((1 << u | 1 << v, t + 1))
     matchings: list[frozenset[int]] = []
-    covered = [False] * (m + 1)
-    chosen: list[int] = []
-
-    def extend(node: int):
-        while node <= m and covered[node]:
-            node += 1
-        if node > m:
+    stack = [(1, ())]  # (covered nodes as bits 1..m, bit 0 always set; chosen edges)
+    while stack:
+        covered, chosen = stack.pop()
+        if covered == (1 << (m + 1)) - 1:
             if len(matchings) >= MAX_ENUMERATED:
                 raise BudgetExceededError(f"more than {MAX_ENUMERATED} matchings")
-            matchings.append(frozenset(t + 1 for t in chosen))
-            return
-        covered[node] = True
-        for t in incident[node]:
-            u, v = edges[t]
-            other = v if u == node else u
-            if covered[other]:
-                continue
-            covered[other] = True
-            chosen.append(t)
-            extend(node + 1)
-            chosen.pop()
-            covered[other] = False
-        covered[node] = False
-
-    extend(1)
+            matchings.append(frozenset(chosen))
+            continue
+        node = (~covered & (covered + 1)).bit_length() - 1  # the lowest uncovered node
+        stack += [(covered | ends, (*chosen, edge)) for ends, edge in incident[node] if not covered & ends]
     return sorted(matchings, key=sorted)
 
 

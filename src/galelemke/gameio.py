@@ -167,15 +167,16 @@ def format_profile(profile: MixedProfile) -> str:
 
 
 def parse_profile(text: str, m: int, n: int) -> MixedProfile:
-    """Parse the "x... ; y..." form (tolerates "x=", "y=" prefixes).
+    """Parse the "x... ; y..." form.  The x part may open with "x=" and the
+    y part with "y=", after whitespace; anywhere else they are bad tokens.
 
     A bad token is reported at its column in ``text``: the prefixes become
     as many spaces, and y's columns start after the ";".
     """
-    cleaned = text.replace("x=", "  ").replace("y=", "  ")
-    parts = cleaned.split(";")
+    parts = text.split(";")
     if len(parts) != 2:
         raise GameFormatError('expected "x... ; y..." with a single ";"', 1)
+    parts = [re.sub(rf"^(\s*){name}=", r"\1  ", part) for name, part in zip("xy", parts)]
     xs = _tokens(parts[0])
     ys = [(t, c + len(parts[0]) + 1) for t, c in _tokens(parts[1])]
     if len(xs) != m or len(ys) != n:

@@ -495,6 +495,14 @@ class TestVerify:
         assert capsys.readouterr().out.splitlines()[0] == "true"
 
 
+    @pytest.mark.parametrize("profile", ["0x=1 ; 1 0", "1/2 1/2 ; 1y=0", "1/2 x=1/2 ; 1 0", "y=1 0 ; x=1 0"])
+    def test_prefix_only_opens_its_side(self, tmp_path, capsys, profile):
+        path = tmp_path / "g.bgame"
+        path.write_text("2 2\n1 0\n0 1\n\n1 0\n0 1\n")
+        assert main(["verify", str(path), "--profile", profile]) == 2
+        assert main(["verify", str(path), "--profile", " x= 1 0 ;  y=1 0"]) == 0
+
+
 class TestBench:
     def test_empty_m_range_rejected(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
@@ -821,6 +829,35 @@ class TestEntryPoint:
             )
             assert result.returncode == code, result.stderr
         assert tm8.exists()
+
+    @pytest.mark.parametrize("jobs, cpus, workers", [(1000, 3, 3), (2, 3, 2), (4, None, None)])
+    def test_bench_pool_has_at_most_one_worker_per_cpu(self, tmp_path, monkeypatch, jobs, cpus, workers):
+        # a recording stand-in for the pool: no process starts
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+        assert main(["bench", "morris", "--m", "4..6", "--labels", "all", "--out", str(serial)]) == 0
+        assert pools == []
+        argv = ["bench", "morris", "--m", "4..6", "--labels", "all", "--jobs", str(jobs), "--out", str(pooled)]
+        assert main(argv) == 0
+        assert pools == ([] if workers is None else [workers])
+        strip = lambda p: [r[:9] + r[10:] for r in csv.reader(p.open())]
+        assert strip(serial) == strip(pooled)
 
     def test_parallel_bench_matches_serial(self, tmp_path):
         serial = tmp_path / "serial.csv"

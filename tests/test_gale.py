@@ -1,6 +1,7 @@
 """Bitstring combinatorics: evenness, pivoting, paths, matchings."""
 
 import itertools
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -24,7 +25,7 @@ from galelemke import (
     triple_morris_polytope,
 )
 from galelemke.errors import BudgetExceededError, DegenerateGameError, InvariantError, StepCapExceededError
-from galelemke.gale import _gale_step, _lemke_pivots
+from galelemke.gale import _cyclic_runs_even, _gale_step, _lemke_pivots
 from galelemke.paths import PivotStep
 
 
@@ -98,6 +99,40 @@ class TestEnumeration:
             enumerate_gale_vertices(2, 6)
         monkeypatch.setattr("galelemke.gale.MAX_ENUMERATED", 6)
         assert len(enumerate_gale_vertices(2, 6)) == 6
+
+    def test_long_strings_enumerate_without_recursion(self):
+        # one string per pair start: a walk over positions would recurse f deep
+        strings = enumerate_gale_vertices(2, 1100)
+        assert len(strings) == 1100
+        assert str(strings[-1]) == "11" + "." * 1098
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 8])
+    def test_closed_form_count(self, m):
+        k = m // 2
+        for f in range(m + 1, 15):
+            count = f * math.comb(f - k, k) // (f - k)
+            assert len(enumerate_gale_vertices(m, f)) == count == len(brute_force_gale(m, f))
+
+    def test_over_budget_call_builds_no_string(self, monkeypatch):
+        built = []
+        monkeypatch.setattr("galelemke.gale._gale_string", lambda f, bits: built.append(bits))
+        with pytest.raises(BudgetExceededError, match="2288455040 vertex strings"):
+            enumerate_gale_vertices(10, 200)
+        monkeypatch.setattr("galelemke.gale.MAX_ENUMERATED", 103)
+        with pytest.raises(BudgetExceededError):
+            completely_labeled_strings(triple_morris_polytope(4))  # 104 vertex strings
+        assert built == []
+
+
+def test_evenness_check_matches_the_run_scan():
+    # every mask of every length up to 12, against the maximal runs read
+    # from a zero as in brute_force_gale
+    for f in range(1, 13):
+        for bits in range(1 << f):
+            text = "".join("1" if bits >> i & 1 else "0" for i in range(f))
+            z = text.find("0")
+            runs = (text[z + 1 :] + text[: z + 1]).split("0") if z >= 0 else []
+            assert _cyclic_runs_even(bits, f) == all(len(run) % 2 == 0 for run in runs), text
 
 
 class TestPivot:
@@ -467,3 +502,19 @@ class TestEulerMatchings:
             matchings = euler_matchings(poly)
             strings = completely_labeled_strings(poly)
             assert {matching_string(poly, match) for match in matchings} == set(strings)
+
+    def test_matches_brute_force_over_edge_subsets(self):
+        # every m/2-subset of tour edges whose ends cover each label once
+        rng = random.Random(4242)
+        for _ in range(30):
+            m = rng.choice([2, 4, 6])
+            n = rng.randint(1, 8)
+            poly = LabeledGalePolytope.of(m, tuple(rng.randint(1, m) for _ in range(n)))
+            tour = poly.position_labels()
+            ends = [(tour[t], tour[(t + 1) % poly.f]) for t in range(poly.f)]
+            brute = [
+                frozenset(t + 1 for t in chosen)
+                for chosen in itertools.combinations(range(poly.f), m // 2)
+                if sorted(node for t in chosen for node in ends[t]) == list(range(1, m + 1))
+            ]
+            assert euler_matchings(poly) == sorted(brute, key=sorted)

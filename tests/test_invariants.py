@@ -454,6 +454,26 @@ def test_no_assert_in_package_sources():
     assert offenders == []
 
 
+def test_no_recursive_function_in_package_sources():
+    # RecursionError is no typed error: it would escape the CLI's exit codes
+    offenders = []
+    for source in sorted(Path(galelemke.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for call in ast.walk(node):
+                    if not isinstance(call, ast.Call):
+                        continue
+                    func = call.func
+                    if isinstance(func, ast.Name) and func.id == node.name or (
+                        isinstance(func, ast.Attribute)
+                        and func.attr == node.name
+                        and isinstance(func.value, ast.Name)
+                        and func.value.id in ("self", "cls")
+                    ):
+                        offenders.append(f"{source.name}:{call.lineno} {node.name}")
+    assert offenders == []
+
+
 def test_sources_parse_as_python_3_10():
     # pyproject.toml declares requires-python >= 3.10: syntax a later version
     # added, such as except* (3.11), must not reach the package or its tests
