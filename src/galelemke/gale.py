@@ -131,7 +131,12 @@ def is_gale_even(text: str, m: int) -> bool:
 def enumerate_gale_vertices(m: int, f: int) -> list[GaleString]:
     """All valid vertex bitstrings of length f with m ones, in lexicographic
     order of their text form.  Requires even m and f > m; refuses more than
-    MAX_ENUMERATED of them before building any.
+    MAX_ENUMERATED of them before building any."""
+    return [_gale_string(f, bits) for bits in _vertex_bits(m, f)]
+
+
+def _vertex_bits(m: int, f: int) -> list[int]:
+    """The bits of ``enumerate_gale_vertices(m, f)``, in the same order.
 
     A vertex string is k = m/2 disjoint cyclically adjacent pairs (t, t+1):
     the starts c_i + i of a k-subset c of 0..f-k, less those with both the
@@ -153,7 +158,7 @@ def enumerate_gale_vertices(m: int, f: int) -> list[GaleString]:
         for c in combinations(range(f - k + 1), k)
         if c[0] or c[-1] < f - k
     }
-    return [_gale_string(f, by_text[key]) for key in sorted(by_text)]
+    return [by_text[key] for key in sorted(by_text)]
 
 
 @cache
@@ -236,10 +241,14 @@ class LabeledGalePolytope:
 
 
 def completely_labeled_strings(poly: LabeledGalePolytope) -> list[GaleString]:
-    """All vertex strings whose tight positions carry every label 1..m;
-    refuses more than MAX_ENUMERATED vertex strings."""
-    full = frozenset(range(1, poly.m + 1))
-    return [s for s in enumerate_gale_vertices(poly.m, poly.f) if poly.labels_of(s) == full]
+    """All vertex strings whose tight positions carry every label 1..m, in
+    the order of ``enumerate_gale_vertices``; refuses more than
+    MAX_ENUMERATED vertex strings.  Each vertex mask is tested against the
+    positions of each label, and only the strings that pass are built."""
+    masks = [0] * poly.m  # masks[lab - 1]: the positions carrying label lab
+    for q, lab in enumerate(poly.position_labels()):
+        masks[lab - 1] |= 1 << q
+    return [_gale_string(poly.f, b) for b in _vertex_bits(poly.m, poly.f) if all(b & mask for mask in masks)]
 
 
 def _lemke_pivots(labels, start: int, missing_label: int, step, cap: int | None, steps=None) -> tuple[int, int]:

@@ -5,6 +5,9 @@ square linear systems (equal payoffs on the opponent's support, probabilities
 summing to one) plus best-response checks outside the supports; a guess that
 either player's dominance masks reject costs no solve.  A search's column
 supports are bit masks until player 1's masks pass them, which most never do.
+When they partition the columns (a unit-vector game's label classes), a
+full-row search over ``AllColumnSubsets`` ranks the supports they pass once
+and unranks only the draws among them; otherwise it tests every draw.
 Singular or infeasible systems are normal negative outcomes.
 """
 
@@ -15,15 +18,17 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, partial
-from itertools import accumulate, combinations, repeat
+from functools import cache, cached_property, lru_cache, partial, reduce
+from itertools import accumulate, combinations, product
 from math import comb, prod
+from operator import getitem, or_
 
 from .errors import BudgetExceededError, InvariantError, NoEquilibriumError
 from .game import ZERO, BimatrixGame, MixedProfile, UnitVectorGame, verify_equilibrium
 from .linalg import bareiss_solve
 
 MAX_SUPPORT_PAIRS = 1 << 22
+MAX_SURVIVOR_RANKS = 1 << 16
 
 
 def _members(mask: int) -> tuple[int, ...]:
@@ -171,6 +176,16 @@ def _unranker(n: int, top: int):
     return unrank
 
 
+def _ranker(n: int, k: int):
+    """The inverse of ``_unranker(n, k)`` at k: the map from the ascending
+    members c_1 < ... < c_k of a k-subset of 1..n to its lexicographic
+    rank, C(n, k) - 1 - sum_i C(n - c_i, k - i + 1).  Row i of the table
+    holds that term for position i + 1 and each value."""
+    table = [[comb(n - v, k - i) for v in range(n + 1)] for i in range(k)]
+    last = comb(n, k) - 1
+    return lambda members: last - sum(map(getitem, table, members))
+
+
 def _equal_pairs(m: int, n: int, seed: int | None = None):
     """Stream every equal-size support pair of an m x n game, as ascending
     rows and a column mask: size-ascending and lexicographic, or in the
@@ -309,15 +324,57 @@ def _lazy_shuffle(size: int, rng: random.Random):
         yield vj
 
 
-def _full_row_pairs(game: BimatrixGame, universe, indices):
-    """The universe's column masks at ``indices``, each against all rows."""
-    return zip(repeat(tuple(range(1, game.m + 1))), map(universe.mask, indices))
+@lru_cache(maxsize=4)
+def _survivor_ranks(a_masks, n: int) -> frozenset[int] | None:
+    """The ranks, in ``AllColumnSubsets`` order, of the size-m column masks
+    that player 1's ``dominance_masks`` pass against all m rows; None unless
+    the nonzero masks partition the columns 1..n into classes whose product
+    has at most MAX_SURVIVOR_RANKS members.  A passing mask hits some class,
+    so every class: one column from each of the m.  ``_rejected`` sifts that
+    product.  Keyed by the masks, so games with equal payoffs share a set.
+    """
+    nonzero = a_masks[0]
+    m = len(nonzero)
+    if reduce(or_, nonzero) != (1 << n + 1) - 2 or sum(map(int.bit_count, nonzero)) != n:
+        return None
+    classes = [_members(mask) for mask in nonzero]
+    if prod(map(len, classes)) > MAX_SURVIVOR_RANKS:
+        return None
+    rank, rows = _ranker(n, m), tuple(range(1, m + 1))
+    return frozenset(
+        rank(sorted(columns))
+        for columns in product(*classes)
+        if not _rejected(a_masks, rows, sum(1 << j for j in columns))
+    )
+
+
+def _full_row_hits(game: BimatrixGame, universe, indices=None):
+    """``(guess number, profile)`` for each of the universe's ``indices``
+    (None: all of them) whose column mask carries an equilibrium against all
+    rows, guesses counted from 1.  On an ``AllColumnSubsets`` universe of the
+    game's shape with ``_survivor_ranks``, only indices among them are
+    unranked (and scanned); otherwise every mask meets player 1's masks."""
+    a_masks, rows, mask = game._dominance[0], tuple(range(1, game.m + 1)), universe.mask
+    ranks = None
+    if isinstance(universe, AllColumnSubsets) and (universe.m, universe.n) == (game.m, game.n):
+        ranks = _survivor_ranks(a_masks, game.n)
+    if indices is None:
+        indices = range(len(universe)) if ranks is None else sorted(ranks)
+    if ranks is None:
+        guesses = enumerate(map(mask, indices), start=1)
+        passed = ((guess, columns) for guess, columns in guesses if not _rejected(a_masks, rows, columns))
+    else:
+        passed = ((guess, mask(index)) for guess, index in enumerate(indices, start=1) if index in ranks)
+    for guess, columns in passed:
+        profile = _solve_support(game, rows, _members(columns))
+        if profile is not None:
+            yield guess, profile
 
 
 def count_equilibrium_supports(game: BimatrixGame, universe) -> int:
     """Scan the whole universe once and count the supports that carry an
     equilibrium (with the row player on full support)."""
-    return sum(1 for _ in _hits(game, _full_row_pairs(game, universe, range(len(universe)))))
+    return sum(1 for _ in _full_row_hits(game, universe))
 
 
 def randomized_support_search(
@@ -326,13 +383,20 @@ def randomized_support_search(
     """Test the universe's supports in seeded uniform random order, pairing
     each against the full row support, until an equilibrium appears.
 
+    On an ``AllColumnSubsets`` universe of the game's shape whose player 1
+    masks partition the columns (a unit-vector game's label classes), a
+    drawn index outside ``_survivor_ranks`` counts as a guess without being
+    unranked; with overlapping masks, more than MAX_SURVIVOR_RANKS
+    survivors or another universe, every draw is unranked and tested.  The
+    draws, guess counts and profiles are the same either way.
+
     Raises NoEquilibriumError when the universe holds none.
     """
     size = len(universe)
     if size == 0:
         raise ValueError("empty universe")
     order = _lazy_shuffle(size, random.Random(seed))
-    for guesses, profile in _hits(game, _full_row_pairs(game, universe, order)):
+    for guesses, profile in _full_row_hits(game, universe, order):
         if not verify_equilibrium(game, profile):
             raise InvariantError("support solution fails the label cover")
         return profile, SearchStats(guesses, size)

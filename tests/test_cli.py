@@ -4,11 +4,12 @@ import csv
 import io
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
 import time
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -777,17 +778,46 @@ def mutated_game_files(draw):
     return suffix, "".join(lines)
 
 
+class Stalled(Exception):
+    """Raised by ``wall_clock_bound``; main maps no such exception to an exit
+    code, so it reaches the test."""
+
+
+@contextmanager
+def wall_clock_bound(seconds: int):
+    """Raise Stalled in the block once ``seconds`` of wall-clock time pass."""
+
+    def stalled(signum, frame):
+        raise Stalled(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_wall_clock_bound_stops_a_stall():
+    with pytest.raises(Stalled):
+        with wall_clock_bound(1):
+            time.sleep(5)
+
+
 @settings(max_examples=150, deadline=None)
 @given(mutated_game_files())
 def test_mutated_file_exits_with_a_documented_code(mutated):
     # a broken file is refused, a still valid one solved or failed with a
-    # code; nothing escapes main as an exception
+    # code; nothing escapes main as an exception, and no solve of a game of
+    # at most 4 x 4 (a few ms) comes near the bound, so a stall fails here
+    # instead of hanging the suite
     suffix, text = mutated
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"g{suffix}"
         path.write_text(text, encoding="utf-8")
         for method in ("lh", "support"):
-            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()), wall_clock_bound(30):
                 assert main(["solve", str(path), "--method", method]) in (0, 2, 3, 4)
 
 

@@ -453,6 +453,18 @@ class TestCompletelyLabeledStrings:
             poly = LabeledGalePolytope.of(m, ell)
             assert len(completely_labeled_strings(poly)) % 2 == 0
 
+    def test_equals_the_labeled_vertex_strings_in_order(self):
+        # the label-mask filter against labels_of on every vertex string
+        rng = random.Random(418)
+        polys = [triple_morris_polytope(m) for m in (2, 4, 6)]
+        for _ in range(40):
+            m = rng.choice([2, 4, 6])
+            polys.append(LabeledGalePolytope.of(m, [rng.randint(1, m) for _ in range(rng.randint(1, 8))]))
+        for poly in polys:
+            full = frozenset(range(1, poly.m + 1))
+            expected = [s for s in enumerate_gale_vertices(poly.m, poly.f) if poly.labels_of(s) == full]
+            assert completely_labeled_strings(poly) == expected
+
 
 class TestEulerMatchings:
     def test_graph_shape(self):

@@ -26,6 +26,7 @@ from galelemke import (
     permutation_game,
     random_game,
     randomized_support_search,
+    shuffle_columns,
     solve_support,
     triple_morris_game,
     verify_equilibrium,
@@ -359,6 +360,75 @@ class TestRandomizedSearch:
         exact = float(expected_guesses(15, 3))
         stderr = statistics.stdev(counts) / len(counts) ** 0.5
         assert abs(mean - exact) <= 3 * stderr
+
+
+class TestSurvivorRanks:
+    """The ranks of the full-row column masks that A's rule passes, by which
+    a search on ``AllColumnSubsets`` passes over the rest unranked."""
+
+    @staticmethod
+    def brute_force(game):
+        universe, rows = AllColumnSubsets(game), tuple(range(1, game.m + 1))
+        a_masks = game._dominance[0]
+        return frozenset(i for i in range(len(universe)) if not _rejected(a_masks, rows, universe.mask(i)))
+
+    def test_ranker_inverts_the_unranker(self):
+        for n in range(1, 11):
+            for k in range(1, n + 1):
+                unrank, rank = support._unranker(n, k), support._ranker(n, k)
+                assert [rank(support._members(unrank(k, i))) for i in range(comb(n, k))] == list(range(comb(n, k)))
+
+    @pytest.mark.parametrize("m, seed", [(2, None), (4, None), (6, None), (2, 1), (4, 2), (4, 3), (6, 4)])
+    def test_equals_brute_force_survivors(self, m, seed):
+        u = triple_morris_game(m)
+        if seed is not None:
+            u = shuffle_columns(u, seed)
+        game = u.to_bimatrix()
+        ranks = support._survivor_ranks(game._dominance[0], game.n)
+        assert ranks == self.brute_force(game)
+        assert len(ranks) == 3**m
+
+    def test_overlapping_masks_get_none(self):
+        for seed in range(10):
+            game = random_game(3, 5, seed)
+            assert support._survivor_ranks(game._dominance[0], game.n) is None
+
+    def test_only_a_universe_of_all_full_row_supports_reads_them(self, monkeypatch):
+        u = triple_morris_game(4)
+        game = u.to_bimatrix()
+        real, read = support._survivor_ranks, []
+        monkeypatch.setattr(support, "_survivor_ranks", lambda a_masks, n: read.append(n) or real(a_masks, n))
+        assert count_equilibrium_supports(game, OnePerLabelClass(u)) == 9
+        assert next(support._full_row_hits(game, AllColumnSubsets((game.m, game.n + 1)), []), None) is None
+        assert read == []
+        assert count_equilibrium_supports(game, AllColumnSubsets(game)) == 9
+        assert read == [game.n]
+
+    def test_over_budget_ranks_nothing(self, monkeypatch):
+        ranked = []
+        real = support._ranker
+        monkeypatch.setattr(support, "_ranker", lambda n, k: ranked.append((n, k)) or real(n, k))
+        support._survivor_ranks.cache_clear()
+        try:
+            big = triple_morris_game(12).to_bimatrix()
+            assert 3**12 > support.MAX_SURVIVOR_RANKS
+            assert support._survivor_ranks(big._dominance[0], big.n) is None
+            assert ranked == []
+            small = triple_morris_game(4).to_bimatrix()
+            assert len(support._survivor_ranks(small._dominance[0], small.n)) == 81
+            assert ranked == [(small.n, 4)]
+        finally:
+            support._survivor_ranks.cache_clear()
+
+    @pytest.mark.parametrize("m", [4, 6])
+    def test_search_and_count_match_without_ranks(self, m, monkeypatch):
+        game = triple_morris_game(m).to_bimatrix()
+        universe = AllColumnSubsets(game)
+        searches = lambda: [randomized_support_search(game, universe, seed) for seed in range(20)]
+        with_ranks, count = searches(), count_equilibrium_supports(game, universe)
+        monkeypatch.setattr(support, "_survivor_ranks", lambda a_masks, n: None)
+        assert searches() == with_ranks
+        assert count_equilibrium_supports(game, universe) == count == 3 ** (m // 2)
 
 
 class TestExpectedGuesses:
