@@ -10,8 +10,8 @@ one facet of a vertex leaves m-1 fixed facets that admit exactly two
 completions, which makes edge-following a purely combinatorial operation:
 no arithmetic, a few bit scans per pivot.  A vertex is its set of tight
 facets; the walk driver ``_lemke_pivots``, a plain loop shared with both
-Lemke-Howson walks, keeps it as one bit mask and records a step only into
-a list it is given.
+Lemke-Howson walks, keeps it as one bit mask, finds each facet to drop by
+one AND with a partner mask and records a step only into a list it is given.
 """
 
 from __future__ import annotations
@@ -169,21 +169,23 @@ def _gale_step(f: int):
     Removing a one splits its run into two fragments, exactly one of odd
     length; the only repairs by a single new one are re-adding p0 (the old
     vertex) or extending the odd fragment at its far end, so the traversed
-    edge is unique.  On the doubled ring, ``down`` counts the ones from p0
-    downwards; if it is even the odd fragment lies below p0 and the zero
-    under it enters, otherwise the first zero above p0 enters.  The ring's
-    window below p0 depends on (f, p0) alone and is tabled once per f.
+    edge is unique.  On ``zeros = ~bits``, where every position from f up
+    reads as a zero, z is the nearest zero below p0, cyclically: if the
+    (p0 - z) % f ones above z up to p0 are even in number, the odd fragment
+    lies below p0 and z enters; otherwise the first zero above p0 enters,
+    or the lowest zero when that is f or more.  The masks below each p0
+    are tabled once per f.
     """
-    windows = [(p0 + f + 1, (1 << (p0 + f + 1)) - 1) for p0 in range(f)]
+    full, below = (1 << f) - 1, [(1 << p0) - 1 for p0 in range(f)]
 
     def step(bits: int, p0: int) -> int:
-        ring = bits | bits << f
-        top, window = windows[p0]
-        down = top - (ring & window ^ window).bit_length()
-        if down % 2:
-            x = ring >> p0
-            return (p0 + (~x & (x + 1)).bit_length() - 1) % f
-        return (p0 - down) % f
+        zeros = ~bits
+        z = ((zeros & below[p0]) or zeros & full).bit_length() - 1
+        if not (p0 - z) % f & 1:
+            return z
+        x = zeros >> p0
+        q = (x & -x).bit_length() + p0 - 1
+        return q if q < f else (zeros & -zeros).bit_length() - 1
 
     return step
 
@@ -257,11 +259,13 @@ def _lemke_pivots(labels, start: int, missing_label: int, step, cap: int | None,
     Lemke-Howson walks.  ``start`` is the bit mask of the tight 0-based
     positions, which carry labels 1..start.bit_count(), and ``labels[q]``
     is q's label.  The walk first drops the start position with the missing
-    label; after picking up label l it drops the other tight position with
-    label l, by the pivot ``step(bits, p)``, which returns the entered
-    position; only the driver updates the mask.  Given a list ``steps``, it
-    appends each ``PivotStep(dropped, picked, bits)`` and raises
-    InvariantError at the first revisited mask; without one it keeps nothing.
+    label; after picking up label l at position q it drops the other tight
+    position with label l, ``bits & others[q]`` (``others[q]``: the other
+    positions of label l), by the pivot ``step(bits, p)``, which returns
+    the entered position; only the driver updates the mask.  Given a list
+    ``steps``, it appends each ``PivotStep(dropped, picked, bits)`` and
+    raises InvariantError at the first revisited mask; without one it
+    keeps nothing.
 
     The walk takes at most ``cap`` pivots (``None``: no cap).  If it has
     not ended by then, it raises StepCapExceededError with ``steps_taken ==
@@ -275,26 +279,28 @@ def _lemke_pivots(labels, start: int, missing_label: int, step, cap: int | None,
     masks = [0] * (k + 1)  # masks[lab]: the positions carrying label lab
     for q, lab in enumerate(labels):
         masks[lab] |= 1 << q
+    others = [masks[lab] ^ 1 << q for q, lab in enumerate(labels)]
     visited = {start}
-    bits, p0 = start, (start & masks[missing_label]).bit_length() - 1
+    bits, drop = start, 1 << (start & masks[missing_label]).bit_length() >> 1  # its top bit alone
     for length in count(1) if cap is None else range(1, cap + 1):
+        p0 = drop.bit_length() - 1
         q0 = step(bits, p0)
-        bits ^= 1 << p0 | 1 << q0
+        bits ^= drop | 1 << q0
         picked = labels[q0]
         if steps is not None:
             if bits in visited:
                 raise InvariantError(f"pivoting revisited the tight positions {bits:#b}")
             visited.add(bits)
-            steps.append(PivotStep(labels[p0], picked, bits))
+            # tuple.__new__ skips the NamedTuple's Python-level __new__: one call less per step
+            steps.append(tuple.__new__(PivotStep, (labels[p0], picked, bits)))
         if picked == missing_label:
             return length, bits
-        holders = bits & masks[picked]
-        if holders.bit_count() != 2:
+        drop = bits & others[q0]
+        if drop.bit_count() != 1:
             raise DegenerateGameError(
-                f"label {picked} held by {holders.bit_count()} tight positions; "
+                f"label {picked} held by {drop.bit_count() + 1} tight positions; "
                 "labeling is degenerate"
             )
-        p0 = (holders ^ 1 << q0).bit_length() - 1
     raise StepCapExceededError(f"pivoting exceeded the step cap of {cap} pivots", cap)
 
 

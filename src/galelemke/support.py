@@ -330,22 +330,20 @@ def _survivor_ranks(a_masks, n: int) -> frozenset[int] | None:
     that player 1's ``dominance_masks`` pass against all m rows; None unless
     the nonzero masks partition the columns 1..n into classes whose product
     has at most MAX_SURVIVOR_RANKS members.  A passing mask hits some class,
-    so every class: one column from each of the m.  ``_rejected`` sifts that
-    product.  Keyed by the masks, so games with equal payoffs share a set.
+    so every class: one column from each of the m.  ``_rejected`` passes all
+    of that product: normalized payoffs are >= 0, so every other row is 0 on
+    row i's class, where row i is positive, and each ``(lt, gt)`` of row i
+    has ``lt`` covering that class, which the mask meets.  Keyed by the
+    masks, so games with equal payoffs share a set.
     """
     nonzero = a_masks[0]
-    m = len(nonzero)
     if reduce(or_, nonzero) != (1 << n + 1) - 2 or sum(map(int.bit_count, nonzero)) != n:
         return None
     classes = [_members(mask) for mask in nonzero]
     if prod(map(len, classes)) > MAX_SURVIVOR_RANKS:
         return None
-    rank, rows = _ranker(n, m), tuple(range(1, m + 1))
-    return frozenset(
-        rank(sorted(columns))
-        for columns in product(*classes)
-        if not _rejected(a_masks, rows, sum(1 << j for j in columns))
-    )
+    rank = _ranker(n, len(classes))
+    return frozenset(rank(sorted(columns)) for columns in product(*classes))
 
 
 def _full_row_hits(game: BimatrixGame, universe, indices=None):

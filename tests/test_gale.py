@@ -206,6 +206,7 @@ class TestPivotProperties:
     @example(GaleString.from_text("1..111"))  # run wraps past position f
     @example(GaleString.from_text("11.1111.11"))  # m = f - 2
     @example(GaleString.from_text("111..11111"))  # m = f - 2, wrapping
+    @example(GaleString.from_text("1...111"))  # odd f, run wraps: dropping 1 enters 4
     def test_matches_run_stepping_reference(self, s):
         for p in s.ones():
             q0 = _gale_step(s.f)(s.bits, p - 1)
@@ -216,6 +217,7 @@ class TestPivotProperties:
     @given(gale_even_strings())
     @example(GaleString.from_text("1..111"))
     @example(GaleString.from_text("111..11111"))
+    @example(GaleString.from_text("1...111"))
     def test_pivot_is_an_involution(self, s):
         for p in s.ones():
             moved, entered = gale_pivot(s, p)
@@ -340,6 +342,11 @@ def scripted_step(entered):
     return step, calls
 
 
+def seeded_polytope(m, n, seed):
+    rng = random.Random(seed)
+    return LabeledGalePolytope.of(m, [rng.randint(1, m) for _ in range(n)])
+
+
 class TestPivotDriver:
     # positions 0..3 carry labels 1, 2, 2, 1; positions 0 and 1 start tight
     LABELS = (1, 2, 2, 1)
@@ -389,6 +396,33 @@ class TestPivotDriver:
             _lemke_pivots((1, 2, 3, 2, 3), 0b00111, 1, step, cap, steps)
         assert len(calls) == 5
         assert [s.bits for s in steps] == [0b01110, 0b11100, 0b11010, 0b10110]
+
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            pytest.param(family(m), id=f"{family.__name__}-{m}")
+            for family in (morris_polytope, triple_morris_polytope)
+            for m in range(4, 11, 2)
+        ]
+        + [  # odd f = m + n
+            pytest.param(seeded_polytope(m, n, seed), id=f"seeded-{m}-{n}-{seed}")
+            for seed, (m, n) in enumerate([(2, 3), (4, 5), (4, 7), (6, 5), (6, 9), (8, 11)])
+        ],
+    )
+    def test_recorded_steps_follow_the_reference_pivot(self, poly):
+        # the driver's own bookkeeping: which tight position it drops and how
+        # it updates the mask, against the run-stepping reference rule
+        labels, f = poly.position_labels(), poly.f
+        for k in range(1, poly.m + 1):
+            path = combinatorial_lemke(poly, k)
+            bits, entered = path.start_bits, None
+            for s in path.steps:
+                dropped = [q for q in range(f) if bits >> q & 1 and labels[q] == s.dropped and q != entered]
+                assert len(dropped) == 1
+                bits, entered = reference_pivot_bits(bits, f, dropped[0])
+                assert (s.bits, s.picked) == (bits, labels[entered])
+            assert path.steps[-1].picked == k
+            assert lemke_path_length(poly, k) == (path.path_length, path.endpoint)
 
     def test_walk_without_steps_keeps_nothing(self):
         # a streamed walk holds no memory per pivot: 8,118 pivots under a
