@@ -12,7 +12,6 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
@@ -162,50 +161,26 @@ def cmd_verify(args) -> int:
 # bench
 
 
-@dataclass
-class BenchRecord:
-    """One benchmark measurement; exactly one of the metric fields is set."""
-
-    instance: str
-    m: int
-    n: int
-    solver: str  # lh | support | combinatorial-lemke
-    missing_label: int | None = None
-    seed: int | None = None
-    path_length: int | None = None
-    guesses: int | None = None
-    equilibria: int | None = None
-    wall_time: float = 0.0
-    truncated: bool = False
-
-    def row(self) -> list:
-        return [_csv_cell(getattr(self, name)) for name in BENCH_HEADER]
+BENCH_HEADER = [
+    "instance", "m", "n", "solver", "missing_label", "seed",
+    "path_length", "guesses", "equilibria", "wall_time", "truncated",
+]
 
 
-BENCH_HEADER = [field.name for field in fields(BenchRecord)]
-
-
-def _csv_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    return value
-
-
-def _timed(run, instance: str, m: int, n: int, solver: str, **fields) -> BenchRecord:
-    """The record of one measurement: ``wall_time`` covers ``run()`` alone,
-    the measured call, which returns the metric fields it measured."""
+def _timed(run, instance: str, m: int, n: int, solver: str, **fields) -> dict:
+    """The CSV row of one measurement, keyed by ``BENCH_HEADER``:
+    ``wall_time`` covers ``run()`` alone, the measured call, which returns
+    the metric fields it measured; exactly one metric field is set."""
     start = time.perf_counter()
     measured = run()
-    return BenchRecord(instance, m, n, solver, wall_time=time.perf_counter() - start, **fields, **measured)
+    wall_time = f"{time.perf_counter() - start:.6f}"
+    row = {"instance": instance, "m": m, "n": n, "solver": solver, "truncated": "false", **fields}
+    return row | measured | {"wall_time": wall_time}
 
 
 def _path_task(solver: str, family: str, m: int, label: int, cap: int):
     """Walk one label with the combinatorial engine or the tableau solver
-    (``solver`` is the record's name for it); a capped walk is marked
+    (``solver`` is the row's name for it); a capped walk is marked
     truncated with the pivots it was allowed."""
     game, polytope = UNIT_VECTOR_FAMILIES[family]
     instance = game(m).to_bimatrix() if solver == "lh" else polytope(m)
@@ -216,7 +191,7 @@ def _path_task(solver: str, family: str, m: int, label: int, cap: int):
                 return {"path_length": lh_solve(instance, label, step_cap=cap).path_length}
             return {"path_length": lemke_path_length(instance, label, step_cap=cap)[0]}
         except StepCapExceededError as exc:
-            return {"path_length": exc.steps_taken, "truncated": True}
+            return {"path_length": exc.steps_taken, "truncated": "true"}
 
     return _timed(walk, f"{family}-m{m}", m, instance.n, solver, missing_label=label)
 
@@ -298,19 +273,19 @@ def cmd_bench(args) -> int:
         open(args.out, "a", encoding="utf-8", newline="") as handle,
         ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool,
     ):
-        writer = csv.writer(handle)
+        writer = csv.DictWriter(handle, BENCH_HEADER, restval="")
         if handle.tell() == 0:
-            writer.writerow(BENCH_HEADER)
+            writer.writeheader()
             handle.flush()
         # both maps yield in submission order, which keeps the CSV deterministic
-        records = pool.map(_run_task, tasks, chunksize=chunksize) if pool else map(_run_task, tasks)
-        for record in records:
-            writer.writerow(record.row())
+        rows = pool.map(_run_task, tasks, chunksize=chunksize) if pool else map(_run_task, tasks)
+        for row in rows:
+            writer.writerow(row)
             handle.flush()
-            if record.missing_label == 1 and not record.truncated and record.path_length:
-                label_one[record.m] = record.path_length
-            if record.equilibria is not None:
-                equilibria += record.equilibria
+            if row.get("missing_label") == 1 and row["truncated"] == "false":
+                label_one[row["m"]] = row["path_length"]
+            if "equilibria" in row:
+                equilibria += row["equilibria"]
                 games += 1
     for m in sorted(label_one):
         prev = label_one.get(m - 2)

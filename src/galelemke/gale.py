@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import combinations, count
+from itertools import combinations
 from math import comb
 from operator import getitem
 
@@ -26,6 +26,7 @@ from .errors import BudgetExceededError, DegenerateGameError, InvariantError, St
 from .paths import PivotPath, PivotStep
 
 MAX_ENUMERATED = 1_000_000
+DEFAULT_STEP_CAP = 10_000_000  # the pivots a walk of ``_lemke_pivots`` may take by default
 
 
 @dataclass(frozen=True)
@@ -253,7 +254,7 @@ def completely_labeled_strings(poly: LabeledGalePolytope) -> list[GaleString]:
     return [_gale_string(poly.f, b) for b in _vertex_bits(poly.m, poly.f) if all(b & mask for mask in masks)]
 
 
-def _lemke_pivots(labels, start: int, missing_label: int, step, cap: int | None, steps=None) -> tuple[int, int]:
+def _lemke_pivots(labels, start: int, missing_label: int, step, cap: int, steps=None) -> tuple[int, int]:
     """Walk the label-forced path for the missing label and return its
     length and end mask: the one walk of the Gale engine and of both
     Lemke-Howson walks.  ``start`` is the bit mask of the tight 0-based
@@ -267,14 +268,14 @@ def _lemke_pivots(labels, start: int, missing_label: int, step, cap: int | None,
     raises InvariantError at the first revisited mask; without one it
     keeps nothing.
 
-    The walk takes at most ``cap`` pivots (``None``: no cap).  If it has
-    not ended by then, it raises StepCapExceededError with ``steps_taken ==
-    cap`` instead of computing pivot cap + 1.
+    The walk takes at most ``cap`` pivots.  If it has not ended by then,
+    it raises StepCapExceededError with ``steps_taken == cap`` instead of
+    computing pivot cap + 1.
     """
     k = start.bit_count()
     if not 1 <= missing_label <= k:
         raise ValueError(f"missing label {missing_label} out of range 1..{k}")
-    if cap is not None and cap < 0:
+    if cap < 0:
         raise ValueError(f"step cap must be nonnegative, got {cap}")
     masks = [0] * (k + 1)  # masks[lab]: the positions carrying label lab
     for q, lab in enumerate(labels):
@@ -282,7 +283,7 @@ def _lemke_pivots(labels, start: int, missing_label: int, step, cap: int | None,
     others = [masks[lab] ^ 1 << q for q, lab in enumerate(labels)]
     visited = {start}
     bits, drop = start, 1 << (start & masks[missing_label]).bit_length() >> 1  # its top bit alone
-    for length in count(1) if cap is None else range(1, cap + 1):
+    for length in range(1, cap + 1):
         p0 = drop.bit_length() - 1
         q0 = step(bits, p0)
         bits ^= drop | 1 << q0
@@ -305,15 +306,15 @@ def _lemke_pivots(labels, start: int, missing_label: int, step, cap: int | None,
 
 
 def combinatorial_lemke(
-    poly: LabeledGalePolytope, missing_label: int, step_cap: int | None = None
+    poly: LabeledGalePolytope, missing_label: int, step_cap: int = DEFAULT_STEP_CAP
 ) -> PivotPath:
     """Follow the pivot path for the missing label on the labeled polytope.
 
     Starts at the vertex with the first m facets tight and ends at another
-    completely labeled vertex; the path's vertices are GaleStrings.
-    Unbounded by default; with a ``step_cap`` the path may take exactly that
-    many pivots, and a longer one raises StepCapExceededError with
-    ``steps_taken == step_cap``.  A revisited vertex raises InvariantError.
+    completely labeled vertex; the path's vertices are GaleStrings.  It
+    may take exactly ``step_cap`` pivots; a longer path raises
+    StepCapExceededError with ``steps_taken == step_cap``, and a revisited
+    vertex raises InvariantError.
     """
     start, f = (1 << poly.m) - 1, poly.f
     steps: list[PivotStep] = []
@@ -322,7 +323,7 @@ def combinatorial_lemke(
 
 
 def lemke_path_length(
-    poly: LabeledGalePolytope, missing_label: int, step_cap: int | None = None
+    poly: LabeledGalePolytope, missing_label: int, step_cap: int = DEFAULT_STEP_CAP
 ) -> tuple[int, GaleString]:
     """Length (edge count) and endpoint of the path, keeping no step: for
     exponentially long paths.  The step cap works as in ``combinatorial_lemke``.

@@ -25,13 +25,11 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import DegenerateGameError, InvariantError
-from .gale import _lemke_pivots
+from .gale import DEFAULT_STEP_CAP, _lemke_pivots
 from .game import BimatrixGame, LabelSet, MixedProfile, UnitVectorGame, simplex_scaled
 from .linalg import ratio_rows
 from .paths import PivotPath, PivotStep, tight_set
 from .polytope import Dictionary
-
-DEFAULT_STEP_CAP = 10_000_000
 
 
 def _leaving_row(d: Dictionary, c: int) -> tuple[int, bool]:
@@ -100,7 +98,7 @@ def _label_sets(labels: list[int], bits: int) -> tuple[LabelSet, LabelSet]:
     return tight_set(labels[:nvars], bits), tight_set(labels[nvars:], bits >> nvars)
 
 
-def lh_path(dicts: list[Dictionary], missing_label: int, step_cap: int | None) -> PivotPath:
+def lh_path(dicts: list[Dictionary], missing_label: int, step_cap: int) -> PivotPath:
     """The walk from ``dicts``, the dictionaries ``[P, Q]`` of a game, for
     the missing label: it puts each pivoted dictionary back into the list
     and stops at a completely labeled pair or at the cap, as in
@@ -135,18 +133,13 @@ def _slack_dictionaries(game: BimatrixGame) -> list[Dictionary]:
     return [Dictionary.walk_origin(b_cols, game.m), Dictionary.walk_origin(a_rows, game.n)]
 
 
-def lh_solve(
-    game: BimatrixGame,
-    missing_label: int,
-    step_cap: int | None = DEFAULT_STEP_CAP,
-) -> LhResult:
+def lh_solve(game: BimatrixGame, missing_label: int, step_cap: int = DEFAULT_STEP_CAP) -> LhResult:
     """Run the pivoting walk for one missing label and return the
     equilibrium it terminates at, with the full path record.
 
     The path may take exactly ``step_cap`` pivots of the product walk (P
-    and Q moves both count; ``None`` means unbounded); a longer one raises
-    StepCapExceededError with ``steps_taken == step_cap`` before pivot
-    ``step_cap + 1`` is computed.
+    and Q moves both count); a longer one raises StepCapExceededError with
+    ``steps_taken == step_cap`` before pivot ``step_cap + 1`` is computed.
     """
     dicts = _slack_dictionaries(game)
     path = lh_path(dicts, missing_label, step_cap)
@@ -177,7 +170,7 @@ def project_path(result: LhResult) -> tuple[list[LabelSet], list[LabelSet]]:
 
 
 def lemke_path_on_unit_vector_game(
-    u: UnitVectorGame, missing_label: int, step_cap: int | None = DEFAULT_STEP_CAP
+    u: UnitVectorGame, missing_label: int, step_cap: int = DEFAULT_STEP_CAP
 ) -> PivotPath:
     """Path induced on the single labeled polytope of a unit-vector game,
     with vertices as frozensets of tight facet positions.

@@ -680,6 +680,28 @@ class TestBench:
         assert "growth m=8:" not in printed
         assert "growth m=6:" in printed
 
+    @pytest.mark.parametrize(
+        "run, metrics, capped",
+        [
+            (["morris", "--m", "4..8", "--labels", "1", "--step-cap", "20"], {"missing_label", "path_length"}, True),
+            (["triple-morris", "--m", "2..4", "--solver", "lh"], {"missing_label", "path_length"}, False),
+            (["triple-morris", "--m", "4", "--solver", "support", "--seeds", "2"], {"seed", "guesses"}, False),
+            (["permutation", "--n", "4", "--seeds", "2"], {"seed", "guesses"}, False),
+            (["permutation", "--n", "4", "--exhaustive", "--jobs", "2"], {"seed", "equilibria"}, False),
+        ],
+    )
+    def test_cell_formats(self, tmp_path, run, metrics, capped):
+        # wall_time has six decimals, truncated is true or false, and a
+        # metric a family does not measure is the empty cell
+        out = tmp_path / "bench.csv"
+        assert main(["bench", *run, "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.open()))
+        assert rows and all(re.fullmatch(r"[0-9]+\.[0-9]{6}", r["wall_time"]) for r in rows)
+        assert {r["truncated"] for r in rows} <= {"true", "false"}
+        assert any(r["truncated"] == "true" for r in rows) == capped
+        always = {"instance", "m", "n", "solver", "wall_time", "truncated"}
+        assert all({name for name, cell in r.items() if cell} == always | metrics for r in rows)
+
 
 @pytest.mark.parametrize(
     "command, family, runs",

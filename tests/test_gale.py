@@ -25,7 +25,7 @@ from galelemke import (
     triple_morris_polytope,
 )
 from galelemke.errors import BudgetExceededError, DegenerateGameError, InvariantError, StepCapExceededError
-from galelemke.gale import _cyclic_runs_even, _gale_step, _lemke_pivots
+from galelemke.gale import DEFAULT_STEP_CAP, _cyclic_runs_even, _gale_step, _lemke_pivots
 from galelemke.paths import PivotStep
 
 
@@ -355,7 +355,7 @@ class TestPivotDriver:
         step, calls = scripted_step([2, 3])
         steps = []
         # drop 0 (label 1), enter 2 (label 2); drop 1, the other tight 2; enter 3 (label 1)
-        assert _lemke_pivots(self.LABELS, 0b0011, 1, step, None, steps) == (2, 0b1100)
+        assert _lemke_pivots(self.LABELS, 0b0011, 1, step, DEFAULT_STEP_CAP, steps) == (2, 0b1100)
         assert calls == [(0b0011, 0), (0b0110, 1)]
         assert steps == [(1, 2, 0b0011 ^ 1 << 0 | 1 << 2), (2, 1, 0b0110 ^ 1 << 1 | 1 << 3)]
         assert all(type(s) is PivotStep for s in steps)
@@ -371,7 +371,7 @@ class TestPivotDriver:
         step, _ = scripted_step([entered])
         steps = []
         with pytest.raises(DegenerateGameError, match=f"held by {holders} tight"):
-            _lemke_pivots(labels, start, 1, step, None, steps)
+            _lemke_pivots(labels, start, 1, step, DEFAULT_STEP_CAP, steps)
         assert [s.picked for s in steps] == [2]
 
     @pytest.mark.parametrize("cap", [0, 1])
@@ -385,7 +385,7 @@ class TestPivotDriver:
         step, calls = scripted_step([2, 3])
         assert _lemke_pivots(self.LABELS, 0b0011, 1, step, 2) == (2, 0b1100)
 
-    @pytest.mark.parametrize("cap", [None, 10])
+    @pytest.mark.parametrize("cap", [DEFAULT_STEP_CAP, 10])
     def test_recorded_walk_raises_at_a_revisited_mask(self, cap):
         # labels 1, 2, 3, 2, 3 with 0..2 tight; the script swaps labels 2 and
         # 3 around the ring and is back at the first step's mask 0b01110 at
@@ -428,7 +428,7 @@ class TestPivotDriver:
         # a streamed walk holds no memory per pivot: 8,118 pivots under a
         # small fixed bound (a recorded step retains about 112 B)
         poly = morris_polytope(20)
-        args = (poly.position_labels(), (1 << poly.m) - 1, 1, _gale_step(poly.f), None)
+        args = (poly.position_labels(), (1 << poly.m) - 1, 1, _gale_step(poly.f), DEFAULT_STEP_CAP)
         tracemalloc.start()
         try:
             length, _ = _lemke_pivots(*args)

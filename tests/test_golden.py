@@ -218,7 +218,7 @@ def _support_pair_records(game):
     return out
 
 
-def _gale_path_record(poly, label, step_cap=None):
+def _gale_path_record(poly, label, step_cap=10_000):
     try:
         path = combinatorial_lemke(poly, label, step_cap)
     except (GaleLemkeError, ValueError) as exc:
@@ -227,7 +227,7 @@ def _gale_path_record(poly, label, step_cap=None):
     return ("ok", path.missing_label, path.start.f, path.start.bits, steps)
 
 
-def _gale_stream_record(poly, label, step_cap=None):
+def _gale_stream_record(poly, label, step_cap=10_000):
     try:
         length, end = lemke_path_length(poly, label, step_cap)
     except (GaleLemkeError, ValueError) as exc:

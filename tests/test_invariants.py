@@ -2,6 +2,7 @@
 typed errors on every call (also under ``python -O``)."""
 
 import ast
+import inspect
 import tracemalloc
 from operator import mul
 from pathlib import Path
@@ -31,6 +32,7 @@ from galelemke.errors import (
     InvariantError,
     StepCapExceededError,
 )
+from galelemke.gale import DEFAULT_STEP_CAP
 from galelemke.game import UnitVectorGame
 from galelemke.generators import random_game
 from galelemke.lemke_howson import _leaving_row, _pivot, _slack_dictionaries, lh_path
@@ -71,9 +73,16 @@ def _count_pivots(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_every_walk_defaults_to_the_one_step_cap(name):
+    # one integer default for all four walks, defined once in gale
+    assert inspect.signature(getattr(galelemke, name)).parameters["step_cap"].default == DEFAULT_STEP_CAP
+    assert lemke_howson.DEFAULT_STEP_CAP is gale.DEFAULT_STEP_CAP
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
 def test_step_cap_allows_exactly_cap_pivots(name, monkeypatch):
     walk = ENTRY_POINTS[name]
-    length = walk(None)
+    length = walk(DEFAULT_STEP_CAP)
     assert walk(length) == length
     computed = _count_pivots(monkeypatch, name)
     for cap in (length - 1, 0):
@@ -155,7 +164,7 @@ def _walk(game, label, start=_slack_dictionaries):
     builds, unless ``start`` builds others): the path, and for each step the
     side whose dictionary it replaced and the [P, Q] after it."""
     dicts = _LoggedDictionaries(start(game))
-    path = lh_path(dicts, label, None)
+    path = lh_path(dicts, label, DEFAULT_STEP_CAP)
     assert len(dicts.log) == path.path_length
     return path, dicts.log
 
@@ -297,8 +306,8 @@ def test_walk_from_the_endpoint_retraces_the_path():
     for game in games:
         for label in range(1, game.m + game.n + 1):
             dicts = _slack_dictionaries(game)
-            forward = lh_path(dicts, label, None)
-            back = lh_path(dicts, label, None)
+            forward = lh_path(dicts, label, DEFAULT_STEP_CAP)
+            back = lh_path(dicts, label, DEFAULT_STEP_CAP)
             assert back.vertices() == forward.vertices()[::-1]
             assert back.sides() == forward.sides()[::-1]
             assert back.label_sequence() == [(b, a) for a, b in reversed(forward.label_sequence())]
