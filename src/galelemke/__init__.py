@@ -53,9 +53,10 @@ from .lemke_howson import (
     lemke_path_on_unit_vector_game,
     lh_all_labels,
     lh_solve,
+    path_to_csv,
     project_path,
 )
-from .paths import PivotPath, PivotStep, path_to_csv
+from .paths import PivotPath, PivotStep
 from .generators import (
     PermutationGameSpec,
     morris_game,

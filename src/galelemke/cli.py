@@ -36,8 +36,8 @@ from .generators import (
     triple_morris_game,
     triple_morris_polytope,
 )
-from .lemke_howson import DEFAULT_STEP_CAP, lh_solve
-from .paths import path_to_csv
+from .lemke_howson import lh_solve, path_to_csv
+from .paths import DEFAULT_STEP_CAP
 from .support import (
     AllColumnSubsets,
     randomized_support_search,

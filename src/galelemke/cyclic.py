@@ -12,15 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
+from . import polytope
 from .errors import BudgetExceededError
 from .game import Matrix, as_fraction, transpose
-from .gale import GaleString
+from .gale import GaleString, vertex_count
 from .linalg import bareiss_solve, pivot, scaled_to_integers
-from .polytope import vertices_nonneg_form
-
-MAX_FACET_SUBSETS = 200_000
 
 
 @dataclass(frozen=True)
@@ -70,15 +67,15 @@ def geometry_vertex_strings(geom: CyclicPolytopeGeometry):
     Runs the vertex enumerator on ``to_canonical_form(geom)``, so each point
     is in canonical coordinates (``CanonicalForm.incidence_of`` maps it back
     to its string): tight coordinate i is facet i, tight row j facet m+j.
-    Oracle-grade, for small sizes only: a polytope with more than
-    MAX_FACET_SUBSETS m-subsets of its f facets is refused.
+    The polytope is simple, so the enumerator visits one feasible basis per
+    vertex, ``gale.vertex_count`` of them: when that is more than
+    ``polytope.MAX_BASES``, the enumeration is refused before any work.
     """
-    if comb(geom.f, geom.m) > MAX_FACET_SUBSETS:
-        raise BudgetExceededError(
-            f"vertex enumeration over C({geom.f},{geom.m}) subsets exceeds budget"
-        )
+    count = vertex_count(geom.m, geom.f)
+    if count > polytope.MAX_BASES:
+        raise BudgetExceededError(f"{count} vertices for ({geom.m}, {geom.f}), more than {polytope.MAX_BASES} bases")
     int_rows = [scaled_to_integers(col) for col in transpose(to_canonical_form(geom).b)]
-    for point, tight in vertices_nonneg_form(int_rows, geom.m):
+    for point, tight in polytope.vertices_nonneg_form(int_rows, geom.m):
         yield point, GaleString.from_positions(geom.f, tight)
 
 

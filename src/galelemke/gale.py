@@ -9,9 +9,9 @@ multigraph run on these pairs as bit masks, with no recursion.  Dropping
 one facet of a vertex leaves m-1 fixed facets that admit exactly two
 completions, which makes edge-following a purely combinatorial operation:
 no arithmetic, a few bit scans per pivot.  A vertex is its set of tight
-facets; the walk driver ``_lemke_pivots``, a plain loop shared with both
-Lemke-Howson walks, keeps it as one bit mask, finds each facet to drop by
-one AND with a partner mask and records a step only into a list it is given.
+facets, kept as one bit mask; ``_gale_step`` is this engine's pivot step,
+which ``paths.walk``, the label-forced loop that both Lemke-Howson walks
+share, drives.
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ from itertools import combinations
 from math import comb
 from operator import getitem
 
-from .errors import BudgetExceededError, DegenerateGameError, InvariantError, StepCapExceededError
-from .paths import PivotPath, PivotStep
+from .errors import BudgetExceededError
+from .paths import DEFAULT_STEP_CAP, PivotPath, PivotStep, walk
 
 MAX_ENUMERATED = 1_000_000
-DEFAULT_STEP_CAP = 10_000_000  # the pivots a walk of ``_lemke_pivots`` may take by default
 
 
 @dataclass(frozen=True)
@@ -136,18 +135,26 @@ def enumerate_gale_vertices(m: int, f: int) -> list[GaleString]:
     return [_gale_string(f, bits) for bits in _vertex_bits(m, f)]
 
 
+def vertex_count(m: int, f: int) -> int:
+    """The number of vertex strings of length f with m ones, for even m and
+    f > m: f/(f-k) * C(f-k, k) with k = m/2, the vertices of the dual cyclic
+    polytope in dimension m with f facets."""
+    k = m // 2
+    return f * comb(f - k, k) // (f - k)
+
+
 def _vertex_bits(m: int, f: int) -> list[int]:
     """The bits of ``enumerate_gale_vertices(m, f)``, in the same order.
 
     A vertex string is k = m/2 disjoint cyclically adjacent pairs (t, t+1):
     the starts c_i + i of a k-subset c of 0..f-k, less those with both the
-    pairs at 0 and f-1; f/(f-k) * C(f-k, k) of them in all."""
+    pairs at 0 and f-1; ``vertex_count(m, f)`` of them in all."""
     if m % 2 != 0 or m < 2:
         raise ValueError("m must be even and at least 2")
     if f <= m:
         raise ValueError("f must exceed m")
     k = m // 2
-    total = f * comb(f - k, k) // (f - k)
+    total = vertex_count(m, f)
     if total > MAX_ENUMERATED:
         raise BudgetExceededError(f"{total} vertex strings for ({m}, {f}), more than {MAX_ENUMERATED}")
     pairs = [3 << t for t in range(f - 1)] + [1 | 1 << (f - 1)]
@@ -254,57 +261,6 @@ def completely_labeled_strings(poly: LabeledGalePolytope) -> list[GaleString]:
     return [_gale_string(poly.f, b) for b in _vertex_bits(poly.m, poly.f) if all(b & mask for mask in masks)]
 
 
-def _lemke_pivots(labels, start: int, missing_label: int, step, cap: int, steps=None) -> tuple[int, int]:
-    """Walk the label-forced path for the missing label and return its
-    length and end mask: the one walk of the Gale engine and of both
-    Lemke-Howson walks.  ``start`` is the bit mask of the tight 0-based
-    positions, which carry labels 1..start.bit_count(), and ``labels[q]``
-    is q's label.  The walk first drops the start position with the missing
-    label; after picking up label l at position q it drops the other tight
-    position with label l, ``bits & others[q]`` (``others[q]``: the other
-    positions of label l), by the pivot ``step(bits, p)``, which returns
-    the entered position; only the driver updates the mask.  Given a list
-    ``steps``, it appends each ``PivotStep(dropped, picked, bits)`` and
-    raises InvariantError at the first revisited mask; without one it
-    keeps nothing.
-
-    The walk takes at most ``cap`` pivots.  If it has not ended by then,
-    it raises StepCapExceededError with ``steps_taken == cap`` instead of
-    computing pivot cap + 1.
-    """
-    k = start.bit_count()
-    if not 1 <= missing_label <= k:
-        raise ValueError(f"missing label {missing_label} out of range 1..{k}")
-    if cap < 0:
-        raise ValueError(f"step cap must be nonnegative, got {cap}")
-    masks = [0] * (k + 1)  # masks[lab]: the positions carrying label lab
-    for q, lab in enumerate(labels):
-        masks[lab] |= 1 << q
-    others = [masks[lab] ^ 1 << q for q, lab in enumerate(labels)]
-    visited = {start}
-    bits, drop = start, 1 << (start & masks[missing_label]).bit_length() >> 1  # its top bit alone
-    for length in range(1, cap + 1):
-        p0 = drop.bit_length() - 1
-        q0 = step(bits, p0)
-        bits ^= drop | 1 << q0
-        picked = labels[q0]
-        if steps is not None:
-            if bits in visited:
-                raise InvariantError(f"pivoting revisited the tight positions {bits:#b}")
-            visited.add(bits)
-            # tuple.__new__ skips the NamedTuple's Python-level __new__: one call less per step
-            steps.append(tuple.__new__(PivotStep, (labels[p0], picked, bits)))
-        if picked == missing_label:
-            return length, bits
-        drop = bits & others[q0]
-        if drop.bit_count() != 1:
-            raise DegenerateGameError(
-                f"label {picked} held by {drop.bit_count() + 1} tight positions; "
-                "labeling is degenerate"
-            )
-    raise StepCapExceededError(f"pivoting exceeded the step cap of {cap} pivots", cap)
-
-
 def combinatorial_lemke(
     poly: LabeledGalePolytope, missing_label: int, step_cap: int = DEFAULT_STEP_CAP
 ) -> PivotPath:
@@ -318,7 +274,7 @@ def combinatorial_lemke(
     """
     start, f = (1 << poly.m) - 1, poly.f
     steps: list[PivotStep] = []
-    _lemke_pivots(poly.position_labels(), start, missing_label, _gale_step(f), step_cap, steps)
+    walk(poly.position_labels(), start, missing_label, _gale_step(f), step_cap, steps)
     return PivotPath(missing_label, start, tuple(steps), partial(_gale_string, f))
 
 
@@ -329,7 +285,7 @@ def lemke_path_length(
     exponentially long paths.  The step cap works as in ``combinatorial_lemke``.
     """
     start, f = (1 << poly.m) - 1, poly.f
-    length, bits = _lemke_pivots(poly.position_labels(), start, missing_label, _gale_step(f), step_cap)
+    length, bits = walk(poly.position_labels(), start, missing_label, _gale_step(f), step_cap)
     return length, _gale_string(f, bits)
 
 

@@ -4,9 +4,9 @@ The walk starts at the origin pair, drops the chosen missing label, and
 alternates pivots between the two systems until that label is picked up
 again, at which point the basic solution is an equilibrium.  On a
 unit-vector game the Q moves are forced by the labels, so that walk pivots
-P alone.  Both walks run on the label-forced loop ``gale._lemke_pivots``,
-which stops them at their step cap, appends their steps to the path and
-raises InvariantError at a revisited tight set.  Each system is a
+P alone.  Both walks run ``paths.walk``, the label-forced loop, with a
+pivot step and a mask decoder of this module, and ``path_to_csv`` writes
+a product path in the x/s/r/y names of its variables.  Each system is a
 ``polytope.Dictionary``, numbered as the vertex enumerator numbers it (in
 Q, y_j is variable j-1 and the slack of row i of A is n+i-1), and every
 pivot is a fraction-free Bareiss step, as in the integer pivoting of
@@ -21,14 +21,14 @@ degenerate inputs.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from functools import partial
 
 from .errors import DegenerateGameError, InvariantError
-from .gale import DEFAULT_STEP_CAP, _lemke_pivots
 from .game import BimatrixGame, LabelSet, MixedProfile, UnitVectorGame, simplex_scaled
 from .linalg import ratio_rows
-from .paths import PivotPath, PivotStep, tight_set
+from .paths import DEFAULT_STEP_CAP, PivotPath, PivotStep, walk
 from .polytope import Dictionary
 
 
@@ -92,6 +92,11 @@ class LhResult:
         return self.path.path_length
 
 
+def tight_set(names, bits: int) -> frozenset:
+    """The set of ``names[p]`` over the bits p that are set in ``bits``."""
+    return frozenset(names[p] for p in range(len(names)) if bits >> p & 1)
+
+
 def _label_sets(labels: list[int], bits: int) -> tuple[LabelSet, LabelSet]:
     """The P and Q label sets of a product walk's mask."""
     nvars = len(labels) // 2
@@ -104,7 +109,7 @@ def lh_path(dicts: list[Dictionary], missing_label: int, step_cap: int) -> Pivot
     and stops at a completely labeled pair or at the cap, as in
     ``lh_solve``.  The path's vertices are pairs of P and Q label sets.
 
-    The walk is ``gale._lemke_pivots``: position v is P's variable v and
+    The walk is ``paths.walk``: position v is P's variable v and
     position m+n+v Q's, and the tight positions are the cobasic ones, so the
     walk starts at the cobases of ``dicts``, wherever they are.  The
     lexicographic rule keeps each label but the missing one on two tight
@@ -122,7 +127,7 @@ def lh_path(dicts: list[Dictionary], missing_label: int, step_cap: int) -> Pivot
         return base + leaving
 
     steps: list[PivotStep] = []
-    _lemke_pivots(labels, start, missing_label, step, step_cap, steps)
+    walk(labels, start, missing_label, step, step_cap, steps)
     return PivotPath(missing_label, start, tuple(steps), partial(_label_sets, labels), ((1 << nvars) - 1) << nvars)
 
 
@@ -179,7 +184,7 @@ def lemke_path_on_unit_vector_game(
     Q is a product of simplices and never ties, and its moves are forced:
     after P picks up a facet with label l, the product walk drops the other
     tight facet of P with label l (McLennan and Tourky 2010).  So P walks
-    by the rule of ``gale._lemke_pivots``, and a tie in P's ratio test
+    by the rule of ``paths.walk``, and a tie in P's ratio test
     raises DegenerateGameError.  Missing label m+j walks the path of label
     ell(j).  The step cap counts P pivots and works as in ``lh_solve``.
     """
@@ -198,5 +203,22 @@ def lemke_path_on_unit_vector_game(
         return q
 
     steps: list[PivotStep] = []
-    _lemke_pivots(labels, (1 << m) - 1, target, step, step_cap, steps)
+    walk(labels, (1 << m) - 1, target, step, step_cap, steps)
     return PivotPath(target, (1 << m) - 1, tuple(steps), partial(tight_set, range(1, len(labels) + 1)))
+
+
+def path_to_csv(path: PivotPath, out, m: int, n: int) -> None:
+    """Dump a product-polytope path of an m x n game as CSV: step,
+    dropped_label, picked_label, polytope, basis.
+
+    The basis is that of the side that moved: the variables whose labels
+    are not in its label set, x_i and s_j in P, r_i and y_j in Q.
+    """
+    writer = csv.writer(out)
+    writer.writerow(["step", "dropped_label", "picked_label", "polytope", "basis"])
+    rows = zip(path.steps, path.vertices()[1:], path.sides())
+    for idx, (step, vertex, system) in enumerate(rows, start=1):
+        side = "PQ".index(system)
+        labels, (low, high) = vertex[side], ("xs", "ry")[side]
+        basis = [f"{low}{k}" if k <= m else f"{high}{k - m}" for k in range(1, m + n + 1) if k not in labels]
+        writer.writerow([idx, step.dropped, step.picked, system, ";".join(basis)])

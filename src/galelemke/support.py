@@ -349,12 +349,15 @@ def _survivor_ranks(a_masks, n: int) -> frozenset[int] | None:
 def _full_row_hits(game: BimatrixGame, universe, indices=None):
     """``(guess number, profile)`` for each of the universe's ``indices``
     (None: all of them) whose column mask carries an equilibrium against all
-    rows, guesses counted from 1.  On an ``AllColumnSubsets`` universe of the
-    game's shape with ``_survivor_ranks``, only indices among them are
-    unranked (and scanned); otherwise every mask meets player 1's masks."""
+    rows, guesses counted from 1.  On an ``AllColumnSubsets`` universe with
+    ``_survivor_ranks``, only indices among them are unranked (and scanned);
+    otherwise every mask meets player 1's masks.  Raises ValueError when the
+    universe is not of the game's shape."""
+    if (universe.m, universe.n) != (game.m, game.n):
+        raise ValueError(f"a universe of {universe.m} x {universe.n} supports for a {game.m} x {game.n} game")
     a_masks, rows, mask = game._dominance[0], tuple(range(1, game.m + 1)), universe.mask
     ranks = None
-    if isinstance(universe, AllColumnSubsets) and (universe.m, universe.n) == (game.m, game.n):
+    if isinstance(universe, AllColumnSubsets):
         ranks = _survivor_ranks(a_masks, game.n)
     if indices is None:
         indices = range(len(universe)) if ranks is None else sorted(ranks)
@@ -381,14 +384,15 @@ def randomized_support_search(
     """Test the universe's supports in seeded uniform random order, pairing
     each against the full row support, until an equilibrium appears.
 
-    On an ``AllColumnSubsets`` universe of the game's shape whose player 1
-    masks partition the columns (a unit-vector game's label classes), a
-    drawn index outside ``_survivor_ranks`` counts as a guess without being
-    unranked; with overlapping masks, more than MAX_SURVIVOR_RANKS
-    survivors or another universe, every draw is unranked and tested.  The
-    draws, guess counts and profiles are the same either way.
+    On an ``AllColumnSubsets`` universe whose player 1 masks partition the
+    columns (a unit-vector game's label classes), a drawn index outside
+    ``_survivor_ranks`` counts as a guess without being unranked; with
+    overlapping masks, more than MAX_SURVIVOR_RANKS survivors or another
+    universe, every draw is unranked and tested.  The draws, guess counts
+    and profiles are the same either way.
 
-    Raises NoEquilibriumError when the universe holds none.
+    Raises ValueError for an empty universe or one not of the game's shape,
+    and NoEquilibriumError when the universe holds none.
     """
     size = len(universe)
     if size == 0:

@@ -1,7 +1,5 @@
 """Geometry of the dual cyclic polytope and the canonical coordinate change."""
 
-from math import comb
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,6 +11,7 @@ from galelemke import (
     geometry_vertex_strings,
     to_canonical_form,
 )
+from galelemke import polytope
 from galelemke.errors import BudgetExceededError
 
 from conftest import gauss_jordan
@@ -63,14 +62,19 @@ class TestGeometry:
             combinatorial = set(enumerate_gale_vertices(m, f))
             assert geometric == combinatorial
 
-    def test_budget_counts_every_facet_subset(self, monkeypatch):
+    def test_budget_counts_every_vertex(self, monkeypatch):
+        # (4, 9) has 27 vertices, and the enumerator one basis for each
         geom = cyclic_geometry(4, 9)
-        monkeypatch.setattr("galelemke.cyclic.MAX_FACET_SUBSETS", comb(9, 4) - 1)
-        with pytest.raises(BudgetExceededError):
+        monkeypatch.setattr(polytope, "MAX_BASES", 26)
+        with pytest.raises(BudgetExceededError, match="27 vertices"):
             next(geometry_vertex_strings(geom))
-        monkeypatch.setattr("galelemke.cyclic.MAX_FACET_SUBSETS", comb(9, 4))
+        monkeypatch.setattr(polytope, "MAX_BASES", 27)
         vertices = list(geometry_vertex_strings(geom))
-        assert len(vertices) == len(list(enumerate_gale_vertices(4, 9)))
+        assert len(vertices) == len(list(enumerate_gale_vertices(4, 9))) == 27
+
+    def test_large_polytope_matches_combinatorial_enumeration(self):
+        # C(30, 6) = 593,775 facet subsets, but 3,250 vertices and bases
+        assert {s for _, s in geometry_vertex_strings(cyclic_geometry(6, 30))} == set(enumerate_gale_vertices(6, 30))
 
     def test_custom_parameters(self):
         geom = cyclic_geometry(2, 4, t=["-2", "1/3", "5", "7"])

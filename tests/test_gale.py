@@ -25,8 +25,8 @@ from galelemke import (
     triple_morris_polytope,
 )
 from galelemke.errors import BudgetExceededError, DegenerateGameError, InvariantError, StepCapExceededError
-from galelemke.gale import DEFAULT_STEP_CAP, _cyclic_runs_even, _gale_step, _lemke_pivots
-from galelemke.paths import PivotStep
+from galelemke.gale import _cyclic_runs_even, _gale_step
+from galelemke.paths import DEFAULT_STEP_CAP, PivotStep, walk
 
 
 def brute_force_gale(m, f):
@@ -355,7 +355,7 @@ class TestPivotDriver:
         step, calls = scripted_step([2, 3])
         steps = []
         # drop 0 (label 1), enter 2 (label 2); drop 1, the other tight 2; enter 3 (label 1)
-        assert _lemke_pivots(self.LABELS, 0b0011, 1, step, DEFAULT_STEP_CAP, steps) == (2, 0b1100)
+        assert walk(self.LABELS, 0b0011, 1, step, DEFAULT_STEP_CAP, steps) == (2, 0b1100)
         assert calls == [(0b0011, 0), (0b0110, 1)]
         assert steps == [(1, 2, 0b0011 ^ 1 << 0 | 1 << 2), (2, 1, 0b0110 ^ 1 << 1 | 1 << 3)]
         assert all(type(s) is PivotStep for s in steps)
@@ -371,7 +371,7 @@ class TestPivotDriver:
         step, _ = scripted_step([entered])
         steps = []
         with pytest.raises(DegenerateGameError, match=f"held by {holders} tight"):
-            _lemke_pivots(labels, start, 1, step, DEFAULT_STEP_CAP, steps)
+            walk(labels, start, 1, step, DEFAULT_STEP_CAP, steps)
         assert [s.picked for s in steps] == [2]
 
     @pytest.mark.parametrize("cap", [0, 1])
@@ -379,11 +379,11 @@ class TestPivotDriver:
         step, calls = scripted_step([2, 3])
         steps = []
         with pytest.raises(StepCapExceededError) as info:
-            _lemke_pivots(self.LABELS, 0b0011, 1, step, cap, steps)
+            walk(self.LABELS, 0b0011, 1, step, cap, steps)
         assert info.value.steps_taken == cap
         assert len(calls) == len(steps) == cap
         step, calls = scripted_step([2, 3])
-        assert _lemke_pivots(self.LABELS, 0b0011, 1, step, 2) == (2, 0b1100)
+        assert walk(self.LABELS, 0b0011, 1, step, 2) == (2, 0b1100)
 
     @pytest.mark.parametrize("cap", [DEFAULT_STEP_CAP, 10])
     def test_recorded_walk_raises_at_a_revisited_mask(self, cap):
@@ -393,7 +393,7 @@ class TestPivotDriver:
         step, calls = scripted_step([3, 4, 1, 2, 3])
         steps = []
         with pytest.raises(InvariantError, match="revisited"):
-            _lemke_pivots((1, 2, 3, 2, 3), 0b00111, 1, step, cap, steps)
+            walk((1, 2, 3, 2, 3), 0b00111, 1, step, cap, steps)
         assert len(calls) == 5
         assert [s.bits for s in steps] == [0b01110, 0b11100, 0b11010, 0b10110]
 
@@ -431,7 +431,7 @@ class TestPivotDriver:
         args = (poly.position_labels(), (1 << poly.m) - 1, 1, _gale_step(poly.f), DEFAULT_STEP_CAP)
         tracemalloc.start()
         try:
-            length, _ = _lemke_pivots(*args)
+            length, _ = walk(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

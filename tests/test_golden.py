@@ -109,7 +109,7 @@ from galelemke.game import (
     unit_vector_completely_labeled_points,
 )
 from galelemke.gameio import format_profile, write_bgame
-from galelemke.paths import path_to_csv
+from galelemke.lemke_howson import path_to_csv
 
 from conftest import C_DEGENERATE, C_THREE_EQ, WORKED_EXAMPLE
 

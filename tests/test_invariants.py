@@ -24,7 +24,7 @@ from galelemke import (
     triple_morris_game,
     triple_morris_polytope,
 )
-from galelemke import gale, lemke_howson, polytope, support
+from galelemke import gale, lemke_howson, paths, polytope, support
 from galelemke.cli import main
 from galelemke.errors import (
     DegenerateGameError,
@@ -32,11 +32,11 @@ from galelemke.errors import (
     InvariantError,
     StepCapExceededError,
 )
-from galelemke.gale import DEFAULT_STEP_CAP
 from galelemke.game import UnitVectorGame
 from galelemke.generators import random_game
 from galelemke.lemke_howson import _leaving_row, _pivot, _slack_dictionaries, lh_path
 from galelemke.linalg import bareiss_solve, ratio_rows
+from galelemke.paths import DEFAULT_STEP_CAP
 from galelemke.polytope import Dictionary, feasible_bases
 
 ENTRY_POINTS = {
@@ -74,9 +74,9 @@ def _count_pivots(monkeypatch, name):
 
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
 def test_every_walk_defaults_to_the_one_step_cap(name):
-    # one integer default for all four walks, defined once in gale
+    # one integer default for all four walks, defined once in paths
     assert inspect.signature(getattr(galelemke, name)).parameters["step_cap"].default == DEFAULT_STEP_CAP
-    assert lemke_howson.DEFAULT_STEP_CAP is gale.DEFAULT_STEP_CAP
+    assert lemke_howson.DEFAULT_STEP_CAP is gale.DEFAULT_STEP_CAP is paths.DEFAULT_STEP_CAP
 
 
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
@@ -481,6 +481,43 @@ def test_no_recursive_function_in_package_sources():
                     ):
                         offenders.append(f"{source.name}:{call.lineno} {node.name}")
     assert offenders == []
+
+
+def _package_imports(tree) -> set[str]:
+    """The galelemke modules a parsed module imports, by their bare names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names |= {node.module.split(".")[0]} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("galelemke"):
+            module = node.module.split(".")
+            names |= {module[1]} if len(module) > 1 else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {a.name.split(".")[1] for a in node.names if a.name.startswith("galelemke.")}
+    return names
+
+
+def test_the_walk_is_one_module():
+    # the label-forced walk, its default cap and its record live in paths,
+    # which knows no engine; the Gale engine and the tableau walks share
+    # paths and do not import each other
+    package = Path(galelemke.__file__).parent
+    trees = {source.stem: ast.parse(source.read_text(encoding="utf-8")) for source in package.glob("*.py")}
+    assert "lemke_howson" not in _package_imports(trees["gale"])
+    assert "gale" not in _package_imports(trees["lemke_howson"])
+    assert _package_imports(trees["paths"]) <= {"errors"}
+    defined = []  # (module, name) for each module-level definition of the two names
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            defined += [(stem, name) for name in names if name in ("walk", "DEFAULT_STEP_CAP")]
+    assert sorted(defined) == [("paths", "DEFAULT_STEP_CAP"), ("paths", "walk")]
 
 
 def test_sources_parse_as_python_3_10():

@@ -23,6 +23,7 @@ from galelemke import (
     equilibria_by_vertex_enumeration,
     expected_guesses,
     is_nondegenerate,
+    morris_game,
     permutation_game,
     random_game,
     randomized_support_search,
@@ -319,6 +320,25 @@ class TestRandomizedSearch:
         with pytest.raises(NoEquilibriumError):
             randomized_support_search(game22, universe, seed=1)
 
+    @pytest.mark.parametrize(
+        "universe",
+        [
+            AllColumnSubsets((3, 12)),
+            AllColumnSubsets((5, 12)),
+            AllColumnSubsets((4, 11)),
+            OnePerLabelClass(morris_game(6)),
+        ],
+        ids=["fewer-rows", "more-rows", "fewer-columns", "another-game"],
+    )
+    def test_universe_of_another_shape_refused(self, universe):
+        # a 4 x 12 game with 9 equilibrium supports: a universe of another
+        # shape would count 0 or 6 of them, or search 1 support in vain
+        game = triple_morris_game(4).to_bimatrix()
+        with pytest.raises(ValueError, match="universe of"):
+            count_equilibrium_supports(game, universe)
+        with pytest.raises(ValueError, match="universe of"):
+            randomized_support_search(game, universe, 0)
+
     def test_search_on_label_class_universe(self):
         uv = triple_morris_game(2)
         game = uv.to_bimatrix()
@@ -399,7 +419,8 @@ class TestSurvivorRanks:
         real, read = support._survivor_ranks, []
         monkeypatch.setattr(support, "_survivor_ranks", lambda a_masks, n: read.append(n) or real(a_masks, n))
         assert count_equilibrium_supports(game, OnePerLabelClass(u)) == 9
-        assert next(support._full_row_hits(game, AllColumnSubsets((game.m, game.n + 1)), []), None) is None
+        with pytest.raises(ValueError):
+            next(support._full_row_hits(game, AllColumnSubsets((game.m, game.n + 1)), []))
         assert read == []
         assert count_equilibrium_supports(game, AllColumnSubsets(game)) == 9
         assert read == [game.n]
