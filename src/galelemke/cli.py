@@ -12,9 +12,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from fractions import Fraction
 from functools import cache
-from itertools import permutations
 
 from . import gameio
 from .errors import (
@@ -208,22 +206,15 @@ def _permutation_task(n: int, seed: int):
     return _timed(search, f"permutation-n{n}", n, n, "support", seed=seed)
 
 
-def _cycle_task(n: int, rank: int, pi: tuple[int, ...]):
-    """Count the equilibria of one permutation game, 2^cycles - 1."""
-    spec = PermutationGameSpec(n, pi)
-    count = lambda: {"equilibria": (1 << len(spec.cycles())) - 1}
-    return _timed(count, f"permutation-n{n}", n, n, "support", seed=rank)
-
-
 def _bench_tasks(args):
     """Check every bench argument and return the ``(function, arguments)``
     tasks of the run, in CSV order.  Nothing is opened or run before the
-    checks pass; the exhaustive permutation tasks are a lazy stream of n!."""
+    checks pass."""
     permutation = args.family == "permutation"
     if not permutation and args.labels is not None and args.solver == "support":
         raise ValueError("--labels needs --solver combinatorial or lh")
-    if args.seeds is not None and (args.exhaustive if permutation else args.solver != "support"):
-        raise ValueError("--seeds needs --solver support, or family permutation without --exhaustive")
+    if not permutation and args.seeds is not None and args.solver != "support":
+        raise ValueError("--seeds needs --solver support or family permutation")
     if not permutation and args.step_cap is not None and args.solver == "support":
         raise ValueError("--step-cap needs --solver combinatorial or lh")
     seeds = 100 if args.seeds is None else args.seeds
@@ -231,12 +222,15 @@ def _bench_tasks(args):
         raise ValueError("--seeds must be at least 1")
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
+    # rows append to a nonempty --out under its first line, which must be ours
+    if os.path.isfile(args.out) and os.path.getsize(args.out):
+        with open(args.out, encoding="utf-8", newline="") as handle:
+            if handle.readline().rstrip("\r\n") != ",".join(BENCH_HEADER):
+                raise ValueError(f"{args.out} does not start with the bench CSV header")
     if permutation:
         n = args.n
         if n < 1:
             raise ValueError("n must be at least 1")
-        if args.exhaustive:
-            return ((_cycle_task, (n, rank, pi)) for rank, pi in enumerate(permutations(range(1, n + 1))))
         return [(_permutation_task, (n, seed)) for seed in range(seeds)]
     step_cap = DEFAULT_STEP_CAP if args.step_cap is None else args.step_cap
     if step_cap < 0:
@@ -264,10 +258,7 @@ def _run_task(task):
 
 def cmd_bench(args) -> int:
     tasks = _bench_tasks(args)
-    # n! exhaustive tasks of microseconds each go to the workers in chunks
-    chunksize = 256 if args.family == "permutation" and args.exhaustive else 1
     label_one = {}  # m -> uncapped label-1 path length, for the growth lines
-    equilibria = games = 0
     workers = min(args.jobs, os.cpu_count() or 1)  # CPU-bound; the pool starts every worker at once
     with (
         open(args.out, "a", encoding="utf-8", newline="") as handle,
@@ -278,22 +269,16 @@ def cmd_bench(args) -> int:
             writer.writeheader()
             handle.flush()
         # both maps yield in submission order, which keeps the CSV deterministic
-        rows = pool.map(_run_task, tasks, chunksize=chunksize) if pool else map(_run_task, tasks)
+        rows = pool.map(_run_task, tasks) if pool else map(_run_task, tasks)
         for row in rows:
             writer.writerow(row)
             handle.flush()
             if row.get("missing_label") == 1 and row["truncated"] == "false":
                 label_one[row["m"]] = row["path_length"]
-            if "equilibria" in row:
-                equilibria += row["equilibria"]
-                games += 1
     for m in sorted(label_one):
         prev = label_one.get(m - 2)
         if prev:
             print(f"growth m={m}: {label_one[m]}/{prev} = {label_one[m] / prev:.4f}")
-    if games:
-        mean = Fraction(equilibria, games)
-        print(f"mean_equilibria {mean} ({float(mean):.4f}) over {games} games")
     print(args.out)
     return EXIT_OK
 
@@ -363,9 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
         walks.add_argument("--solver", choices=["combinatorial", "lh", "support"], default="combinatorial")
         walks.add_argument("--labels", choices=["all", "1", "half"], help="default: 1")
         walks.add_argument("--step-cap", type=_integer, help=f"default: {DEFAULT_STEP_CAP}")
-    permutation = bench.add_parser("permutation", help="support guesses, or equilibrium counts with --exhaustive")
+    permutation = bench.add_parser("permutation", help="support guesses")
     permutation.add_argument("--n", type=_integer, required=True)
-    permutation.add_argument("--exhaustive", action="store_true")
     for family in bench.choices.values():
         family.add_argument("--seeds", type=_integer, help="default: 100")
         family.add_argument("--jobs", type=_integer, default=1)

@@ -520,8 +520,8 @@ class TestBench:
             ["morris", "--m", "x"],
             ["morris", "--m", "4", "--jobs", "0"],
             ["permutation", "--n", "0"],
-            ["permutation", "--n", "0", "--exhaustive"],
-            ["permutation", "--n", "-3", "--exhaustive"],
+            ["permutation", "--n", "-3"],
+            ["permutation", "--n", "-3", "--jobs", "2"],
             ["permutation", "--n", "4", "--seeds", "0"],
             ["morris", "--m", "3..6"],
             ["morris", "--m", "4..7"],
@@ -547,7 +547,7 @@ class TestBench:
             (["morris", "--m", "4", "--exhaustive"], "--exhaustive needs family permutation"),
             (["triple-morris", "--m", "2", "--solver", "support", "--labels", "1"], "--labels needs --solver"),
             (["morris", "--m", "4", "--seeds", "3"], "--seeds needs --solver support"),
-            (["permutation", "--n", "3", "--exhaustive", "--seeds", "3"], "--seeds needs --solver support"),
+            (["permutation", "--n", "3", "--exhaustive"], "--exhaustive is no bench option"),
             (["permutation", "--n", "3", "--step-cap", "5"], "--step-cap needs --solver combinatorial"),
             (["morris", "--m", "4", "--solver", "support", "--step-cap", "5"], "--step-cap needs --solver"),
         ],
@@ -557,6 +557,37 @@ class TestBench:
         assert exit_code(["bench", *args, "--out", str(out)]) == 2
         assert states_refusal(capsys.readouterr().err, message)
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "step,dropped_label\n1,2\n",
+            "\n",
+            ",".join(cli.BENCH_HEADER[:-1]) + "\r\n",
+            ",".join(cli.BENCH_HEADER) + ",extra\r\n",
+            "instance m n solver missing_label seed path_length guesses equilibria wall_time truncated\n",
+        ],
+        ids=["other-csv", "blank-line", "column-missing", "column-added", "space-separated"],
+    )
+    @pytest.mark.parametrize(
+        "family", [["morris", "--m", "4..4"], ["permutation", "--n", "2", "--seeds", "1"]], ids=["morris", "permutation"]
+    )
+    def test_out_with_another_header_left_alone(self, tmp_path, capsys, text, family):
+        out = tmp_path / "other.csv"
+        out.write_bytes(text.encode())
+        assert main(["bench", *family, "--out", str(out)]) == 2
+        assert "does not start with the bench CSV header" in capsys.readouterr().err
+        assert out.read_bytes() == text.encode()
+
+    def test_out_empty_missing_or_ours_takes_rows(self, tmp_path):
+        empty, missing = tmp_path / "empty.csv", tmp_path / "missing.csv"
+        empty.touch()
+        for out in (empty, missing, missing):
+            assert main(["bench", "morris", "--m", "4..4", "--out", str(out)]) == 0
+        row = ["morris-m4", "4", "4", "combinatorial-lemke", "1", "", "6", "", ""]
+        before_wall_time = lambda p: [r[:9] for r in csv.reader(p.open())]
+        assert before_wall_time(empty) == [cli.BENCH_HEADER[:9], row]
+        assert before_wall_time(missing) == [cli.BENCH_HEADER[:9], row, row]
 
     def test_permutation_without_n_rejected(self, tmp_path, capsys):
         out = tmp_path / "perm.csv"
@@ -596,14 +627,6 @@ class TestBench:
         main(["bench", "triple-morris", "--m", "4..8", "--labels", "1", "--out", str(triple)])
         lengths = lambda p: [r["path_length"] for r in csv.DictReader(p.open())]
         assert lengths(single) == lengths(triple)
-
-    def test_permutation_exhaustive_mean(self, tmp_path, capsys):
-        out = tmp_path / "perm.csv"
-        main(["bench", "permutation", "--n", "4", "--exhaustive", "--out", str(out)])
-        printed = capsys.readouterr().out
-        assert "mean_equilibria 4 " in printed
-        rows = list(csv.DictReader(out.open()))
-        assert len(rows) == 24
 
     def test_permutation_seeded_guesses(self, tmp_path):
         out = tmp_path / "perm-seeded.csv"
@@ -687,7 +710,6 @@ class TestBench:
             (["triple-morris", "--m", "2..4", "--solver", "lh"], {"missing_label", "path_length"}, False),
             (["triple-morris", "--m", "4", "--solver", "support", "--seeds", "2"], {"seed", "guesses"}, False),
             (["permutation", "--n", "4", "--seeds", "2"], {"seed", "guesses"}, False),
-            (["permutation", "--n", "4", "--exhaustive", "--jobs", "2"], {"seed", "equilibria"}, False),
         ],
     )
     def test_cell_formats(self, tmp_path, run, metrics, capped):
@@ -701,6 +723,19 @@ class TestBench:
         assert any(r["truncated"] == "true" for r in rows) == capped
         always = {"instance", "m", "n", "solver", "wall_time", "truncated"}
         assert all({name for name, cell in r.items() if cell} == always | metrics for r in rows)
+
+
+def readme_options(command: str, family: str) -> set[str]:
+    """The options in the row of README's ``| command | family | options |``
+    table that lists ``family`` under ``command``; exactly one row must."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    found = []
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0] == f"`{command}`" and f"`{family}`" in cells[1].split(", "):
+            found.append(set(re.findall(r"--[a-z-]+", cells[2])))
+    assert len(found) == 1, f"{len(found)} README rows list {command} {family}"
+    return found[0]
 
 
 @pytest.mark.parametrize(
@@ -718,7 +753,7 @@ class TestBench:
             ["--m", "4", "--solver", "combinatorial", "--labels", "half", "--step-cap", "99", "--jobs", "1"],
             ["--m", "2..4", "--solver", "support", "--seeds", "2"],
         ]),
-        ("bench", "permutation", [["--n", "3", "--seeds", "2", "--jobs", "1"], ["--n", "3", "--exhaustive"]]),
+        ("bench", "permutation", [["--n", "3", "--seeds", "2", "--jobs", "1"]]),
     ],
 )
 def test_each_family_runs_with_every_option_it_lists(tmp_path, capsys, command, family, runs):
@@ -727,6 +762,7 @@ def test_each_family_runs_with_every_option_it_lists(tmp_path, capsys, command, 
     assert exit_code([command, family, "-h"]) == 0
     listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
     assert listed == {word for run in runs for word in run if word.startswith("--")} | {"--out"}
+    assert listed == readme_options(command, family)
     for k, run in enumerate(runs):
         out = tmp_path / f"run{k}.out"
         assert main([command, family, *run, "--out", str(out)]) == 0
@@ -897,7 +933,7 @@ class TestEntryPoint:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks, chunksize):
+            def map(self, fn, tasks):
                 return map(fn, tasks)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
@@ -925,18 +961,6 @@ class TestEntryPoint:
         main(["bench", "permutation", "--n", "4", "--seeds", "5", "--out", str(serial)])
         main(["bench", "permutation", "--n", "4", "--seeds", "5", "--jobs", "2", "--out", str(parallel)])
         strip = lambda p: [r[:9] + r[10:] for r in csv.reader(p.open())]
-        assert strip(serial) == strip(parallel)
-
-    def test_parallel_exhaustive_bench_matches_serial(self, tmp_path, capsys):
-        # 720 permutations: several chunks of tasks per worker
-        serial = tmp_path / "serial.csv"
-        parallel = tmp_path / "parallel.csv"
-        main(["bench", "permutation", "--n", "6", "--exhaustive", "--out", str(serial)])
-        serial_lines = capsys.readouterr().out.splitlines()[:-1]
-        main(["bench", "permutation", "--n", "6", "--exhaustive", "--jobs", "2", "--out", str(parallel)])
-        assert capsys.readouterr().out.splitlines()[:-1] == serial_lines
-        strip = lambda p: [r[:9] + r[10:] for r in csv.reader(p.open())]
-        assert len(strip(serial)) == 721
         assert strip(serial) == strip(parallel)
 
 

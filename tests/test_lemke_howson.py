@@ -346,6 +346,13 @@ class TestImitationWalk:
         for k in range(1, m + n + 1):
             self.assert_same_walk(game, k)
 
+    @pytest.mark.parametrize("m", [4, 6, 8])
+    def test_matches_product_walk_on_triple_morris(self, m):
+        # the paper's family, whose walks grow exponentially in m
+        game = triple_morris_game(m).to_bimatrix()
+        for k in range(1, game.m + game.n + 1):
+            self.assert_same_walk(game, k)
+
     def test_degenerate_games_raise_or_match(self):
         # on a degenerate G the imitation walk refuses a ratio-test tie
         # that lh_solve breaks lexicographically
