@@ -76,15 +76,6 @@ class GaleString:
         return "".join("1" if self.bits >> i & 1 else "." for i in range(self.f))
 
 
-def _gale_string(f: int, bits: int) -> GaleString:
-    """A GaleString without the checks of ``__post_init__``, for bits that a
-    pivot or the vertex enumeration produced and so are Gale-even."""
-    s = object.__new__(GaleString)
-    object.__setattr__(s, "f", f)  # as the frozen dataclass __init__ does
-    object.__setattr__(s, "bits", bits)
-    return s
-
-
 def _parse_bits(text: str) -> tuple[int, int]:
     """(length, bits) of a string of '1' for ones and '0' or '.' for zeros."""
     bits = 0
@@ -132,7 +123,7 @@ def enumerate_gale_vertices(m: int, f: int) -> list[GaleString]:
     """All valid vertex bitstrings of length f with m ones, in lexicographic
     order of their text form.  Requires even m and f > m; refuses more than
     MAX_ENUMERATED of them before building any."""
-    return [_gale_string(f, bits) for bits in _vertex_bits(m, f)]
+    return [GaleString(f, bits) for bits in _vertex_bits(m, f)]
 
 
 def vertex_count(m: int, f: int) -> int:
@@ -206,7 +197,7 @@ def gale_pivot(s: GaleString, drop_position: int) -> tuple[GaleString, int]:
     if s.m == s.f:
         raise ValueError("cannot pivot: every facet is tight")
     q0 = _gale_step(s.f)(s.bits, drop_position - 1)
-    return _gale_string(s.f, s.bits ^ 1 << (drop_position - 1) | 1 << q0), q0 + 1
+    return GaleString(s.f, s.bits ^ 1 << (drop_position - 1) | 1 << q0), q0 + 1
 
 
 @dataclass(frozen=True)
@@ -258,7 +249,7 @@ def completely_labeled_strings(poly: LabeledGalePolytope) -> list[GaleString]:
     masks = [0] * poly.m  # masks[lab - 1]: the positions carrying label lab
     for q, lab in enumerate(poly.position_labels()):
         masks[lab - 1] |= 1 << q
-    return [_gale_string(poly.f, b) for b in _vertex_bits(poly.m, poly.f) if all(b & mask for mask in masks)]
+    return [GaleString(poly.f, b) for b in _vertex_bits(poly.m, poly.f) if all(b & mask for mask in masks)]
 
 
 def combinatorial_lemke(
@@ -275,7 +266,7 @@ def combinatorial_lemke(
     start, f = (1 << poly.m) - 1, poly.f
     steps: list[PivotStep] = []
     walk(poly.position_labels(), start, missing_label, _gale_step(f), step_cap, steps)
-    return PivotPath(missing_label, start, tuple(steps), partial(_gale_string, f))
+    return PivotPath(missing_label, start, tuple(steps), partial(GaleString, f))
 
 
 def lemke_path_length(
@@ -286,7 +277,7 @@ def lemke_path_length(
     """
     start, f = (1 << poly.m) - 1, poly.f
     length, bits = walk(poly.position_labels(), start, missing_label, _gale_step(f), step_cap)
-    return length, _gale_string(f, bits)
+    return length, GaleString(f, bits)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,8 @@ pivot is a fraction-free Bareiss step, as in the integer pivoting of
 lrsnash (Avis, Rosenberg, Savani and von Stengel 2010).  A walk starts at
 ``Dictionary.walk_origin``, which keeps only the coordinate rows of a
 system with at least twice as many rows as coordinates, such as P of an
-m x 3m unit-vector game; one ratio test and one lexicographic rule read
-either row policy.  Ratio-test ties are always broken lexicographically,
-which keeps the right-hand side nonnegative and rules out cycling even on
-degenerate inputs.
+m x 3m unit-vector game, and takes every pivot through
+``Dictionary.enter``, which picks the leaving row and checks the pivot.
 """
 
 from __future__ import annotations
@@ -25,59 +23,10 @@ import csv
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import DegenerateGameError, InvariantError
+from .errors import DegenerateGameError
 from .game import BimatrixGame, LabelSet, MixedProfile, UnitVectorGame, simplex_scaled
-from .linalg import ratio_rows
 from .paths import DEFAULT_STEP_CAP, PivotPath, PivotStep, walk
 from .polytope import Dictionary
-
-
-def _leaving_row(d: Dictionary, c: int) -> tuple[int, bool]:
-    """Row of the leaving variable when column c enters, by the
-    lexico-minimum ratio, and whether the ratio test tied.
-
-    ``d.ratio_test``, ``linalg.ratio_rows`` on column c whichever rows d
-    keeps, gives the rows at the minimum ratio.  A tie goes to the
-    lexicographic rule, read through ``d.entry``: the same test over the
-    tied rows, on each column of the starting slack basis in turn, until
-    one row is left.  Those columns hold the inverse of the basis, whose
-    rows are independent, so one always is.
-    ``BimatrixGame.normalized`` gives every column of A and every row of B
-    a positive entry, so P and Q are bounded and every entering column has
-    a positive entry.
-    """
-    tied = d.ratio_test(c)
-    if len(tied) == 1:
-        return tied[0], False
-    if not tied:
-        raise InvariantError("entering column has no positive coefficient")
-    basis, cobasis, det = d.basis, d.cobasis, d.det
-    for var in range(len(cobasis), len(cobasis) + len(basis)):
-        if var in cobasis:
-            other = cobasis.index(var)
-            lex = [[d.entry(r, c), d.entry(r, other)] for r in tied]
-        else:
-            # a basic column is det > 0 in its own row and 0 elsewhere
-            home = basis.index(var)
-            lex = [[d.entry(r, c), det * (r == home)] for r in tied]
-        tied = [tied[i] for i in ratio_rows(lex, 0)]
-        if len(tied) == 1:
-            break
-    return tied[0], True
-
-
-def _pivot(d: Dictionary, entering: int) -> tuple[Dictionary, int, bool]:
-    """Pivot ``entering`` in on the row ``_leaving_row`` picks; returns the
-    new dictionary, the leaving variable and whether the ratio test tied."""
-    try:
-        c = d.cobasis.index(entering)
-    except ValueError:
-        raise InvariantError(f"entering variable {entering} is already basic") from None
-    r, tied = _leaving_row(d, c)
-    new = d.pivoted(r, c)
-    if min(new.rhs) < 0:
-        raise InvariantError("pivot broke right-hand side nonnegativity")
-    return new, d.basis[r], tied
 
 
 @dataclass(frozen=True)
@@ -115,7 +64,7 @@ def lh_path(dicts: list[Dictionary], missing_label: int, step_cap: int) -> Pivot
     lexicographic rule keeps each label but the missing one on two tight
     positions, one per system, so P and Q alternate.
     """
-    n, m = len(dicts[0].rows), len(dicts[1].rows)
+    m, n = len(dicts[0].cobasis), len(dicts[1].cobasis)
     nvars = m + n
     # P: x_1..x_m, then the slacks of B's columns; Q: y_1..y_n, then the slacks of A's rows
     labels = [*range(1, nvars + 1), *range(m + 1, nvars + 1), *range(1, m + 1)]
@@ -123,7 +72,7 @@ def lh_path(dicts: list[Dictionary], missing_label: int, step_cap: int) -> Pivot
 
     def step(bits: int, p: int) -> int:
         side, base = (1, nvars) if p >= nvars else (0, 0)
-        dicts[side], leaving, _ = _pivot(dicts[side], p - base)
+        dicts[side], leaving, _ = dicts[side].enter(p - base)
         return base + leaving
 
     steps: list[PivotStep] = []
@@ -197,7 +146,7 @@ def lemke_path_on_unit_vector_game(
 
     def step(bits: int, p: int) -> int:
         nonlocal d
-        d, q, tied = _pivot(d, p)
+        d, q, tied = d.enter(p)
         if tied:
             raise DegenerateGameError("ratio-test tie on a game expected to be nondegenerate")
         return q

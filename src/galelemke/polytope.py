@@ -23,6 +23,10 @@ walk, keeps only the rows of basic coordinates on a polytope with at least
 twice as many constraints as coordinates, such as P of the m x 3m triple
 Morris game, and reads a basic slack's row off its constraint when the
 walk needs it; that spares most of each pivot's row updates.
+``Dictionary.enter`` pivots either policy with one ratio test and one
+lexicographic rule: ratio-test ties are always broken lexicographically,
+which keeps the right-hand side nonnegative and rules out cycling even on
+degenerate inputs.
 """
 
 from __future__ import annotations
@@ -47,8 +51,8 @@ class Dictionary(NamedTuple):
     rows[r][-1]``, with ``det > 0`` the determinant of the basis: every
     entry is an integer over that common denominator.  Variable v < dim is
     z_v and variable dim + j the slack of row j, where dim is the length
-    of the cobasis.  A walk reads it through ``ratio_test``, ``entry``,
-    ``row``, ``rhs`` and ``pivoted``, whichever rows it keeps.
+    of the cobasis.  A walk pivots it through ``enter``, whichever rows it
+    keeps.
 
     When ``int_rows`` holds the constraints ``(scale, a)``, a basic slack's
     row is only ``[rhs]``.  Slack j is ``scale - a . z``: times det, with
@@ -125,11 +129,50 @@ class Dictionary(NamedTuple):
             ]
         return out
 
-    def ratio_test(self, c: int) -> list[int]:
-        """``linalg.ratio_rows`` on column c."""
-        if self.int_rows is None:
-            return ratio_rows(self.rows, c)
-        return ratio_rows(self.column(c), 0)
+    def leaving_row(self, c: int) -> tuple[int, bool]:
+        """Row of the leaving variable when column c enters, by the
+        lexico-minimum ratio, and whether the ratio test tied.
+
+        ``linalg.ratio_rows`` on column c, whichever rows are kept, gives
+        the rows at the minimum ratio.  A tie goes to the lexicographic
+        rule, read through ``entry``: the same test over the tied rows, on
+        each column of the starting slack basis in turn, until one row is
+        left.  Those columns hold the inverse of the basis, whose rows are
+        independent, so one always is.  ``BimatrixGame.normalized`` gives
+        every column of A and every row of B a positive entry, so P and Q
+        are bounded and every entering column has a positive entry.
+        """
+        tied = ratio_rows(self.rows, c) if self.int_rows is None else ratio_rows(self.column(c), 0)
+        if len(tied) == 1:
+            return tied[0], False
+        if not tied:
+            raise InvariantError("entering column has no positive coefficient")
+        basis, cobasis, det = self.basis, self.cobasis, self.det
+        for var in range(len(cobasis), len(cobasis) + len(basis)):
+            if var in cobasis:
+                other = cobasis.index(var)
+                lex = [[self.entry(r, c), self.entry(r, other)] for r in tied]
+            else:
+                # a basic column is det > 0 in its own row and 0 elsewhere
+                home = basis.index(var)
+                lex = [[self.entry(r, c), det * (r == home)] for r in tied]
+            tied = [tied[i] for i in ratio_rows(lex, 0)]
+            if len(tied) == 1:
+                break
+        return tied[0], True
+
+    def enter(self, v: int) -> tuple["Dictionary", int, bool]:
+        """Pivot variable v in on the row ``leaving_row`` picks; returns the
+        new dictionary, the leaving variable and whether the ratio test tied."""
+        try:
+            c = self.cobasis.index(v)
+        except ValueError:
+            raise InvariantError(f"entering variable {v} is already basic") from None
+        r, tied = self.leaving_row(c)
+        new = self.pivoted(r, c)
+        if min(new.rhs) < 0:
+            raise InvariantError("pivot broke right-hand side nonnegativity")
+        return new, self.basis[r], tied
 
     def entry(self, r: int, c: int) -> int:
         row = self.rows[r]

@@ -278,6 +278,12 @@ class TestGen:
         assert "disagrees with --pi" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_permutation_needs_n_or_pi(self, tmp_path, capsys):
+        out = tmp_path / "pi.bgame"
+        assert main(["gen", "permutation", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith("--n or --pi is required for family permutation")
+        assert not out.exists()
+
     def test_unit_vector_game_as_bgame_solves(self, tmp_path, capsys):
         # the file format follows the suffix, so solve reads what gen wrote
         bgame, uvg = tmp_path / "m4.bgame", tmp_path / "m4.uvg"
@@ -544,7 +550,7 @@ class TestBench:
             (["permutation", "--n", "3", "--solver", "lh"], "--solver needs family morris"),
             (["permutation", "--n", "3", "--labels", "all"], "--labels needs family morris"),
             (["morris", "--m", "4", "--n", "3"], "--n needs family permutation"),
-            (["morris", "--m", "4", "--exhaustive"], "--exhaustive needs family permutation"),
+            (["morris", "--m", "4", "--exhaustive"], "--exhaustive is no bench option"),
             (["triple-morris", "--m", "2", "--solver", "support", "--labels", "1"], "--labels needs --solver"),
             (["morris", "--m", "4", "--seeds", "3"], "--seeds needs --solver support"),
             (["permutation", "--n", "3", "--exhaustive"], "--exhaustive is no bench option"),

@@ -138,3 +138,19 @@ class TestCanonicalForm:
             for j in range(canon.n):
                 value = sum(canon.b[i][j] * point[i] for i in range(canon.m))
                 assert value <= 1
+
+
+REFUSALS = [
+    ("expected 4 parameters, got 3", lambda: cyclic_geometry(2, 4, [1, 2, 3])),
+    (
+        "incidence string does not match this polytope",
+        lambda: to_canonical_form(cyclic_geometry(2, 4)).vertex_of(GaleString.from_text("11000")),
+    ),
+]
+
+
+@pytest.mark.parametrize("message, call", REFUSALS, ids=[message for message, _ in REFUSALS])
+def test_input_refusals(message, call):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

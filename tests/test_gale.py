@@ -115,7 +115,7 @@ class TestEnumeration:
 
     def test_over_budget_call_builds_no_string(self, monkeypatch):
         built = []
-        monkeypatch.setattr("galelemke.gale._gale_string", lambda f, bits: built.append(bits))
+        monkeypatch.setattr("galelemke.gale.GaleString", lambda f, bits: built.append(bits))
         with pytest.raises(BudgetExceededError, match="2288455040 vertex strings"):
             enumerate_gale_vertices(10, 200)
         monkeypatch.setattr("galelemke.gale.MAX_ENUMERATED", 103)
@@ -564,3 +564,28 @@ class TestEulerMatchings:
                 if sorted(node for t in chosen for node in ends[t]) == list(range(1, m + 1))
             ]
             assert euler_matchings(poly) == sorted(brute, key=sorted)
+
+
+REFUSALS = [
+    ("length must be positive", lambda: GaleString(0, 0)),
+    ("bits out of range for length f", lambda: GaleString(4, -1)),
+    ("bits out of range for length f", lambda: GaleString(4, 16)),
+    ("position 5 out of range 1..4", lambda: GaleString.from_positions(4, [1, 5])),
+    ("position 0 out of range 1..4", lambda: GaleString.from_text("1100").bit(0)),
+    ("bad character 'x' in bitstring", lambda: GaleString.from_text("11x0")),
+    ("m must be even and at least 2", lambda: enumerate_gale_vertices(3, 6)),
+    ("f must exceed m", lambda: enumerate_gale_vertices(4, 4)),
+    ("position 3 is not set in 11..", lambda: gale_pivot(GaleString.from_text("1100"), 3)),
+    ("cannot pivot: every facet is tight", lambda: gale_pivot(GaleString.from_text("1111"), 1)),
+    ("dimension must be even and at least 2", lambda: LabeledGalePolytope.of(3, [1, 2])),
+    ("label string must be nonempty", lambda: LabeledGalePolytope.of(2, [])),
+    ("labels must lie in 1..m", lambda: LabeledGalePolytope.of(2, [1, 3])),
+    ("matching edges overlap in tour positions", lambda: matching_string(triple_morris_polytope(4), frozenset({1, 2}))),
+]
+
+
+@pytest.mark.parametrize("message, call", REFUSALS, ids=[message for message, _ in REFUSALS])
+def test_input_refusals(message, call):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -504,3 +504,31 @@ class TestVertexTables:
         nondegenerate, equilibria = _both_readers(game, oracle_first)
         assert nondegenerate == (not any(row[-1] == 0 for d in bases for row in d.rows))
         assert equilibria == _all_pairs_equilibria(game)
+
+
+REFUSALS = [
+    (TypeError, "expected an exact rational, got float: 0.5", lambda: BimatrixGame.from_rows([[0.5]], [[1]])),
+    (TypeError, "payoffs must be exact rationals", lambda: BimatrixGame(((0.5,),), ((1,),))),
+    (ValueError, "x must be nonempty", lambda: MixedProfile((), (Fraction(1),))),
+    (TypeError, "x must hold exact rationals", lambda: MixedProfile((0.5, 0.5), (Fraction(1),))),
+    (ValueError, "A and B must have identical shape", lambda: BimatrixGame.from_rows([[1, 2]], [[1], [2]])),
+    (ValueError, "z must have length m+n", lambda: split_symmetric_profile(BimatrixGame.from_rows([[1]], [[1]]), [1, 1, 1])),
+    (ValueError, "matrix must be nonnegative (shift payoffs first)", lambda: imitation_game([[1, -1], [0, 1]])),
+    (ValueError, "matrix must have no zero column", lambda: imitation_game([[1, 0], [1, 0]])),
+    (ValueError, "B must be m x len(ell)", lambda: UnitVectorGame.of(2, [1, 2], [[1, 2, 3], [1, 2, 3]])),
+    (
+        ValueError,
+        "point is not completely labeled for its support",
+        # x_1 = 1/10 binds no column of label 1
+        lambda: equilibrium_from_labeled_point(
+            UnitVectorGame.of(2, [1, 2, 1], [[1, 2, 3], [2, 1, 1]]), (Fraction(1, 10), Fraction(0))
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("error, message, call", REFUSALS, ids=[message for _, message, _ in REFUSALS])
+def test_input_refusals(error, message, call):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

@@ -200,3 +200,17 @@ class TestRandomGenerators:
         assert max(entries) > hi
         # the draw reaches past a range ten times narrower
         assert max(entries) > lo + 10**5
+
+
+REFUSALS = [
+    ("pi must be a permutation of 1..n", lambda: PermutationGameSpec.of([1, 1])),
+    ("n must be at least 1", lambda: random_permutation(0, 0)),
+    ("empty payoff range", lambda: random_game(2, 2, 0, payoff_range=(3, 2))),
+]
+
+
+@pytest.mark.parametrize("message, call", REFUSALS, ids=[message for message, _ in REFUSALS])
+def test_input_refusals(message, call):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -34,7 +34,7 @@ from galelemke.errors import (
 )
 from galelemke.game import UnitVectorGame
 from galelemke.generators import random_game
-from galelemke.lemke_howson import _leaving_row, _pivot, _slack_dictionaries, lh_path
+from galelemke.lemke_howson import _slack_dictionaries, lh_path
 from galelemke.linalg import bareiss_solve, ratio_rows
 from galelemke.paths import DEFAULT_STEP_CAP
 from galelemke.polytope import Dictionary, feasible_bases
@@ -67,8 +67,8 @@ def _count_pivots(monkeypatch, name):
 
         monkeypatch.setattr(gale, "_gale_step", counted_gale_step)
     else:
-        pivot = lemke_howson._pivot
-        monkeypatch.setattr(lemke_howson, "_pivot", lambda d, v: computed.append(v) or pivot(d, v))
+        enter = Dictionary.enter
+        monkeypatch.setattr(Dictionary, "enter", lambda d, v: computed.append(v) or enter(d, v))
     return computed
 
 
@@ -175,10 +175,10 @@ def test_pivot_off_the_ratio_test_raises(monkeypatch):
     # are [1, 1, 0 | 1] and [2, 0, 1 | 1]; the compact dictionary keeps
     # the cobasic column 0 and the right-hand side
     d = Dictionary([[1, 1], [2, 1]], [1, 2], [0], 1)
-    assert _leaving_row(d, 0) == (1, False)
-    monkeypatch.setattr(lemke_howson, "_leaving_row", lambda d, c: (0, False))
+    assert d.leaving_row(0) == (1, False)
+    monkeypatch.setattr(Dictionary, "leaving_row", lambda d, c: (0, False))
     with pytest.raises(InvariantError, match="nonnegativity"):
-        _pivot(d, 0)
+        d.enter(0)
 
 
 @pytest.mark.parametrize("m, seed, label", [(3, 372, 2), (4, 148, 3), (4, 223, 4), (5, 19, 7), (5, 24, 10)])
@@ -189,7 +189,7 @@ def test_cycling_walk_raises_at_its_first_repeated_mask(monkeypatch, m, seed, la
     # up to the cap (the finite cap makes a walk without the check fail, not hang)
     game = random_game(m, m, seed, payoff_range=(0, 2), filter_degenerate=False)
     lh_solve(game, label, step_cap=2000)  # the lexicographic rule ends the walk
-    monkeypatch.setattr(lemke_howson, "_leaving_row", lambda d, c: (ratio_rows(d.rows, c)[0], False))
+    monkeypatch.setattr(Dictionary, "leaving_row", lambda d, c: (ratio_rows(d.rows, c)[0], False))
     with pytest.raises(InvariantError, match="revisited"):
         lh_solve(game, label, step_cap=2000)
 
@@ -198,7 +198,7 @@ def test_entering_a_basic_variable_raises():
     # variable 1 is basic in row 0, so it has no column to enter on
     d = Dictionary([[1, 1], [2, 1]], [1, 2], [0], 1)
     with pytest.raises(InvariantError, match="already basic"):
-        _pivot(d, 1)
+        d.enter(1)
 
 
 def test_entering_column_without_positive_entry_raises():
@@ -206,9 +206,9 @@ def test_entering_column_without_positive_entry_raises():
     # column with none (here 0 and -1) is a broken invariant
     d = Dictionary([[0, 1], [-1, 2]], [1, 2], [0], 1)
     with pytest.raises(InvariantError, match="no positive"):
-        _leaving_row(d, 0)
+        d.leaving_row(0)
     with pytest.raises(InvariantError, match="no positive"):
-        _pivot(d, 0)
+        d.enter(0)
 
 
 def _full_tableau(d):
@@ -382,7 +382,7 @@ def test_coordinate_rows_read_as_the_full_dictionary(monkeypatch):
     # after every pivot, each entry and right-hand side the coordinate-row
     # form reads equals that of the full-row dictionary of the same basis,
     # and every walk takes the same path to the same equilibrium
-    leaving_row = lemke_howson._leaving_row
+    leaving_row = Dictionary.leaving_row
     coordinate_ties = []
 
     def spy(d, c):
@@ -391,7 +391,7 @@ def test_coordinate_rows_read_as_the_full_dictionary(monkeypatch):
             coordinate_ties.append(r)
         return r, tied
 
-    monkeypatch.setattr(lemke_howson, "_leaving_row", spy)
+    monkeypatch.setattr(Dictionary, "leaving_row", spy)
     for game in _tall_games():
         assert _slack_dictionaries(game)[0].int_rows is not None
         for label in range(1, game.m + game.n + 1):
@@ -518,6 +518,17 @@ def test_the_walk_is_one_module():
                 continue
             defined += [(stem, name) for name in names if name in ("walk", "DEFAULT_STEP_CAP")]
     assert sorted(defined) == [("paths", "DEFAULT_STEP_CAP"), ("paths", "walk")]
+
+
+def test_the_walks_read_a_dictionary_only_through_enter():
+    # the row choice, its lexicographic tie-break and the pivot checks live
+    # in polytope.Dictionary: lemke_howson uses no elimination kernel and
+    # knows nothing of the dictionary's layout
+    tree = ast.parse(Path(lemke_howson.__file__).read_text(encoding="utf-8"))
+    assert "linalg" not in _package_imports(tree)
+    layout = {"basis", "det", "rows", "entry", "row", "column", "rhs", "pivoted", "leaving_row", "int_rows", "ratio_test"}
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert sorted(read & layout) == []
 
 
 def test_sources_parse_as_python_3_10():

@@ -18,6 +18,7 @@ from galelemke import (
     MixedProfile,
     OnePerLabelClass,
     PermutationGameSpec,
+    UnitVectorGame,
     count_equilibrium_supports,
     enumerate_equilibria,
     equilibria_by_vertex_enumeration,
@@ -508,3 +509,26 @@ class TestStatsCsv:
     def test_count_helper(self):
         game = triple_morris_game(2).to_bimatrix()
         assert count_equilibrium_supports(game, AllColumnSubsets(game)) == 3
+
+
+REFUSALS = [
+    (ValueError, "need at least m columns", lambda: AllColumnSubsets((3, 2))),
+    (IndexError, "3", lambda: AllColumnSubsets((2, 3)).support(3)),
+    (IndexError, "-1", lambda: AllColumnSubsets((2, 3)).support(-1)),
+    (IndexError, "1", lambda: OnePerLabelClass(morris_game(2)).support(1)),
+    (IndexError, "-1", lambda: OnePerLabelClass(morris_game(2)).support(-1)),
+    (
+        ValueError,
+        "every row must be the best response of some column",
+        lambda: OnePerLabelClass(UnitVectorGame.of(2, [1, 1], [[1, 2], [2, 1]])),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "error, message, call", REFUSALS, ids=[f"{error.__name__}: {message}" for error, message, _ in REFUSALS]
+)
+def test_input_refusals(error, message, call):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
