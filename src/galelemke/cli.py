@@ -55,11 +55,11 @@ UNIT_VECTOR_FAMILIES = {
 
 
 def _integer(text: str) -> int:
-    """The argparse type of every integer option: ASCII "-?[0-9]+", the
-    integer grammar of game files."""
-    if not (text.isascii() and text.removeprefix("-").isdecimal()):
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
-    return int(text)
+    """The argparse type of every integer option: ``gameio.parse_integer``."""
+    try:
+        return gameio.parse_integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
 
 
 def _m_range(text: str) -> tuple[int, int]:

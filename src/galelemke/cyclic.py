@@ -119,6 +119,8 @@ class CanonicalForm:
     def incidence_of(self, point) -> GaleString:
         """Tight-facet bitstring of a point in canonical coordinates."""
         point = tuple(as_fraction(v) for v in point)
+        if len(point) != self.m:
+            raise ValueError("point must have length m")
         positions = [p for p in range(1, self.m + 1) if point[p - 1] == 0]
         for j in range(self.n):
             if sum(self.b[i][j] * point[i] for i in range(self.m)) == 1:

@@ -430,13 +430,6 @@ class UnitVectorGame:
     def n(self) -> int:
         return len(self.ell)
 
-    def label_classes(self) -> dict[int, tuple[int, ...]]:
-        """Columns grouped by their best-response row: label -> columns (1-based)."""
-        classes: dict[int, list[int]] = {i: [] for i in range(1, self.m + 1)}
-        for j, lab in enumerate(self.ell):
-            classes[lab].append(j + 1)
-        return {k: tuple(v) for k, v in classes.items()}
-
     def to_bimatrix(self) -> BimatrixGame:
         """The bimatrix game (A, B).  It is built once per instance, so
         every caller shares its cached payoffs."""
@@ -464,6 +457,8 @@ def unit_vector_completely_labeled_points(u: UnitVectorGame):
 def equilibrium_from_labeled_point(u: UnitVectorGame, point) -> MixedProfile:
     """Build the equilibrium for a completely labeled point x != 0: pick, for
     each played row i, one binding column with label i and play it."""
+    if len(point) != u.m:
+        raise ValueError("point must have length m")
     binding = [v == den for v, den in _payoffs(u.to_bimatrix().integer_payoffs[1], point)]
     y = [ZERO] * u.n
     for i, weight in enumerate(point):

@@ -1,9 +1,11 @@
 """Text formats for games and equilibrium profiles.
 
-".bgame": line 1 "m n"; m rows of n rationals (A); blank line; m rows of n
-rationals (B).  ".uvg": line 1 "m n"; line 2 the n labels; m rows of n
-rationals (B).  Rationals are written "p" or "p/q" (``game.as_fraction``),
-and m, n and the labels as ASCII integers "-?[0-9]+".
+".bgame": line 1 "m n"; m rows of n rationals (A); one blank line; m rows
+of n rationals (B).  ".uvg": line 1 "m n"; line 2 the n labels; m rows of
+n rationals (B).  Every row holds exactly its count of tokens (a blank,
+short or long row is refused), the file may not end before its last row,
+and only blank lines may follow it.  Rationals are written "p" or "p/q"
+(``game.as_fraction``); m, n and the labels are ``parse_integer``'s.
 """
 
 from __future__ import annotations
@@ -22,14 +24,19 @@ def _parse_rational(token: str, line: int, column: int) -> Fraction:
         raise GameFormatError(f"bad rational {token!r}", line, column) from None
 
 
+def parse_integer(text: str) -> int:
+    """ASCII "-?[0-9]+", the integer half of ``as_fraction``'s grammar, for
+    game files and the CLI's integer options; ValueError otherwise."""
+    if not (text.isascii() and text.removeprefix("-").isdecimal()):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)  # a ValueError too past int's digit limit
+
+
 def _parse_int(token: str, line: int, column: int) -> int:
-    """ASCII "-?[0-9]+", the integer half of ``as_fraction``'s grammar."""
     try:
-        if token.isascii() and token.removeprefix("-").isdecimal():
-            return int(token)
-    except ValueError:  # past int's digit limit
-        pass
-    raise GameFormatError(f"bad integer {token!r}", line, column)
+        return parse_integer(token)
+    except ValueError:
+        raise GameFormatError(f"bad integer {token!r}", line, column) from None
 
 
 def _tokens(line: str) -> list[tuple[str, int]]:
@@ -38,67 +45,49 @@ def _tokens(line: str) -> list[tuple[str, int]]:
 
 
 class _Reader:
+    """A game file's lines; ``line_no`` is the 1-based number of the last one read."""
+
     def __init__(self, text: str):
         self.lines = text.splitlines()
-        self.index = 0
+        self.line_no = 0
 
-    @property
-    def line_no(self) -> int:
-        return self.index  # 1-based number of the line just consumed
-
-    def next_line(self, expect: str):
-        if self.index >= len(self.lines):
-            raise GameFormatError(f"unexpected end of file, expected {expect}", len(self.lines) + 1)
-        line = self.lines[self.index]
-        self.index += 1
-        return line
-
-    def tokens(self, expect: str, count: int | None = None) -> list[tuple[str, int]]:
-        toks = _tokens(self.next_line(expect))
-        if not toks:
-            raise GameFormatError(f"expected {expect}, got a blank line", self.line_no)
-        if count is not None and len(toks) != count:
-            raise GameFormatError(
-                f"expected {count} values for {expect}, got {len(toks)}", self.line_no
-            )
+    def tokens(self, expect: str, count: int) -> list[tuple[str, int]]:
+        """The next line's ``count`` tokens; 0 reads the blank line between A and B."""
+        if self.line_no == len(self.lines):
+            raise GameFormatError(f"unexpected end of file, expected {expect}", self.line_no + 1)
+        self.line_no += 1
+        toks = _tokens(self.lines[self.line_no - 1])
+        if len(toks) != count:
+            if not count:
+                raise GameFormatError("expected a blank line between A and B", self.line_no)
+            if not toks:
+                raise GameFormatError(f"expected {expect}, got a blank line", self.line_no)
+            raise GameFormatError(f"expected {count} values for {expect}, got {len(toks)}", self.line_no)
         return toks
 
-    def blank_line(self):
-        line = self.next_line("a blank line")
-        if line.strip():
-            raise GameFormatError("expected a blank line between A and B", self.line_no)
+    def header(self) -> tuple[int, int]:
+        m, n = (_parse_int(t, self.line_no, c) for t, c in self.tokens('the header "m n"', 2))
+        if m < 1 or n < 1:
+            raise GameFormatError("m and n must be positive", self.line_no)
+        return m, n
+
+    def matrix(self, m: int, n: int, name: str) -> list[list[Fraction]]:
+        rows = (self.tokens(f"a row of {name}", n) for _ in range(m))  # each read as it is parsed
+        return [[_parse_rational(t, self.line_no, c) for t, c in row] for row in rows]
 
     def end(self):
-        """Only blank lines may follow the last row."""
-        for line in self.lines[self.index:]:
-            self.index += 1
+        """Only blank lines may follow the last row of B."""
+        for line_no, line in enumerate(self.lines[self.line_no:], self.line_no + 1):
             if line.strip():
-                raise GameFormatError("unexpected content after the last row of B", self.line_no)
-
-
-def _read_header(reader: _Reader) -> tuple[int, int]:
-    toks = reader.tokens('the header "m n"', 2)
-    m = _parse_int(toks[0][0], reader.line_no, toks[0][1])
-    n = _parse_int(toks[1][0], reader.line_no, toks[1][1])
-    if m < 1 or n < 1:
-        raise GameFormatError("m and n must be positive", reader.line_no)
-    return m, n
-
-
-def _read_matrix(reader: _Reader, m: int, n: int, name: str):
-    rows = []
-    for _ in range(m):
-        toks = reader.tokens(f"a row of {name}", n)
-        rows.append([_parse_rational(t, reader.line_no, c) for t, c in toks])
-    return rows
+                raise GameFormatError("unexpected content after the last row of B", line_no)
 
 
 def read_bgame(text: str) -> BimatrixGame:
     reader = _Reader(text)
-    m, n = _read_header(reader)
-    a = _read_matrix(reader, m, n, "A")
-    reader.blank_line()
-    b = _read_matrix(reader, m, n, "B")
+    m, n = reader.header()
+    a = reader.matrix(m, n, "A")
+    reader.tokens("a blank line", 0)
+    b = reader.matrix(m, n, "B")
     reader.end()
     return BimatrixGame.from_rows(a, b)
 
@@ -113,15 +102,14 @@ def write_bgame(game: BimatrixGame) -> str:
 
 def read_uvg(text: str) -> UnitVectorGame:
     reader = _Reader(text)
-    m, n = _read_header(reader)
-    toks = reader.tokens("the label string", n)
+    m, n = reader.header()
     ell = []
-    for t, c in toks:
+    for t, c in reader.tokens("the label string", n):
         lab = _parse_int(t, reader.line_no, c)
         if not 1 <= lab <= m:
             raise GameFormatError(f"label {lab} out of range 1..{m}", reader.line_no, c)
         ell.append(lab)
-    b = _read_matrix(reader, m, n, "B")
+    b = reader.matrix(m, n, "B")
     reader.end()
     return UnitVectorGame(m, tuple(ell), matrix_from(b))
 

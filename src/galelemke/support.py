@@ -283,10 +283,9 @@ class OnePerLabelClass:
 
     def __init__(self, u: UnitVectorGame):
         self.m, self.n = u.m, u.n
-        classes = u.label_classes()
-        if any(not cols for cols in classes.values()):
+        self.classes = [tuple(j + 1 for j, lab in enumerate(u.ell) if lab == i) for i in range(1, u.m + 1)]
+        if not all(self.classes):
             raise ValueError("every row must be the best response of some column")
-        self.classes = [classes[i] for i in range(1, u.m + 1)]
 
     def __len__(self) -> int:
         return prod(len(cols) for cols in self.classes)

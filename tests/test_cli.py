@@ -371,6 +371,19 @@ class TestSolve:
             ("g.bgame", "0 2\n", None, "m and n must be positive", "(line 1)"),
             ("g.bgame", "1 1\n1e1000000\n\n1\n", None, "bad rational '1e1000000'", "(line 2, column 1)"),
             ("g.uvg", "2 2\n1 3\n1 0\n0 1\n", None, "label 3 out of range 1..2", "(line 2, column 3)"),
+            ("g.bgame", "2\n", None, 'expected 2 values for the header "m n", got 1', "(line 1)"),
+            ("g.uvg", "2 2 2\n", None, 'expected 2 values for the header "m n", got 3', "(line 1)"),
+            ("g.bgame", "2 2\n1 0 1\n0 1\n", None, "expected 2 values for a row of A, got 3", "(line 2)"),
+            ("g.bgame", "2 2\n1 0\n0 1\n", None, "unexpected end of file, expected a blank line", "(line 4)"),
+            ("g.bgame", "2 2\n1 0\n0 1\n\n1 0\n0 1 1\n", None, "expected 2 values for a row of B, got 3", "(line 6)"),
+            ("g.bgame", "2 2\n1 0\n0 1\n\n1 0\n\n0 1\n", None, "expected a row of B, got a blank line", "(line 6)"),
+            ("g.bgame", "1 1\n1\n\n1\n\n\n5\n", None, "unexpected content after the last row of B", "(line 7)"),
+            ("g.uvg", "2 2\n1 2\n1 0\n0 1\n\nx\n", None, "unexpected content after the last row of B", "(line 6)"),
+            ("g.uvg", "2 2\n\n1 0\n0 1\n", None, "expected the label string, got a blank line", "(line 2)"),
+            ("g.uvg", "2 2\n1\n1 0\n0 1\n", None, "expected 2 values for the label string, got 1", "(line 2)"),
+            ("g.uvg", "2 2\n1 2 1\n1 0\n0 1\n", None, "expected 2 values for the label string, got 3", "(line 2)"),
+            ("g.uvg", "2 2\n", None, "unexpected end of file, expected the label string", "(line 2)"),
+            ("g.uvg", "2 2\n1 2\n1 0\n", None, "unexpected end of file, expected a row of B", "(line 4)"),
             ("g.bgame", GAME22_TEXT, "1 0 ; 1 0 0", "expected 3 + 3 rationals, got 2 + 3", "(line 1)"),
             ("g.bgame", GAME22_TEXT, "1 1 0 ; 1 0 0", "x must sum to 1, got 2", "(line 1)"),
         ],
@@ -811,11 +824,13 @@ def test_options_are_spelled_in_full(tmp_path, capsys, game22_path, argv):
         (["bench", "permutation", "--n", "3", "--jobs", "1.0", "--out", "{out}"], "--jobs"),
         (["solve", "{game}", "--missing-label", "１", "--path-csv", "{out}"], "--missing-label"),
         (["solve", "{game}", "--step-cap", "1e3", "--path-csv", "{out}"], "--step-cap"),
+        (["gen", "morris", "--m", "1" * 4301, "--out", "{out}"], "--m"),
     ],
 )
 def test_integer_options_read_the_integer_grammar(tmp_path, capsys, game22_path, argv, option):
     # every integer option reads ASCII "-?[0-9]+", as game files do: int()
-    # alone would read "1_0" as 10 and non-ASCII digits as their values
+    # alone would read "1_0" as 10 and non-ASCII digits as their values, and
+    # past its digit limit it raises what argparse reports as its own error
     out = tmp_path / "out.csv"
     argv = [word.format(out=out, game=game22_path) for word in argv]
     assert exit_code(argv) == 2

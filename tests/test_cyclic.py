@@ -146,6 +146,8 @@ REFUSALS = [
         "incidence string does not match this polytope",
         lambda: to_canonical_form(cyclic_geometry(2, 4)).vertex_of(GaleString.from_text("11000")),
     ),
+    ("point must have length m", lambda: to_canonical_form(cyclic_geometry(2, 4)).incidence_of((0, 0, 5))),
+    ("point must have length m", lambda: to_canonical_form(cyclic_geometry(2, 4)).incidence_of((0,))),
 ]
 
 

@@ -524,6 +524,11 @@ REFUSALS = [
             UnitVectorGame.of(2, [1, 2, 1], [[1, 2, 3], [2, 1, 1]]), (Fraction(1, 10), Fraction(0))
         ),
     ),
+    (
+        ValueError,
+        "point must have length m",
+        lambda: equilibrium_from_labeled_point(UnitVectorGame.of(2, [1, 2, 1], [[1, 2, 3], [2, 1, 1]]), (Fraction(1, 3),)),
+    ),
 ]
 
 

@@ -520,6 +520,20 @@ def test_the_walk_is_one_module():
     assert sorted(defined) == [("paths", "DEFAULT_STEP_CAP"), ("paths", "walk")]
 
 
+def test_one_integer_grammar():
+    # game files and integer options read integers by gameio.parse_integer:
+    # no other module spells the grammar out with str.isdecimal
+    package = Path(galelemke.__file__).parent
+    calls = [
+        f"{source.name}:{node.lineno}"
+        for source in sorted(package.glob("*.py"))
+        if source.stem != "gameio"
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "isdecimal"
+    ]
+    assert calls == []
+
+
 def test_the_walks_read_a_dictionary_only_through_enter():
     # the row choice, its lexicographic tie-break and the pivot checks live
     # in polytope.Dictionary: lemke_howson uses no elimination kernel and
