@@ -75,7 +75,7 @@ def geometry_vertex_strings(geom: CyclicPolytopeGeometry):
     if count > polytope.MAX_BASES:
         raise BudgetExceededError(f"{count} vertices for ({geom.m}, {geom.f}), more than {polytope.MAX_BASES} bases")
     int_rows = [scaled_to_integers(col) for col in transpose(to_canonical_form(geom).b)]
-    for point, tight in polytope.vertices_nonneg_form(int_rows, geom.m):
+    for point, tight in polytope.ordered_vertices(polytope.vertex_table(int_rows, geom.m), geom.m):
         yield point, GaleString.from_positions(geom.f, tight)
 
 

@@ -17,7 +17,7 @@ from operator import and_, mul
 
 from .errors import BudgetExceededError
 from .linalg import scaled_to_integers
-from .polytope import feasible_bases, vertices_nonneg_form
+from .polytope import ordered_vertices, vertex_table
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 LabelSet = frozenset[int]
@@ -173,15 +173,9 @@ class BimatrixGame:
         return tuple(map(dominance_masks, self.integer_payoffs))
 
     @cached_property
-    def _vertices(self) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-        """P's and Q's vertices, ``Dictionary.tight`` mask -> point times det of the
-        first basis met: one walk per polytope for both readers."""
-        tables = ({}, {})
-        for table, int_rows, dim in zip(tables, self.integer_payoffs[::-1], (self.m, self.n)):
-            for d in feasible_bases(int_rows, dim):
-                if (tight := d.tight()) not in table:
-                    table[tight] = d.scaled_point()
-        return tables
+    def _vertices(self) -> tuple[dict[int, tuple[list[int], int]], ...]:
+        """P's and Q's ``polytope.vertex_table``, one walk each for every vertex reader."""
+        return tuple(vertex_table(rows, dim) for rows, dim in zip(self.integer_payoffs[::-1], (self.m, self.n)))
 
 
 def dominance_masks(scaled):
@@ -284,14 +278,14 @@ def simplex_scaled(vec) -> tuple[Fraction, ...]:
 
 def p_vertices(game: BimatrixGame):
     """Vertices of P with their label sets: (point, labels)."""
-    return vertices_nonneg_form(game.integer_payoffs[1], game.m)
+    return ordered_vertices(game._vertices[0], game.m)
 
 
 def q_vertices(game: BimatrixGame):
     """Vertices of Q with their label sets: (point, labels).  Tight
     coordinate v is label m + v and tight row i label i."""
     m, n = game.m, game.n
-    for point, tight in vertices_nonneg_form(game.integer_payoffs[0], n):
+    for point, tight in ordered_vertices(game._vertices[1], n):
         yield point, frozenset(m + v if v <= n else v - n for v in tight)
 
 
@@ -307,11 +301,11 @@ def equilibria_by_vertex_enumeration(game: BimatrixGame) -> list[MixedProfile]:
     """
     m, n = game.m, game.n
     p_table, q_table = game._vertices
-    qs = list(q_table.values())
+    qs = [point for point, _ in q_table.values()]
     q_labels = [(t & (1 << n) - 1) << m | t >> n for t in q_table]
     holders = [sum(1 << k for k, t in enumerate(q_labels) if t >> label & 1) for label in range(m + n)]
     found = set()
-    for s, x_point in p_table.items():
+    for s, (x_point, _) in p_table.items():
         both = reduce(and_, (holders[label] for label in range(m + n) if not s >> label & 1))
         while both:
             k = both.bit_length() - 1

@@ -11,10 +11,9 @@ per basis and one ``linalg.ratio_rows`` per cobasic column, and refuses
 more than MAX_BASES of them.  Each basis is a ``Dictionary``, the compact
 integer dictionary that both Lemke-Howson walks pivot too, as lrsnash
 does with one dictionary for both jobs.  A vertex is its set of tight
-positions, which binds at no other point of the polytope, so bases are
-grouped by that set: a degenerate vertex, which has several, is reported
-once, and its order key is read off those bases without solving anything
-else.
+positions, which binds at no other point of the polytope, so
+``vertex_table`` keys bases by that set and reports a degenerate vertex
+once; ``ordered_vertices`` reads its order key off that set alone.
 
 The dictionary has two row policies on one kernel, fixed at the origin.
 ``Dictionary.slack`` keeps every row, which the enumerator reads in full at
@@ -38,7 +37,6 @@ from typing import NamedTuple
 from .errors import BudgetExceededError, InvariantError
 from .linalg import pivot, ratio_rows
 
-ZERO = Fraction(0)
 MAX_BASES = 1_000_000
 
 
@@ -238,36 +236,36 @@ def feasible_bases(int_rows, dim):
         raise BudgetExceededError(f"more than {MAX_BASES} feasible bases")
 
 
-def vertices_nonneg_form(int_rows, dim):
-    """Vertices of ``{z >= 0, R z <= 1}``; ``int_rows`` lists the rows of R
-    as ``(scale, integers)``, so row j reads ``integers . z <= scale``.
-
-    Yields ``(point, tight)``: the 1-based positions of every constraint
-    that binds there, i for ``z_i = 0`` and ``dim + j`` for ``(R z)_j = 1``.
-    Bases are keyed by that tight set, so every vertex is reported once; a
-    degenerate vertex has more than ``dim`` tight positions.
-
-    The order is fixed by the key ``(|S|, S, T)``: S is the support, as
-    ascending 0-based coordinates, and T the lexicographically first
-    |S|-subset of the tight rows whose system on the columns S is
-    nonsingular.  That is the order in which a search over square
-    subsystems, by size, then free coordinates, then rows, first meets
-    each vertex.  No subsystem is solved for T: such a subset is exactly
-    the set of cobasic rows of a feasible basis of the vertex with |S|
-    cobasic rows, and the walk visits every feasible basis.
-    """
-    found = {}  # tight mask -> (S, point)
-    first_rows = {}  # tight mask -> T, the least cobasic rows of size |S| so far
+def vertex_table(int_rows, dim) -> dict[int, tuple[list[int], int]]:
+    """One walk of ``feasible_bases``: each vertex of ``{z >= 0, R z <= 1}``
+    as its ``Dictionary.tight`` mask mapped to ``(scaled_point(), det)`` of
+    the first basis met.  Row j of R is ``(scale, integers)``, read ``integers . z <= scale``."""
+    table = {}
     for d in feasible_bases(int_rows, dim):
-        tight = d.tight()
-        if tight not in found:  # a degenerate vertex's later bases give the same point
-            point = tuple(Fraction(v, d.det) if v else ZERO for v in d.scaled_point())
-            found[tight] = (tuple(i for i, v in enumerate(point) if v), point)
-        # the cobasic slacks: rows shifted by dim, which keeps their order
-        cobasic_rows = tuple(sorted(v for v in d.cobasis if v >= dim))
-        if len(cobasic_rows) == len(found[tight][0]):
-            first_rows[tight] = min(cobasic_rows, first_rows.get(tight, cobasic_rows))
-    if len(first_rows) < len(found):
-        raise InvariantError("vertex without a feasible basis on its support")
-    for tight in sorted(found, key=lambda k: (len(found[k][0]), found[k][0], first_rows[k])):
-        yield found[tight][1], frozenset(v + 1 for v in range(tight.bit_length()) if tight >> v & 1)
+        if (tight := d.tight()) not in table:  # a degenerate vertex's later bases give the same point
+            table[tight] = (d.scaled_point(), d.det)
+    return table
+
+
+def ordered_vertices(table, dim):
+    """The vertices of a ``vertex_table`` as ``(point, tight)``, tight the
+    1-based positions that bind there: i for ``z_i = 0``, ``dim + j`` for
+    ``(R z)_j = 1``.  They are sorted by ``(|S|, S, R)``: S the ascending
+    coordinates that are not tight, R the ascending tight rows, as tuples.
+
+    A search over square subsystems, by size, then free coordinates, then
+    rows, meets a vertex first at T, the least |S| tight rows nonsingular
+    on the columns S: R's greedy basis there.  Let two vertices on one S
+    first differ in R at row r, tight at the first only.  A row that
+    depends on the rows before r binds wherever they bind, so r does not
+    depend on them: both greedy bases take the same rows before r, then
+    the first takes r and the second a later row.  So T orders them as R.
+    """
+    def key(tight):
+        support = tuple(v for v in range(dim) if not tight >> v & 1)
+        return len(support), support, tuple(v for v in range(dim, tight.bit_length()) if tight >> v & 1)
+
+    zero = Fraction(0)  # one zero for every vertex: Fraction(0, det) costs a gcd
+    for tight in sorted(table, key=key):
+        point, det = table[tight]
+        yield tuple(Fraction(v, det) if v else zero for v in point), frozenset(v + 1 for v in range(tight.bit_length()) if tight >> v & 1)

@@ -482,6 +482,16 @@ class TestSolve:
         assert main(["solve", str(out), "--method", "support"]) == 4
         assert "budget" in capsys.readouterr().err
 
+    def test_support_method_without_an_equal_size_equilibrium(self, tmp_path, capsys):
+        # every equilibrium of this game has supports of unequal size, so only
+        # the Lemke-Howson walk finds one
+        path = tmp_path / "g.bgame"
+        path.write_text(write_bgame(BimatrixGame.from_rows([[2, 0, 1], [0, 1, 1], [1, 1, 0]], [[0, 2, 1], [2, 1, 0], [0, 1, 2]])))
+        assert main(["solve", str(path), "--method", "support"]) == 3
+        assert capsys.readouterr().err == "solver error: no equilibrium on any equal-size support pair\n"
+        assert main(["solve", str(path), "--method", "lh"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "0 1/2 1/2 ; 0 1 0"
+
     def test_feasible_bases_budget_exit_code(self, tmp_path, capsys, monkeypatch):
         # gen random checks nondegeneracy on the vertex tables, which walk
         # every feasible basis of P and Q

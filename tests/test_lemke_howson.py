@@ -393,10 +393,12 @@ def table_walk(game, label, start=None):
 
 
 def label_tables(game):
-    """P's and Q's vertex tables keyed by label mask: mask -> point."""
+    """P's and Q's vertex tables keyed by label mask: mask -> point times det."""
     m, n = game.m, game.n
     p_table, q_table = game._vertices
-    return p_table, {(t & (1 << n) - 1) << m | t >> n: point for t, point in q_table.items()}
+    return {t: point for t, (point, _) in p_table.items()}, {
+        (t & (1 << n) - 1) << m | t >> n: point for t, (point, _) in q_table.items()
+    }
 
 
 class TestVertexTableGraph:
@@ -428,3 +430,19 @@ class TestVertexTableGraph:
             for label in range(1, m + n + 1):
                 partner = {end: table_walk(game, label, end)[1] for end in ends}
                 assert all(partner[end] != end and partner[partner[end]] == end for end in ends)
+
+
+# both columns of B are (1, 1), so every ratio test of P ties
+TIED = UnitVectorGame.of(2, [1, 2], [[1, 1], [1, 1]])
+
+REFUSALS = [
+    (DegenerateGameError, "ratio-test tie on a game expected to be nondegenerate", lambda k=k: lemke_path_on_unit_vector_game(TIED, k))
+    for k in range(1, 5)
+]
+
+
+@pytest.mark.parametrize("error, message, call", REFUSALS, ids=[f"tie, label {k}" for k in range(1, 5)])
+def test_input_refusals(error, message, call):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

@@ -14,7 +14,7 @@ from galelemke.cyclic import cyclic_geometry, to_canonical_form
 from galelemke.errors import BudgetExceededError
 from galelemke.game import transpose
 from galelemke.linalg import bareiss_solve, scaled_to_integers
-from galelemke.polytope import feasible_bases, vertices_nonneg_form
+from galelemke.polytope import feasible_bases, ordered_vertices, vertex_table
 
 
 @st.composite
@@ -80,10 +80,11 @@ def brute_force_vertices(int_rows, dim):
 @example((2, [[1, 0], [0, 1], [1, 1]], [1, 1, 1]))  # (1, 0) and (0, 1) bind three constraints
 @example((3, [[-1, -2, -3]], [2]))  # unbounded: only the origin
 @example((2, [[1, 2], [2, 4], [3, 1]], [1, 2, 1]))  # proportional rows bind together
+@example((2, [[5, -2], [-3, 4], [5, -2], [1, 3]], [3, 1, 3, 3]))  # one support, rows (1, 3, 4) then (2, 4); row 3 repeats row 1
 def test_matches_brute_force_reference(system):
     dim, rows, scales = system
     int_rows = [(s, tuple(s * v for v in row)) for s, row in zip(scales, rows)]
-    assert list(vertices_nonneg_form(int_rows, dim)) == list(brute_force_vertices(int_rows, dim))
+    assert list(ordered_vertices(vertex_table(int_rows, dim), dim)) == list(brute_force_vertices(int_rows, dim))
 
 
 def test_order_matches_brute_force_on_games_and_cyclic_polytopes():
@@ -96,7 +97,7 @@ def test_order_matches_brute_force_on_games_and_cyclic_polytopes():
         b = to_canonical_form(cyclic_geometry(m, f)).b
         systems.append(([scaled_to_integers(col) for col in transpose(b)], m))
     for int_rows, dim in systems:
-        assert list(vertices_nonneg_form(int_rows, dim)) == list(brute_force_vertices(int_rows, dim))
+        assert list(ordered_vertices(vertex_table(int_rows, dim), dim)) == list(brute_force_vertices(int_rows, dim))
 
 
 def test_is_nondegenerate_matches_brute_force_label_counts():

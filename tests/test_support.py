@@ -505,6 +505,31 @@ class TestEqualSupportSearch:
             enumerate_equilibria(game)
 
 
+# Both equilibria pair x = (0, 1/2, 1/2), of support size 2, with a y of
+# support size 1 or 3: y = (0, 1, 0) and y = (1/4, 1/2, 1/4).
+UNEQUAL_SUPPORTS = ([[2, 0, 1], [0, 1, 1], [1, 1, 0]], [[0, 2, 1], [2, 1, 0], [0, 1, 2]])
+
+
+class TestNoEqualSizeEquilibrium:
+    """A degenerate game whose every equilibrium has supports of unequal
+    size: the equal-size searches find nothing there."""
+
+    def test_every_equilibrium_has_unequal_supports(self):
+        game = BimatrixGame.from_rows(*UNEQUAL_SUPPORTS)
+        assert not is_nondegenerate(game)
+        assert equilibria_by_vertex_enumeration(game) == [
+            MixedProfile.of(["0", "1/2", "1/2"], ["0", "1", "0"]),
+            MixedProfile.of(["0", "1/2", "1/2"], ["1/4", "1/2", "1/4"]),
+        ]
+        assert enumerate_equilibria(game) == []
+
+    @pytest.mark.parametrize("seed", [None, 0])
+    def test_equal_support_search_finds_none(self, seed):
+        with pytest.raises(NoEquilibriumError) as info:
+            search_equal_supports(BimatrixGame.from_rows(*UNEQUAL_SUPPORTS), seed)
+        assert str(info.value) == "no equilibrium on any equal-size support pair"
+
+
 class TestStatsCsv:
     def test_count_helper(self):
         game = triple_morris_game(2).to_bimatrix()
@@ -522,6 +547,7 @@ REFUSALS = [
         "every row must be the best response of some column",
         lambda: OnePerLabelClass(UnitVectorGame.of(2, [1, 1], [[1, 2], [2, 1]])),
     ),
+    (ValueError, "empty universe", lambda: randomized_support_search(BimatrixGame.from_rows([[1]], [[1]]), (), 0)),
 ]
 
 
