@@ -20,6 +20,7 @@ from .game import (
     MixedProfile,
     UnitVectorGame,
     as_fraction,
+    as_integer,
     equilibria_by_vertex_enumeration,
     imitation_game,
     is_nondegenerate,
@@ -37,7 +38,6 @@ from .gale import (
     enumerate_gale_vertices,
     euler_matchings,
     gale_pivot,
-    is_gale_even,
     lemke_path_length,
     matching_string,
 )

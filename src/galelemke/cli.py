@@ -22,7 +22,7 @@ from .errors import (
     StepCapExceededError,
 )
 from .gale import lemke_path_length
-from .game import UnitVectorGame, labels_of_profile
+from .game import UnitVectorGame, as_integer, labels_of_profile
 from .generators import (
     PermutationGameSpec,
     morris_game,
@@ -55,9 +55,9 @@ UNIT_VECTOR_FAMILIES = {
 
 
 def _integer(text: str) -> int:
-    """The argparse type of every integer option: ``gameio.parse_integer``."""
+    """The argparse type of every integer option: ``game.as_integer``."""
     try:
-        return gameio.parse_integer(text)
+        return as_integer(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
 
@@ -84,8 +84,8 @@ def cmd_gen(args) -> int:
         print(f"labels {gameio.format_label_string(game.ell)}")
         out = args.out or f"{family}-m{args.m}.uvg"
     elif family == "permutation":
-        if args.pi:
-            spec = PermutationGameSpec.of(args.pi.split())
+        if args.pi is not None:
+            spec = PermutationGameSpec.of(args.pi)
             if args.n not in (None, spec.n):
                 raise ValueError(f"--n {args.n} disagrees with --pi of length {spec.n}")
         elif args.n is None:
@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     permutation = gen.add_parser("permutation", help="the n x n game of a permutation")
     permutation.add_argument("--n", type=_integer, help="default: the length of --pi")
     pick = permutation.add_mutually_exclusive_group()
-    pick.add_argument("--pi", help="explicit permutation, space-separated")
+    pick.add_argument("--pi", type=lambda text: [*map(_integer, text.split())], help="explicit permutation, space-separated")
     pick.add_argument("--seed", type=_integer, help="random permutation seed, default: 0")
     rand = gen.add_parser("random", help="a random m x n game")
     rand.add_argument("--m", type=_integer, required=True)

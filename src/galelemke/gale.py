@@ -23,6 +23,7 @@ from math import comb
 from operator import getitem
 
 from .errors import BudgetExceededError
+from .game import as_integer
 from .paths import DEFAULT_STEP_CAP, PivotPath, PivotStep, walk
 
 MAX_ENUMERATED = 1_000_000
@@ -48,7 +49,14 @@ class GaleString:
 
     @classmethod
     def from_text(cls, text: str) -> "GaleString":
-        return cls(*_parse_bits(text))
+        """Read '1' for a one and '0' or '.' for a zero."""
+        bits = 0
+        for i, ch in enumerate(text):
+            if ch == "1":
+                bits |= 1 << i
+            elif ch not in "0.":
+                raise ValueError(f"bad character {ch!r} in bitstring")
+        return cls(len(text), bits)
 
     @classmethod
     def from_positions(cls, f: int, positions) -> "GaleString":
@@ -76,17 +84,6 @@ class GaleString:
         return "".join("1" if self.bits >> i & 1 else "." for i in range(self.f))
 
 
-def _parse_bits(text: str) -> tuple[int, int]:
-    """(length, bits) of a string of '1' for ones and '0' or '.' for zeros."""
-    bits = 0
-    for i, ch in enumerate(text):
-        if ch == "1":
-            bits |= 1 << i
-        elif ch not in "0.":
-            raise ValueError(f"bad character {ch!r} in bitstring")
-    return len(text), bits
-
-
 def _cyclic_runs_even(bits: int, f: int) -> bool:
     """Whether the ones split into disjoint cyclically adjacent pairs.
     Rotated to start just after a zero, the string has no run across the
@@ -102,21 +99,6 @@ def _cyclic_runs_even(bits: int, f: int) -> bool:
             return False
         bits ^= low * 3
     return True
-
-
-def is_gale_even(text: str, m: int) -> bool:
-    """Check the evenness condition for a candidate bitstring with m ones,
-    written as a string of '1' for ones and '0' or '.' for zeros.
-
-    Raises ValueError when the popcount differs from m or m is odd (only
-    even dimensions carry the cyclic wrap-around form of the condition).
-    """
-    f, raw = _parse_bits(text)
-    if m % 2 != 0:
-        raise ValueError(f"only even numbers of ones are supported, got m={m}")
-    if raw.bit_count() != m:
-        raise ValueError(f"expected {m} ones, found {raw.bit_count()}")
-    return _cyclic_runs_even(raw, f)
 
 
 def enumerate_gale_vertices(m: int, f: int) -> list[GaleString]:
@@ -213,12 +195,12 @@ class LabeledGalePolytope:
             raise ValueError("dimension must be even and at least 2")
         if not self.ell:
             raise ValueError("label string must be nonempty")
-        if any(not 1 <= v <= self.m for v in self.ell):
+        if any(not (type(v) is int and 1 <= v <= self.m) for v in self.ell):
             raise ValueError("labels must lie in 1..m")
 
     @classmethod
     def of(cls, m: int, ell) -> "LabeledGalePolytope":
-        return cls(m, tuple(int(v) for v in ell))
+        return cls(m, tuple(map(as_integer, ell)))
 
     @property
     def n(self) -> int:

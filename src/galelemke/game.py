@@ -9,7 +9,7 @@ jointly cover 1..m+n.  All arithmetic is exact; floats are rejected.
 
 from __future__ import annotations
 
-import re
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -28,21 +28,38 @@ ONE = Fraction(1)
 
 NONDEGENERACY_MAX_LABELS = 20
 
-_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+def as_integer(value) -> int:
+    """Read an int, a Fraction with denominator 1 or ASCII text "-?[0-9]+":
+    the one integer grammar of game files, CLI options and label strings.
+    Anything else, a float or a bool included, is a ValueError."""
+    if isinstance(value, str):
+        if value.isascii() and value.removeprefix("-").isdecimal():
+            return int(value)  # a ValueError too past int's digit limit
+    elif type(value) is int:  # not a bool, which would be written as "True"
+        return value
+    elif isinstance(value, Fraction) and value.denominator == 1:
+        return value.numerator
+    raise ValueError(f"invalid integer {value!r}")
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, Fractions and strings "p" or "p/q" (ASCII digits, a
-    minus sign only on p, q > 0); floats are refused.  Text has no exponent,
-    so a value grows only with its length, which ``int`` bounds."""
+    """Coerce ints, Fractions and strings "p" or "p/q", with p and q read by
+    ``as_integer`` and q > 0 (so a minus sign only on p); floats are refused.
+    Text has no exponent, so a value grows only with its length, which
+    ``int`` bounds.  Text is tested first: game files hold it."""
+    if isinstance(value, str):
+        if value.isdecimal() and value.isascii():  # plain digits, the common token
+            return Fraction(int(value))
+        p, slash, q = value.partition("/")
+        with suppress(ValueError):
+            if (q := as_integer(q) if slash else 1) > 0:
+                return Fraction(as_integer(p), q)
+        raise ValueError(f"bad rational {value!r}")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        if not (match := _RATIONAL.fullmatch(value)):
-            raise ValueError(f"bad rational {value!r}")
-        return Fraction(int(match[1]), int(match[2] or 1))
     raise TypeError(f"expected an exact rational, got {type(value).__name__}: {value!r}")
 
 
@@ -411,14 +428,14 @@ class UnitVectorGame:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be at least 1")
-        if any(not 1 <= v <= self.m for v in self.ell):
+        if any(not (type(v) is int and 1 <= v <= self.m) for v in self.ell):
             raise ValueError("labels must lie in 1..m")
         if _shape(self.b) != (self.m, len(self.ell)):
             raise ValueError("B must be m x len(ell)")
 
     @classmethod
     def of(cls, m: int, ell, b_rows) -> "UnitVectorGame":
-        return cls(m, tuple(int(v) for v in ell), matrix_from(b_rows))
+        return cls(m, tuple(map(as_integer, ell)), matrix_from(b_rows))
 
     @property
     def n(self) -> int:

@@ -5,7 +5,8 @@ of n rationals (B).  ".uvg": line 1 "m n"; line 2 the n labels; m rows of
 n rationals (B).  Every row holds exactly its count of tokens (a blank,
 short or long row is refused), the file may not end before its last row,
 and only blank lines may follow it.  Rationals are written "p" or "p/q"
-(``game.as_fraction``); m, n and the labels are ``parse_integer``'s.
+(``game.as_fraction``); m, n and the labels are ``game.as_integer``'s.  A
+refused token is a ``GameFormatError`` at its line and column.
 """
 
 from __future__ import annotations
@@ -14,27 +15,19 @@ import re
 from fractions import Fraction
 
 from .errors import GameFormatError
-from .game import BimatrixGame, MixedProfile, UnitVectorGame, as_fraction, matrix_from
+from .game import BimatrixGame, Matrix, MixedProfile, UnitVectorGame, as_fraction, as_integer
 
 
 def _parse_rational(token: str, line: int, column: int) -> Fraction:
     try:
-        return Fraction(int(token)) if token.isdecimal() and token.isascii() else as_fraction(token)
-    except (ValueError, ZeroDivisionError):
+        return as_fraction(token)
+    except ValueError:
         raise GameFormatError(f"bad rational {token!r}", line, column) from None
-
-
-def parse_integer(text: str) -> int:
-    """ASCII "-?[0-9]+", the integer half of ``as_fraction``'s grammar, for
-    game files and the CLI's integer options; ValueError otherwise."""
-    if not (text.isascii() and text.removeprefix("-").isdecimal()):
-        raise ValueError(f"invalid integer {text!r}")
-    return int(text)  # a ValueError too past int's digit limit
 
 
 def _parse_int(token: str, line: int, column: int) -> int:
     try:
-        return parse_integer(token)
+        return as_integer(token)
     except ValueError:
         raise GameFormatError(f"bad integer {token!r}", line, column) from None
 
@@ -71,9 +64,9 @@ class _Reader:
             raise GameFormatError("m and n must be positive", self.line_no)
         return m, n
 
-    def matrix(self, m: int, n: int, name: str) -> list[list[Fraction]]:
+    def matrix(self, m: int, n: int, name: str) -> Matrix:
         rows = (self.tokens(f"a row of {name}", n) for _ in range(m))  # each read as it is parsed
-        return [[_parse_rational(t, self.line_no, c) for t, c in row] for row in rows]
+        return tuple(tuple([_parse_rational(t, self.line_no, c) for t, c in row]) for row in rows)
 
     def end(self):
         """Only blank lines may follow the last row of B."""
@@ -89,7 +82,7 @@ def read_bgame(text: str) -> BimatrixGame:
     reader.tokens("a blank line", 0)
     b = reader.matrix(m, n, "B")
     reader.end()
-    return BimatrixGame.from_rows(a, b)
+    return BimatrixGame(a, b)
 
 
 def write_bgame(game: BimatrixGame) -> str:
@@ -111,7 +104,7 @@ def read_uvg(text: str) -> UnitVectorGame:
         ell.append(lab)
     b = reader.matrix(m, n, "B")
     reader.end()
-    return UnitVectorGame(m, tuple(ell), matrix_from(b))
+    return UnitVectorGame(m, tuple(ell), b)
 
 
 def write_uvg(u: UnitVectorGame) -> str:

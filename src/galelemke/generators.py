@@ -21,6 +21,7 @@ from .game import (
     BimatrixGame,
     MixedProfile,
     UnitVectorGame,
+    as_integer,
     imitation_game,
     is_nondegenerate,
 )
@@ -100,12 +101,14 @@ class PermutationGameSpec:
     pi: tuple[int, ...]
 
     def __post_init__(self):
-        if sorted(self.pi) != list(range(1, self.n + 1)):
+        if self.n < 1:
+            raise ValueError("n must be at least 1")
+        if any(type(v) is not int for v in self.pi) or sorted(self.pi) != list(range(1, self.n + 1)):
             raise ValueError("pi must be a permutation of 1..n")
 
     @classmethod
     def of(cls, pi) -> "PermutationGameSpec":
-        pi = tuple(int(v) for v in pi)
+        pi = tuple(map(as_integer, pi))
         return cls(len(pi), pi)
 
     def cycles(self) -> list[frozenset[int]]:
@@ -145,8 +148,6 @@ def permutation_equilibria(spec: PermutationGameSpec) -> list[MixedProfile]:
 
 def random_permutation(n: int, seed: int) -> PermutationGameSpec:
     """Uniform permutation from a seeded shuffle."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
     rng = random.Random(seed)
     values = list(range(1, n + 1))
     rng.shuffle(values)

@@ -5,6 +5,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +19,6 @@ from galelemke import (
     enumerate_gale_vertices,
     euler_matchings,
     gale_pivot,
-    is_gale_even,
     lemke_path_length,
     matching_string,
     morris_polytope,
@@ -46,21 +46,17 @@ def brute_force_gale(m, f):
 
 class TestEvenness:
     def test_accepts_plain_runs(self):
-        assert is_gale_even("1100", 2)
-        assert is_gale_even("1001", 2)  # wrap-around run
+        assert GaleString.from_text("1100").ones() == (1, 2)
+        assert GaleString.from_text("1001").ones() == (1, 4)  # wrap-around run
 
     def test_rejects_odd_interior_run(self):
-        assert not is_gale_even("1010", 2)
-        assert not is_gale_even("010100", 2)
-        assert not is_gale_even("01110010", 4)
+        for text in ("1010", "010100", "01110010"):
+            with pytest.raises(ValueError, match="odd interior run of ones"):
+                GaleString.from_text(text)
 
     def test_odd_ones_rejected(self):
-        with pytest.raises(ValueError):
-            is_gale_even("1110", 3)
-
-    def test_popcount_checked(self):
-        with pytest.raises(ValueError):
-            is_gale_even("1100", 4)
+        with pytest.raises(ValueError, match="number of ones must be even, got 3"):
+            GaleString.from_text("1110")
 
     @pytest.mark.parametrize("m,f,count", [(2, 4, 4), (4, 6, 9)])
     def test_counts(self, m, f, count):
@@ -581,10 +577,21 @@ REFUSALS = [
     ("label string must be nonempty", lambda: LabeledGalePolytope.of(2, [])),
     ("labels must lie in 1..m", lambda: LabeledGalePolytope.of(2, [1, 3])),
     ("matching edges overlap in tour positions", lambda: matching_string(triple_morris_polytope(4), frozenset({1, 2}))),
+    *(
+        (f"invalid integer {v!r}", lambda v=v: LabeledGalePolytope.of(2, [v, 2]))
+        for v in (1.5, Fraction(3, 2), True, "+1", "\u0661", "1_0")
+    ),
 ]
+# refusals whose message repeats one above, so each is named by its own id
+REPEATED = {
+    "labels must lie in 1..m: a float": ("labels must lie in 1..m", lambda: LabeledGalePolytope(2, (1.0, 2))),
+    "labels must lie in 1..m: a bool": ("labels must lie in 1..m", lambda: LabeledGalePolytope(2, (True, 2))),
+}
 
 
-@pytest.mark.parametrize("message, call", REFUSALS, ids=[message for message, _ in REFUSALS])
+@pytest.mark.parametrize(
+    "message, call", [*REFUSALS, *REPEATED.values()], ids=[*(message for message, _ in REFUSALS), *REPEATED]
+)
 def test_input_refusals(message, call):
     with pytest.raises(ValueError) as info:
         call()

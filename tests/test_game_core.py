@@ -12,6 +12,7 @@ from galelemke import (
     BimatrixGame,
     MixedProfile,
     UnitVectorGame,
+    as_fraction,
     enumerate_equilibria,
     equilibria_by_vertex_enumeration,
     imitation_game,
@@ -531,6 +532,14 @@ REFUSALS = [
         "point must have length m",
         lambda: equilibrium_from_labeled_point(UnitVectorGame.of(2, [1, 2, 1], [[1, 2, 3], [2, 1, 1]]), (Fraction(1, 3),)),
     ),
+    # a label is a row of A: 1.9 read as 1 would be another game
+    (ValueError, "labels must lie in 1..m", lambda: UnitVectorGame(2, (1.5, 2), ((1, 2), (2, 1)))),
+    *(
+        (ValueError, f"invalid integer {v!r}", lambda v=v: UnitVectorGame.of(2, [v, 2], [[1, 2], [2, 1]]))
+        for v in (1.5, Fraction(3, 2), True, "+1", "\u0661", "1_0")
+    ),
+    (ValueError, "bad rational '1/0'", lambda: as_fraction("1/0")),
+    (ValueError, "bad rational '1/00'", lambda: as_fraction("1/00")),
 ]
 
 

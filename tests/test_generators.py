@@ -206,10 +206,22 @@ REFUSALS = [
     ("pi must be a permutation of 1..n", lambda: PermutationGameSpec.of([1, 1])),
     ("n must be at least 1", lambda: random_permutation(0, 0)),
     ("empty payoff range", lambda: random_game(2, 2, 0, payoff_range=(3, 2))),
+    *(
+        (f"invalid integer {v!r}", lambda v=v: PermutationGameSpec.of([2, v]))
+        for v in (1.5, Fraction(3, 2), True, "+1", "\u0661", "1_0")
+    ),
 ]
+# refusals whose message repeats one above, so each is named by its own id
+REPEATED = {
+    "pi must be a permutation of 1..n: floats": ("pi must be a permutation of 1..n", lambda: PermutationGameSpec(2, (2.0, 1.0))),
+    "pi must be a permutation of 1..n: a bool": ("pi must be a permutation of 1..n", lambda: PermutationGameSpec(2, (2, True))),
+    "n must be at least 1: an empty pi": ("n must be at least 1", lambda: PermutationGameSpec.of([])),
+}
 
 
-@pytest.mark.parametrize("message, call", REFUSALS, ids=[message for message, _ in REFUSALS])
+@pytest.mark.parametrize(
+    "message, call", [*REFUSALS, *REPEATED.values()], ids=[*(message for message, _ in REFUSALS), *REPEATED]
+)
 def test_input_refusals(message, call):
     with pytest.raises(ValueError) as info:
         call()

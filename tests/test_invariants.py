@@ -521,15 +521,23 @@ def test_the_walk_is_one_module():
 
 
 def test_one_integer_grammar():
-    # game files and integer options read integers by gameio.parse_integer:
-    # no other module spells the grammar out with str.isdecimal
+    # game files, integer options and the .of constructors read integers by
+    # game.as_integer: no other module spells the grammar out with a str
+    # digit test, or reads a number with int(), which takes 1.9 for 1 and
+    # "1_0" for 10; int() of a comparison, a bool-to-int cast, stays allowed
     package = Path(galelemke.__file__).parent
     calls = [
         f"{source.name}:{node.lineno}"
         for source in sorted(package.glob("*.py"))
-        if source.stem != "gameio"
+        if source.stem != "game"
         for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "isdecimal"
+        if isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Attribute) and node.func.attr in {"isdecimal", "isdigit", "isnumeric"}
+            or isinstance(node.func, ast.Name)
+            and node.func.id == "int"
+            and not all(isinstance(arg, ast.Compare) for arg in node.args)
+        )
     ]
     assert calls == []
 
